@@ -24,8 +24,6 @@ from fidest import (
     density_with_block,
     filter_f,
     ideal_sqrt_state,
-    ideal_sqrt_vector,
-    layout,
     purify,
     random_density,
 )
@@ -39,10 +37,9 @@ def main():
 
     print("ideal block error * 4 kappa (must be <= 1):")
     a = 0.7 * random_density(2, 3, seed=1).matrix
-    rho = density_with_block(a, 1)
-    lay = layout(("system", 2), ("encoding", 1))
+    p = purify(density_with_block(a, 1), 3)
     for k in (1.0, 4.0, 16.0, 64.0):
-        out = ideal_sqrt_state(rho, lay, SqrtParams(kappa=k, t=64))
+        out = ideal_sqrt_state(p, 1, SqrtParams(kappa=k, t=64))
         print(f"  kappa={k:4g}: {out.unscaled_block_error() * 4 * k:.3f}")
 
     print("circuit vs ideal (pure 1-qubit instance, kappa=8):")
@@ -50,7 +47,10 @@ def main():
     for t in (8, 16, 32, 64, 128):
         params = SqrtParams(kappa=kappa, t=t)
         out = build_sqrt_unitary(p, 0, params)
-        ideal = ideal_sqrt_vector(p, 0, params)
+        # the ideal output on the circuit's registers: pe exactly |0>
+        ideal = np.zeros((2, params.T, 4), dtype=complex)
+        ideal[:, 0, :] = ideal_sqrt_state(p, 0, params).state.reshape(2, 4)
+        ideal = ideal.reshape(-1)
         print(f"  t={t:4d}: ||circuit - ideal|| = {np.linalg.norm(out.state - ideal):.6f} "
               f"(preparer queries: {out.preparer_queries})")
 

@@ -8,7 +8,7 @@ system and every later segment is an encoding ancilla; the block is always
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,16 +27,17 @@ BE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class BlockEncodingSpec:
-    """(alpha, ancilla_qubits, epsilon) descriptor."""
+    """(alpha, ancilla_qubits, epsilon) descriptor; epsilon None claims no
+    bound, and the encoding built on it records its measured error there."""
 
     alpha: float
     ancilla_qubits: int
-    epsilon: float
+    epsilon: float | None = None
 
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.epsilon < 0:
+        if self.epsilon is not None and self.epsilon < 0:
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
 
 
@@ -57,8 +58,9 @@ class EncodedOperator:
     """A carrier matrix holding ``target`` in its ancilla-zero block.
 
     ``kind`` records whether the carrier is a unitary or a density operator;
-    both occur in the pipeline.  The defining inequality is re-validated on
-    construction, so violations are construction errors, never silent.
+    both occur in the pipeline.  The block error is measured once, on
+    construction: a claimed epsilon it exceeds is a construction error, never
+    silent, and an unclaimed one becomes the measured error.
     """
 
     carrier: np.ndarray
@@ -66,6 +68,7 @@ class EncodedOperator:
     spec: BlockEncodingSpec
     target: np.ndarray
     kind: str = "unitary"
+    measured_error: float = field(init=False)
 
     def __post_init__(self):
         if self.kind not in ("unitary", "density"):
@@ -77,7 +80,10 @@ class EncodedOperator:
         object.__setattr__(self, "carrier", c)
         object.__setattr__(self, "target", t)
         err = be_error(c, self.layout, t, self.spec.alpha)
-        if err > self.spec.epsilon + BE_TOL:
+        object.__setattr__(self, "measured_error", err)
+        if self.spec.epsilon is None:
+            object.__setattr__(self, "spec", replace(self.spec, epsilon=err))
+        elif err > self.spec.epsilon + BE_TOL:
             raise ValueError(
                 f"block-encoding error {err:.3e} exceeds claimed epsilon "
                 f"{self.spec.epsilon:.3e} + {BE_TOL:.1e}"
@@ -90,9 +96,6 @@ class EncodedOperator:
     def block(self) -> np.ndarray:
         """<0|carrier|0> over all ancilla segments."""
         return project_zero(self.carrier, self.layout, self.layout.names[1:])
-
-    def measured_error(self) -> float:
-        return be_error(self.carrier, self.layout, self.target, self.spec.alpha)
 
 
 def swap_registers(m_qubits: int, qubit_budget: int = DEFAULT_QUBIT_BUDGET) -> np.ndarray:

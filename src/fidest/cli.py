@@ -8,6 +8,7 @@ Identical invocations (flags + seeds) produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import math
 import sys
@@ -110,11 +111,21 @@ def _ancillas(rank: int) -> int:
     return max(1, math.ceil(math.log2(max(rank, 2))))
 
 
+def _sim_level(args) -> tuple[str, float]:
+    """(sim_level, perturbation) for PipelineParams: the circuit-pe-perturbed
+    level is circuit-pe with --perturbation > 0, and needs it."""
+    sim_level = args.sim_level or "ideal-spectral"
+    perturbation = _convert(args.perturbation, float) or 0.0
+    if (sim_level == "circuit-pe-perturbed") != (perturbation > 0):
+        raise ConfigError("--perturbation > 0 goes with --sim-level circuit-pe-perturbed "
+                          f"and only with it; got {sim_level}, {perturbation:g}")
+    return ("circuit-pe" if perturbation > 0 else sim_level), perturbation
+
+
 def _params_from_args(args, rank_r: int) -> PipelineParams:
     explicit = [args.kappa_sigma, args.t_sigma, args.kappa, args.t, args.qae_m]
-    sim_level = args.sim_level or "ideal-spectral"
+    sim_level, perturbation = _sim_level(args)
     budget = _convert(args.qubit_budget, int) or DEFAULT_QUBIT_BUDGET
-    perturbation = _convert(args.perturbation, float) or 0.0
     if all(v is not None for v in explicit):
         return PipelineParams(
             kappa_sigma=_convert(args.kappa_sigma, float),
@@ -132,7 +143,7 @@ def _params_from_args(args, rank_r: int) -> PipelineParams:
             "missing required option: --eps (or the explicit set "
             "--kappa-sigma --t-sigma --kappa --t --qae-m)"
         )
-    return select_params(
+    params = select_params(
         r=rank_r,
         eps=_convert(args.eps, float),
         mode=args.mode or "practical",
@@ -141,6 +152,7 @@ def _params_from_args(args, rank_r: int) -> PipelineParams:
         qae_mode=args.qae_mode or "exact",
         qubit_budget=budget,
     )
+    return dataclasses.replace(params, perturbation=perturbation)
 
 
 def cmd_estimate(args) -> int:
@@ -202,12 +214,13 @@ def cmd_sweep(args) -> int:
         raise ConfigError("empty parameter grid")
     n = _convert(args.n, int)
     base_seed = _convert(args.seed, int)
+    sim_level, perturbation = _sim_level(args)
     common = (
         args.qae_mode or "exact",
-        args.sim_level or "ideal-spectral",
+        sim_level,
         _convert(args.bound_constant, float) or 1.0,
         _convert(args.qubit_budget, int) or DEFAULT_QUBIT_BUDGET,
-        _convert(args.perturbation, float) or 0.0,
+        perturbation,
     )
     items = [
         (n, _convert(args.rank_rho, int), _convert(args.rank_sigma, int),

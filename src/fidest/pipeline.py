@@ -8,9 +8,10 @@ all-zeros amplitude x by amplitude estimation; report 16 sqrt(kappa
 kappa_sigma) x~ against the exact-oracle fidelity together with an analytic
 error bound and measured query counts.
 
-Each stage runs at a circuit or ideal-spectral level: circuit levels are
-used when the dense-matrix qubit budget allows, otherwise the stage falls
-back to ideal-spectral and the report records the level actually used.
+Each stage runs at the circuit or the ideal-spectral level: the circuit
+level is used when the dense-matrix qubit budget allows, otherwise the stage
+falls back to ideal-spectral, and the report records the level actually used
+(circuit-pe-perturbed for a circuit run with perturbation > 0).
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ from .amplitude import QaeParams, exact_amplitude, qae_estimate, qae_error_bound
 from .block_encoding import (
     BlockEncodingSpec,
     EncodedOperator,
-    be_error,
     purification_to_unitary_be,
 )
 from .errors import InfeasibleParamsError, RegisterTooLargeError
-from .linalg import eig_hermitian, operator_norm, sqrtm_psd
+from .linalg import eig_hermitian, operator_norm
 from .registers import (
     DEFAULT_QUBIT_BUDGET,
     embed_operator,
@@ -38,12 +38,13 @@ from .registers import (
 )
 from .sqrt_extractor import (
     SqrtParams,
+    block_spectrum,
     build_sqrt_unitary,
     filter_f,
     ideal_sqrt_state,
     preparer_queries,
 )
-from .states import DensityOperator, Purification, fidelity_exact, purify
+from .states import DensityOperator, Purification, fidelity_exact
 
 CIRCUIT_T_CEILING = 1 << 20
 IDEAL_T_CEILING = 1 << 30
@@ -65,19 +66,19 @@ class PipelineParams:
     qubit_budget: int = DEFAULT_QUBIT_BUDGET
     perturbation: float = 0.0
 
-    def sigma_params(self, sim_level: str | None = None) -> SqrtParams:
+    def sigma_params(self) -> SqrtParams:
         return SqrtParams(
             kappa=self.kappa_sigma,
             t=self.t_sigma,
-            sim_level=sim_level or self.sim_level,
+            sim_level=self.sim_level,
             perturbation=self.perturbation,
         )
 
-    def eta_params(self, sim_level: str | None = None) -> SqrtParams:
+    def eta_params(self) -> SqrtParams:
         return SqrtParams(
             kappa=self.kappa,
             t=self.t,
-            sim_level=sim_level or self.sim_level,
+            sim_level=self.sim_level,
             perturbation=self.perturbation,
         )
 
@@ -128,13 +129,6 @@ class WSigmaResult:
     o_sigma_queries_per_use: int  # one W use = two extraction-circuit uses
 
 
-def _w_circuit_qubits(n: int, n_sigma: int, params: SqrtParams) -> tuple[int, int]:
-    """(V-circuit qubits, W qubits) for the circuit-level sigma stage."""
-    v_qubits = n + n_sigma + params.l + 1
-    w_qubits = 2 * (n + params.l + 1) + n_sigma
-    return v_qubits, w_qubits
-
-
 def build_w_sigma(
     sigma_prep: Purification,
     params: PipelineParams,
@@ -142,65 +136,45 @@ def build_w_sigma(
 ) -> WSigmaResult:
     """Unitary block-encoding of sqrt(sigma) with scale 4 sqrt(kappa_sigma).
 
-    Circuit level: run the extraction circuit on sigma's purification, then
-    the two-query purified-state-to-unitary construction.  Ideal level (or
-    fallback when the circuit exceeds the qubit budget): the same two-query
-    construction applied to a fresh purification of the perfect-phase-
-    estimation output, which is small regardless of t_sigma.
+    The extraction runs on sigma's purification, as a circuit or (at the
+    ideal level, or as the fallback when the circuit exceeds the qubit
+    budget) as perfect phase estimation, which is small regardless of
+    t_sigma.  Its output state's preparer then goes through the two-query
+    purified-state-to-unitary construction.
     """
     n = sigma_prep.system_qubits
-    n_sigma = sigma_prep.garbage_qubits
-    sp = params.sigma_params("circuit-pe" if params.sim_level != "circuit-pe-perturbed"
-                             else "circuit-pe-perturbed")
-    v_q, w_q = _w_circuit_qubits(n, n_sigma, sp)
-    use_circuit = (
-        params.sim_level != "ideal-spectral"
-        and max(v_q, w_q) <= params.qubit_budget
-    )
-    if use_circuit:
-        p2 = sigma_prep.split_system(("system", n), ("encoding", 0))
-        out = build_sqrt_unitary(p2, 0, sp, qubit_budget=params.qubit_budget, seed=seed)
-        w_enc = purification_to_unitary_be(out.purification(), qubit_budget=params.qubit_budget)
-        m = n + sp.l + 1
-        level = sp.sim_level
+    sp = params.sigma_params()
+    # the circuit itself (n + n_sigma + l + 1 qubits) is always smaller than W
+    w_qubits = 2 * (n + sp.l + 1) + sigma_prep.garbage_qubits
+    if sp.sim_level == "circuit-pe" and w_qubits <= params.qubit_budget:
+        out = build_sqrt_unitary(sigma_prep, 0, sp, qubit_budget=params.qubit_budget, seed=seed)
     else:
-        sigma = sigma_prep.traced_state()
-        ideal = ideal_sqrt_state(
-            sigma, layout(("system", n), ("encoding", 0)), params.sigma_params("ideal-spectral")
-        )
-        check = DensityOperator(ideal.encoding.carrier)
-        g = max(1, math.ceil(math.log2(max(check.rank, 2))))
-        p_ideal = purify(check, g)
-        w_enc = purification_to_unitary_be(p_ideal, qubit_budget=params.qubit_budget)
-        m = n + 1
-        level = "ideal-spectral"
+        out = ideal_sqrt_state(sigma_prep, 0, sp)
+    w_enc = purification_to_unitary_be(out.purification(), qubit_budget=params.qubit_budget)
+    m = w_enc.system_qubits
     b = w_enc.layout.qubits("enc_garbage")
     relayout = layout(
         ("system", n), ("sqrt_anc", m - n), ("mirror", m), ("enc_garbage", b)
     )
-    sqrt_sigma = sqrtm_psd(sigma_prep.traced_matrix())
-    alpha = 4.0 * math.sqrt(params.kappa_sigma)
-    eps = be_error(w_enc.carrier, relayout, sqrt_sigma, alpha)
     encoding = EncodedOperator(
         carrier=w_enc.carrier,
         layout=relayout,
         spec=BlockEncodingSpec(
-            alpha=alpha, ancilla_qubits=relayout.total_qubits - n, epsilon=eps
+            alpha=4.0 * math.sqrt(params.kappa_sigma), ancilla_qubits=relayout.total_qubits - n
         ),
-        target=sqrt_sigma,
+        target=out.target_sqrt,
         kind="unitary",
     )
     return WSigmaResult(
         encoding=encoding,
-        sim_level=level,
-        o_sigma_queries_per_use=2 * preparer_queries(sp),
+        sim_level=out.sim_level,
+        o_sigma_queries_per_use=2 * out.preparer_queries,
     )
 
 
 @dataclass(frozen=True)
 class EtaResult:
     purification: Purification
-    density: DensityOperator
     block: np.ndarray  # <0|eta|0> over W's ancillas, ~ sqrt(s) rho sqrt(s) / (16 k_s)
     block_error: float  # distance of the block from its target
 
@@ -213,8 +187,10 @@ def build_eta(
     """Apply the sqrt(sigma) encoding to rho's purification.
 
     Returns eta's purification (registers [system, w_anc, garbage]) and the
-    traced state, whose w_anc-zero block approximates
-    sqrt(sigma) rho sqrt(sigma) / (16 kappa_sigma).
+    w_anc-zero block of its traced state, which approximates
+    sqrt(sigma) rho sqrt(sigma) / (16 kappa_sigma).  The traced state needs
+    no validation of its own: it is a partial trace of the pure state whose
+    preparer Purification has just checked for unitarity.
     """
     n = w_sigma.system_qubits
     if rho_prep.system_qubits != n:
@@ -233,20 +209,13 @@ def build_eta(
         rho_prep.preparer, full, ["system", "garbage"]
     )
     purif = Purification(u_eta, full, garbage="garbage")
-    eta = purif.traced_state()
-    block = project_zero(eta.matrix, layout(("system", n), ("w_anc", a_w)), ["w_anc"])
+    eta = purif.traced_matrix()
+    block = project_zero(eta, layout(("system", n), ("w_anc", a_w)), ["w_anc"])
     alpha = w_sigma.spec.alpha
     kappa_sigma = (alpha / 4.0) ** 2
     ref = w_sigma.target @ rho_prep.traced_matrix() @ w_sigma.target / (16.0 * kappa_sigma)
     block_error = operator_norm(block - ref)
-    return EtaResult(purification=purif, density=eta, block=block, block_error=block_error)
-
-
-def _ideal_block_amplitude(block: np.ndarray, kappa: float) -> float:
-    """sum_j g_j f(g_j)^2 over the block spectrum: the all-zeros amplitude the
-    perfect-phase-estimation extraction would produce."""
-    w = np.clip(eig_hermitian(block, tol=1e-7).values, 0.0, 1.0)
-    return float(np.sum(w * filter_f(w, kappa) ** 2))
+    return EtaResult(purification=purif, block=block, block_error=block_error)
 
 
 def analytic_error_bound(
@@ -265,17 +234,15 @@ def analytic_error_bound(
 
 def _role_order(
     rho_prep: Purification, sigma_prep: Purification
-) -> tuple[Purification, Purification, bool]:
+) -> tuple[Purification, Purification, DensityOperator, DensityOperator, bool]:
     """Ensure rank(rho) <= rank(sigma); on equal ranks break the tie by the
-    matrix bytes so both call orders execute the identical computation."""
-    r_rho = rho_prep.traced_state().rank
-    r_sigma = sigma_prep.traced_state().rank
-    if r_rho > r_sigma:
-        return sigma_prep, rho_prep, True
-    if r_rho == r_sigma:
-        if rho_prep.traced_matrix().tobytes() > sigma_prep.traced_matrix().tobytes():
-            return sigma_prep, rho_prep, True
-    return rho_prep, sigma_prep, False
+    matrix bytes so both call orders execute the identical computation.
+    Returns both purifications and both states in role order."""
+    m_rho, m_sigma = rho_prep.traced_matrix(), sigma_prep.traced_matrix()
+    rho, sigma = DensityOperator(m_rho), DensityOperator(m_sigma)
+    if rho.rank > sigma.rank or (rho.rank == sigma.rank and m_rho.tobytes() > m_sigma.tobytes()):
+        return sigma_prep, rho_prep, sigma, rho, True
+    return rho_prep, sigma_prep, rho, sigma, False
 
 
 def estimate_fidelity(
@@ -285,27 +252,24 @@ def estimate_fidelity(
     seed: int = 0,
 ) -> EstimationReport:
     """Run the full pipeline and report the estimate against the oracle."""
-    rho_prep, sigma_prep, swapped = _role_order(rho_prep, sigma_prep)
-    rho = rho_prep.traced_state()
-    sigma = sigma_prep.traced_state()
+    rho_prep, sigma_prep, rho, sigma, swapped = _role_order(rho_prep, sigma_prep)
     n = rho.qubits
 
     w = build_w_sigma(sigma_prep, params, seed=seed)
     eta = build_eta(rho_prep, w.encoding, qubit_budget=params.qubit_budget)
     a_w = w.encoding.layout.total_qubits - n
 
-    ep = params.eta_params(
-        "circuit-pe" if params.sim_level != "circuit-pe-perturbed" else params.sim_level
-    )
+    ep = params.eta_params()
     eta_circuit_qubits = n + a_w + rho_prep.garbage_qubits + ep.l + 1
-    if params.sim_level != "ideal-spectral" and eta_circuit_qubits <= params.qubit_budget:
+    if ep.sim_level == "circuit-pe" and eta_circuit_qubits <= params.qubit_budget:
         out = build_sqrt_unitary(
             eta.purification, a_w, ep, qubit_budget=params.qubit_budget, seed=seed + 1
         )
-        x = exact_amplitude(out.state, out.full_layout, ["encoding", "pe", "flag"])
-        level_eta = ep.sim_level
+        x = exact_amplitude(out.state, out.layout, ["encoding", "pe", "flag"])
+        level_eta = out.sim_level
     else:
-        x = _ideal_block_amplitude(eta.block, params.kappa)
+        g = block_spectrum(eta.block).values
+        x = float(np.sum(g * filter_f(g, params.kappa) ** 2))
         level_eta = "ideal-spectral"
 
     qae = QaeParams(M=params.qae.M, mode=params.qae.mode, seed=seed)
@@ -315,7 +279,7 @@ def estimate_fidelity(
 
     exact = fidelity_exact(rho, sigma)
     delta = qae_error_bound(x, qae.M)
-    q_eta = preparer_queries(params.eta_params("circuit-pe"))
+    q_eta = preparer_queries(ep)
     qae_uses = 2 * params.qae.M + 1
     return EstimationReport(
         n=n,

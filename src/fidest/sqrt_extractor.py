@@ -10,47 +10,47 @@ output state block-encodes sqrt(A) with scale 4*sqrt(kappa):
   4. rotate a flag qubit by a filter of the estimated eigenvalue,
   5. uncompute steps 3 and 2.
 
-Three simulation levels are exposed: ``ideal-spectral`` applies the filter
+Two simulation levels are exposed: ``ideal-spectral`` applies the filter
 directly on the exact spectrum (perfect phase estimation, no phase register
-blowup), ``circuit-pe`` assembles the full unitary with exact controlled
-exponentials, and ``circuit-pe-perturbed`` multiplies each controlled
-exponential by a random unitary within a given operator distance of identity
-to model Hamiltonian-simulation error.
+blowup), and ``circuit-pe`` assembles the full unitary with exact controlled
+exponentials.  A ``perturbation`` > 0 multiplies each controlled exponential
+of the circuit by a random unitary within that operator distance of identity
+to model Hamiltonian-simulation error; such outputs report the level
+``circuit-pe-perturbed``.
 
-Register order of circuit outputs: [system, encoding, pe, flag, garbage],
-so the traced state keeps its encoding ancillas trailing and the garbage
-segment is last (ready for the purified-state-to-unitary construction).
+Register order of outputs: [system, encoding, pe, flag, garbage] (no pe at
+the ideal level), so the traced state keeps its encoding ancillas trailing
+and the garbage segment is last (ready for the purified-state-to-unitary
+construction).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .block_encoding import BlockEncodingSpec, EncodedOperator, be_error
+from .block_encoding import BlockEncodingSpec, EncodedOperator
 from .errors import (
     IndexOutOfRangeError,
     NotPowerOfTwoError,
     RegisterTooLargeError,
     SpectrumOutOfRangeError,
 )
-from .linalg import (
-    complete_unitary,
-    eig_hermitian,
-    sqrtm_psd,
-)
+from .linalg import HermitianEigen, complete_unitary, eig_hermitian
 from .registers import (
     DEFAULT_QUBIT_BUDGET,
     RegisterLayout,
+    embed_operator,
     layout,
     partial_trace,
     project_zero,
 )
-from .states import DensityOperator, Purification
+from .states import Purification
 
-SIM_LEVELS = ("ideal-spectral", "circuit-pe", "circuit-pe-perturbed")
+SIM_LEVELS = ("ideal-spectral", "circuit-pe")
 
 SPECTRUM_TOL = 1e-9
 
@@ -60,7 +60,8 @@ class SqrtParams:
     """Extraction knobs: condition-number cutoff kappa and time budget t.
 
     The phase register has l = ceil(log2 t) qubits and T = 2^l grid points;
-    t >= 6 guarantees T >= 8.
+    t >= 6 guarantees T >= 8.  ``perturbation`` is the operator distance from
+    identity of the noise on each controlled exponential of the circuit.
     """
 
     kappa: float
@@ -122,10 +123,10 @@ def filter_f(lam, kappa: float):
     return out if out.ndim else float(out)
 
 
-def h_vector(lam: float, kappa: float) -> np.ndarray:
-    """Flag-qubit state (f(lambda), sqrt(1 - f(lambda)^2))."""
-    f = filter_f(lam, kappa)
-    return np.array([f, math.sqrt(max(0.0, 1.0 - f * f))])
+def h_vector(lam, kappa: float) -> np.ndarray:
+    """Flag-qubit state (f(lambda), sqrt(1 - f(lambda)^2)), one column per lambda."""
+    f = np.asarray(filter_f(lam, kappa))
+    return np.array([f, np.sqrt(np.maximum(0.0, 1.0 - f * f))])
 
 
 def grid_eigenvalue(k: int, params: SqrtParams) -> float:
@@ -212,61 +213,87 @@ def preparer_queries(params: SqrtParams) -> int:
 
 @dataclass(frozen=True)
 class SqrtOutput:
-    """Result of one extraction.
+    """Result of one extraction: the output state on ``layout``.
 
-    ``encoding`` holds the traced output state (density carrier) as a
-    block-encoding of sqrt(A) with scale 4 sqrt(kappa) and measured epsilon.
-    Circuit modes also return the assembled unitary, the output state vector,
-    and the full register layout; in ideal-spectral mode those are None and
-    the carrier omits the pe register (exactly |0> in every branch there;
-    ``pe_qubits_omitted`` records it, ancilla counts still follow a+l+1).
+    Circuit level: registers [system, encoding, pe, flag, garbage], and
+    ``unitary`` is the assembled circuit, whose first column is ``state``.
+    Ideal level: registers [system, encoding, flag, garbage] and no unitary;
+    the pe register is exactly |0> in every branch there and is never built
+    (the ancilla count of ``encoding`` still follows a + l + 1).
     """
 
     params: SqrtParams
-    encoding: EncodedOperator
-    preparer_queries: int
+    state: np.ndarray
+    layout: RegisterLayout
+    target_sqrt: np.ndarray  # sqrt(A), from the decomposition the output was built on
     unitary: np.ndarray | None = None
-    state: np.ndarray | None = None
-    full_layout: RegisterLayout | None = None
-    pe_qubits_omitted: int = 0
 
     @property
-    def target_sqrt(self) -> np.ndarray:
-        return self.encoding.target
+    def sim_level(self) -> str:
+        """The level a stage built on this output reports."""
+        if self.unitary is None:
+            return "ideal-spectral"
+        return "circuit-pe-perturbed" if self.params.perturbation > 0 else "circuit-pe"
+
+    @property
+    def preparer_queries(self) -> int:
+        return preparer_queries(self.params)
 
     def purification(self) -> Purification:
-        if self.unitary is None:
-            raise ValueError("no circuit unitary at sim level "
-                             f"{self.params.sim_level!r}")
-        return Purification(self.unitary, self.full_layout, garbage="garbage")
+        """The output state's preparer: the circuit itself, or at the ideal
+        level the state completed to a unitary."""
+        u = complete_unitary(self.state) if self.unitary is None else self.unitary
+        return Purification(u, self.layout)
+
+    @cached_property
+    def encoding(self) -> EncodedOperator:
+        """The traced output state as a block-encoding of sqrt(A) with scale
+        4 sqrt(kappa) and its measured epsilon; built on first use."""
+        kept = self.layout.segments[:-1]
+        v = self.state
+        carrier = partial_trace(np.outer(v, v.conj()), self.layout, [name for name, _ in kept])
+        return EncodedOperator(
+            carrier=carrier,
+            layout=layout(*kept),
+            spec=BlockEncodingSpec(
+                alpha=4.0 * math.sqrt(self.params.kappa),
+                ancilla_qubits=self.layout.qubits("encoding") + self.params.l + 1,
+            ),
+            target=self.target_sqrt,
+            kind="density",
+        )
 
     def unscaled_block_error(self) -> float:
         """|| <0|out|0> - sqrt(A) / (4 sqrt(kappa)) ||, the unscaled form."""
-        return self.encoding.measured_error() / self.encoding.spec.alpha
+        return self.encoding.spec.epsilon / self.encoding.spec.alpha
 
 
-def _encoded_block_operator(p: Purification, encoding_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rho, A): the prepared state on [system+encoding] and its encoded block."""
-    n_sys = p.system_qubits - encoding_qubits
-    if n_sys < 1:
-        raise ValueError(
-            f"{encoding_qubits} encoding qubits leave no system in "
-            f"{p.system_qubits} prepared qubits"
-        )
-    rho = p.traced_matrix()
-    lay = layout(("system", n_sys), ("encoding", encoding_qubits))
-    a_mat = project_zero(rho, lay, ["encoding"])
-    return rho, a_mat
-
-
-def _checked_spectrum(a_mat: np.ndarray) -> np.ndarray:
+def block_spectrum(a_mat: np.ndarray) -> HermitianEigen:
+    """One eigendecomposition of an encoded block A, its spectrum checked to
+    lie in [0, 1] and clipped there.  Both levels read the eigenbranches and
+    sqrt(A) off it; perfect phase estimation's all-zeros amplitude is
+    sum_j lambda_j f(lambda_j)^2."""
     eig = eig_hermitian(a_mat)
     w = eig.values
     if w[-1] < -SPECTRUM_TOL or w[0] > 1 + SPECTRUM_TOL:
         raise SpectrumOutOfRangeError(
             f"encoded spectrum [{w[-1]:.3e}, {w[0]:.3e}] outside [0, 1]"
         )
-    return np.clip(w, 0.0, 1.0)
+    return HermitianEigen(values=np.clip(w, 0.0, 1.0), vectors=eig.vectors)
+
+
+def _prepared_spectrum(p: Purification, encoding_qubits: int) -> tuple[HermitianEigen, np.ndarray]:
+    """Spectrum and square root of A, the encoding-zero block of the state
+    ``p`` prepares on [system, encoding]."""
+    n_sys = p.system_qubits - encoding_qubits
+    if n_sys < 1:
+        raise ValueError(
+            f"{encoding_qubits} encoding qubits leave no system in "
+            f"{p.system_qubits} prepared qubits"
+        )
+    lay = layout(("system", n_sys), ("encoding", encoding_qubits))
+    eig = block_spectrum(project_zero(p.traced_matrix(), lay, ["encoding"]))
+    return eig, (eig.vectors * np.sqrt(eig.values)) @ eig.vectors.conj().T
 
 
 def build_sqrt_unitary(
@@ -276,19 +303,17 @@ def build_sqrt_unitary(
     qubit_budget: int = DEFAULT_QUBIT_BUDGET,
     seed: int = 0,
 ) -> SqrtOutput:
-    """Assemble the full extraction circuit and measure its encoding error.
+    """Assemble the full extraction circuit.
 
     ``p`` prepares a state on [system, encoding] qubits whose encoding-zero
     block is the PSD operator A; the controlled phase unitary is built from A
     reconstructed out of that block, not from a separately supplied matrix.
     The returned unitary acts on [system, encoding, pe, flag, garbage].
 
-    ``seed`` only matters at sim level ``circuit-pe-perturbed``, where each
-    controlled exponential (tau >= 1) picks up an independent random unitary
-    within operator distance ``params.perturbation`` of identity.
+    With ``params.perturbation > 0`` each controlled exponential (tau >= 1)
+    picks up an independent random unitary, drawn from ``seed``, within
+    operator distance ``params.perturbation`` of identity.
     """
-    if params.sim_level == "ideal-spectral":
-        raise ValueError("use ideal_sqrt_state for the ideal-spectral level")
     n_enc = encoding_qubits
     n_sys = p.system_qubits - n_enc
     b = p.garbage_qubits
@@ -299,144 +324,66 @@ def build_sqrt_unitary(
             f"circuit needs {total} qubits, budget is {qubit_budget}; "
             "use the ideal-spectral level instead"
         )
-    rho, a_mat = _encoded_block_operator(p, n_enc)
-    eig = eig_hermitian(a_mat)
-    lam = _checked_spectrum(a_mat)
-    sqrt_a = sqrtm_psd(a_mat)
+    eig, sqrt_a = _prepared_spectrum(p, n_enc)
 
     full = layout(
         ("system", n_sys), ("encoding", n_enc), ("pe", l), ("flag", 1), ("garbage", b)
     )
-    from .registers import embed_operator  # local import keeps module load light
-
-    u1 = embed_operator(p.preparer, full, ["system", "encoding", "garbage"])
     u2 = embed_operator(complete_unitary(sine_state(T)), full, ["pe"])
 
     # Controlled phases: on pe value tau apply exp(i tau ((t/3T) A + (2pi/3) I)).
-    theta = params.t / (3.0 * T) * lam + 2.0 * np.pi / 3.0
+    theta = params.t / (3.0 * T) * eig.values + 2.0 * np.pi / 3.0
     dn = 1 << n_sys
     rng = np.random.default_rng(seed)
     ctrl = np.zeros((dn, T, dn, T), dtype=complex)
     v = eig.vectors
     for tau in range(T):
         w_tau = (v * np.exp(1j * tau * theta)) @ v.conj().T
-        if params.sim_level == "circuit-pe-perturbed" and params.perturbation > 0 and tau:
+        if params.perturbation > 0 and tau:
             g = rng.standard_normal((dn, dn)) + 1j * rng.standard_normal((dn, dn))
             h_rand = (g + g.conj().T) / 2
             h_rand /= np.linalg.norm(h_rand, 2)
             ew, evv = np.linalg.eigh(h_rand)
             w_tau = w_tau @ ((evv * np.exp(1j * params.perturbation * ew)) @ evv.conj().T)
         ctrl[:, tau, :, tau] = w_tau
-    ctrl = embed_operator(ctrl.reshape(dn * T, dn * T), full, ["system", "pe"])
 
     jk = np.arange(T)
     ft = np.exp(2j * np.pi * np.outer(jk, jk) / T) / np.sqrt(T)
-    u3 = embed_operator(ft.conj().T, full, ["pe"]) @ ctrl
+    u3 = embed_operator(ft.conj().T, full, ["pe"]) @ embed_operator(
+        ctrl.reshape(dn * T, dn * T), full, ["system", "pe"]
+    )
 
     rot = np.zeros((T, 2, T, 2), dtype=complex)
     for k in range(T):
         rot[k, :, k, :] = rotation_gate(k, params)
-    u4 = embed_operator(rot.reshape(2 * T, 2 * T), full, ["pe", "flag"])
 
-    u_out = u2.conj().T @ (u3.conj().T @ (u4 @ (u3 @ (u2 @ u1))))
-    state = u_out[:, 0].copy()
-
-    kept = ["system", "encoding", "pe", "flag"]
-    carrier = partial_trace(np.outer(state, state.conj()), full, kept)
-    enc_lay = layout(("system", n_sys), ("encoding", n_enc), ("pe", l), ("flag", 1))
-    alpha = 4.0 * math.sqrt(params.kappa)
-    eps = be_error(carrier, enc_lay, sqrt_a, alpha)
-    encoding = EncodedOperator(
-        carrier=carrier,
-        layout=enc_lay,
-        spec=BlockEncodingSpec(alpha=alpha, ancilla_qubits=n_enc + l + 1, epsilon=eps),
-        target=sqrt_a,
-        kind="density",
-    )
+    # u2^dagger u3^dagger u4 u3 u2 u1, a gate at a time: no dense product outlives its use
+    u_out = u3 @ (u2 @ embed_operator(p.preparer, full, ["system", "encoding", "garbage"]))
+    u_out = embed_operator(rot.reshape(2 * T, 2 * T), full, ["pe", "flag"]) @ u_out
+    u_out = u3.conj().T @ u_out
+    u_out = u2.conj().T @ u_out
     return SqrtOutput(
-        params=params,
-        encoding=encoding,
-        preparer_queries=preparer_queries(params),
-        unitary=u_out,
-        state=state,
-        full_layout=full,
+        params=params, state=u_out[:, 0].copy(), layout=full, target_sqrt=sqrt_a, unitary=u_out
     )
 
 
-def ideal_sqrt_state(
-    rho: DensityOperator, lay: RegisterLayout, params: SqrtParams
-) -> SqrtOutput:
-    """Perfect-phase-estimation output, straight from the spectrum of A.
+def ideal_sqrt_state(p: Purification, encoding_qubits: int, params: SqrtParams) -> SqrtOutput:
+    """Perfect-phase-estimation output state, straight from the spectrum of A.
 
-    ``lay`` names the split of rho's register into [system, encoding] (the
-    encoding segment may have zero qubits).  Every eigenbranch (lambda_j, u_j)
-    of A = <0|rho|0> gains the flag state h(lambda_j); the pe register stays
-    |0> exactly and is omitted from the returned carrier.
+    ``p`` prepares psi on [system, encoding] as for build_sqrt_unitary.  Every
+    eigenbranch (lambda_j, u_j) of A gains the flag state h(lambda_j): the
+    output is sum_j (u_j u_j^dagger psi) (x) h(lambda_j) on [system, encoding,
+    flag, garbage].  No phase register is built, so t may be arbitrarily deep.
     """
-    if len(lay.segments) != 2 or lay.total_qubits != rho.qubits:
-        raise ValueError(
-            f"layout {lay.names} must split rho's {rho.qubits} qubits into "
-            "[system, encoding]"
-        )
-    sys_name, enc_name = lay.names
-    n_enc = lay.qubits(enc_name)
-    n_sys = lay.qubits(sys_name)
-    a_mat = project_zero(rho.matrix, lay, [enc_name])
-    eig = eig_hermitian(a_mat)
-    lam = _checked_spectrum(a_mat)
-    sqrt_a = sqrtm_psd(a_mat)
-
-    da = 1 << n_enc
-    dn = 1 << n_sys
-    lift = np.zeros((dn * da * 2, dn * da), dtype=complex)
-    for j in range(dn):
-        proj = np.outer(eig.vectors[:, j], eig.vectors[:, j].conj())
-        lift += np.kron(proj, np.kron(np.eye(da), h_vector(lam[j], params.kappa)[:, None]))
-    carrier = lift @ rho.matrix @ lift.conj().T
-
-    enc_lay = layout(("system", n_sys), ("encoding", n_enc), ("flag", 1))
-    alpha = 4.0 * math.sqrt(params.kappa)
-    eps = be_error(carrier, enc_lay, sqrt_a, alpha)
-    encoding = EncodedOperator(
-        carrier=carrier,
-        layout=enc_lay,
-        spec=BlockEncodingSpec(alpha=alpha, ancilla_qubits=n_enc + params.l + 1, epsilon=eps),
-        target=sqrt_a,
-        kind="density",
+    n_enc, b = encoding_qubits, p.garbage_qubits
+    eig, sqrt_a = _prepared_spectrum(p, n_enc)
+    v = eig.vectors
+    dn = v.shape[0]
+    f, s = h_vector(eig.values, params.kappa)
+    branches = v.conj().T @ p.state.reshape(dn, -1)  # [branch, (encoding, garbage)]
+    out = np.stack([(v * f) @ branches, (v * s) @ branches], axis=1)
+    state = out.reshape(dn, 2, 1 << n_enc, 1 << b).transpose(0, 2, 1, 3).reshape(-1)
+    lay = layout(
+        ("system", p.system_qubits - n_enc), ("encoding", n_enc), ("flag", 1), ("garbage", b)
     )
-    return SqrtOutput(
-        params=params,
-        encoding=encoding,
-        preparer_queries=preparer_queries(params),
-        pe_qubits_omitted=params.l,
-    )
-
-
-def ideal_sqrt_vector(
-    p: Purification, encoding_qubits: int, params: SqrtParams
-) -> np.ndarray:
-    """The perfect-phase-estimation output STATE on the full circuit register.
-
-    Matches build_sqrt_unitary's register order [system, encoding, pe, flag,
-    garbage], with the pe register in |0>; used to compare circuit output
-    against the ideal one at equal shapes.
-    """
-    n_enc = encoding_qubits
-    n_sys = p.system_qubits - n_enc
-    b = p.garbage_qubits
-    _, a_mat = _encoded_block_operator(p, n_enc)
-    eig = eig_hermitian(a_mat)
-    lam = _checked_spectrum(a_mat)
-    T = params.T
-    dn, da, db = 1 << n_sys, 1 << n_enc, 1 << b
-    psi = p.state.reshape(dn, da * db)
-    pe0 = np.zeros(T)
-    pe0[0] = 1.0
-    out = np.zeros((dn, da * db, T, 2), dtype=complex)
-    for j in range(dn):
-        uj = eig.vectors[:, j]
-        branch = np.outer(uj, uj.conj() @ psi)  # projector applied on the system axis
-        out += np.einsum("se,p,f->sepf", branch, pe0, h_vector(lam[j], params.kappa))
-    # [sys, (enc gar), pe, flag] -> [sys, enc, pe, flag, gar]
-    out = out.reshape(dn, da, db, T, 2).transpose(0, 1, 3, 4, 2)
-    return np.ascontiguousarray(out).reshape(-1)
+    return SqrtOutput(params=params, state=state, layout=lay, target_sqrt=sqrt_a)

@@ -17,7 +17,6 @@ from .block_encoding import density_with_block
 from .errors import UnknownSuiteError
 from .linalg import operator_norm
 from .pipeline import weyl_trace_bound_check
-from .registers import layout
 from .sqrt_extractor import (
     SqrtParams,
     filter_f,
@@ -102,10 +101,9 @@ def ideal_bound_grid(seed: int = 0, trials: int = 24) -> float:
         rank = 1 + trial % min(4, 1 << n)
         base = random_density(n, rank, seed=seed * 1000 + trial)
         a = float(rng.uniform(0.2, 1.0)) * base.matrix
-        rho = density_with_block(a, 1)
-        lay = layout(("system", n), ("encoding", 1))
+        p = purify(density_with_block(a, 1), n + 1)
         for kappa in (1.0, 4.0, 16.0, 64.0):
-            out = ideal_sqrt_state(rho, lay, SqrtParams(kappa=kappa, t=64, sim_level="ideal-spectral"))
+            out = ideal_sqrt_state(p, 1, SqrtParams(kappa=kappa, t=64, sim_level="ideal-spectral"))
             worst = max(worst, out.unscaled_block_error() * 4 * kappa)
     return worst
 

@@ -16,5 +16,19 @@ def prep():
     return default_prep
 
 
+def with_pe_register(out) -> np.ndarray:
+    """An ideal-level extraction output on the circuit's registers: the pe
+    register, exactly |0> there, inserted before the flag."""
+    v = out.state.reshape(-1, 1, 2 << out.layout.qubits("garbage"))
+    padded = np.zeros((v.shape[0], out.params.T, v.shape[2]), dtype=complex)
+    padded[:, :1, :] = v
+    return padded.reshape(-1)
+
+
+@pytest.fixture
+def with_pe():
+    return with_pe_register
+
+
 def pauli_x() -> np.ndarray:
     return np.array([[0, 1], [1, 0]], dtype=complex)

@@ -18,7 +18,7 @@ from fidest import (
     estimate_fidelity,
     expm_i,
     fidelity_exact,
-    ideal_sqrt_vector,
+    ideal_sqrt_state,
     operator_norm,
     partial_trace,
     purify,
@@ -105,7 +105,7 @@ def test_criterion_04_lipschitz_bound():
             f"over 1e4 pairs x kappa in {{2,8,32}}")
 
 
-def test_criterion_05_circuit_vs_ideal_convergence():
+def test_criterion_05_circuit_vs_ideal_convergence(with_pe):
     # fixed pure 1-qubit instance (rank 1), kappa = 8
     rho = random_density(1, 1, seed=7)
     p = purify(rho, 1).split_system(("system", 1), ("encoding", 0))
@@ -114,10 +114,10 @@ def test_criterion_05_circuit_vs_ideal_convergence():
     for t in ts:
         params = SqrtParams(kappa=8.0, t=t)
         out = build_sqrt_unitary(p, 0, params)
-        v = ideal_sqrt_vector(p, 0, params)
+        v = with_pe(ideal_sqrt_state(p, 0, params))
         d = float(np.linalg.norm(out.state - v))
         kept = ["system", "encoding", "pe", "flag"]
-        ideal_traced = partial_trace(np.outer(v, v.conj()), out.full_layout, kept)
+        ideal_traced = partial_trace(np.outer(v, v.conj()), out.layout, kept)
         transfer_ok &= operator_norm(out.encoding.carrier - ideal_traced) <= d + 1e-9
         dists.append(d)
     slope = float(np.polyfit(np.log(ts), np.log(dists), 1)[0])

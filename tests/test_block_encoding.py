@@ -62,7 +62,7 @@ def test_purified_state_to_unitary_is_exact(qubits, rank):
     rho = random_density(qubits, rank, seed=rank * 7 + qubits)
     anc = max(1, int(np.ceil(np.log2(max(rho.rank, 2)))))
     enc = purification_to_unitary_be(purify(rho, anc))
-    assert enc.measured_error() <= 1e-9
+    assert enc.measured_error <= 1e-9
     assert unitarity_defect(enc.carrier) <= 1e-10
     assert enc.spec.alpha == 1.0 and enc.spec.epsilon == 0.0
 

@@ -135,6 +135,26 @@ def test_single_cell_sweep_matches_estimate(tmp_path, capsys):
     assert int(cells["queries_o_sigma"]) == report["queries_o_sigma"]
 
 
+def _with_level(flags, level):
+    i = flags.index("--sim-level")
+    return flags[: i + 1] + [level] + flags[i + 2:]
+
+
+def test_perturbation_without_perturbed_level_exits_3(tmp_path, capsys):
+    for flags in (ESTIMATE_FLAGS, SWEEP_FLAGS + ["--output", str(tmp_path / "s.csv")]):
+        for level in ("ideal-spectral", "circuit-pe"):
+            code, _, err = run(capsys, *_with_level(flags, level), "--perturbation", "0.05")
+            assert code == 3 and "--perturbation" in err
+
+
+def test_perturbed_level_without_perturbation_exits_3(tmp_path, capsys):
+    for flags in (ESTIMATE_FLAGS, SWEEP_FLAGS + ["--output", str(tmp_path / "s.csv")]):
+        perturbed = _with_level(flags, "circuit-pe-perturbed")
+        for extra in ([], ["--perturbation", "0"]):
+            code, _, err = run(capsys, *perturbed, *extra)
+            assert code == 3 and "circuit-pe-perturbed" in err
+
+
 def test_verify_suite_pass_and_unknown(capsys):
     code, out, _ = run(capsys, "verify", "pe-coefficients")
     assert code == 0

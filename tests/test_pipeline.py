@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -11,7 +12,9 @@ from fidest import (
     build_eta,
     build_w_sigma,
     estimate_fidelity,
+    filter_f,
     operator_norm,
+    purify,
     random_density,
     select_params,
     sqrtm_psd,
@@ -57,6 +60,29 @@ def test_w_sigma_circuit_level_meets_theta_bound(prep):
     assert w.encoding.spec.epsilon <= 1.0 * (4.0**-0.5 + 4.0**1.5 / 8)
 
 
+@pytest.mark.parametrize("perturbation,level", [(0.0, "circuit-pe"), (0.05, "circuit-pe-perturbed")])
+def test_w_sigma_level_labels(perturbation, level):
+    # pure sigma purified without ancillas: a 10-qubit circuit W
+    params = PipelineParams(
+        kappa_sigma=4.0, t_sigma=8, kappa=16.0, t=256,
+        qae=QaeParams(M=64), sim_level="circuit-pe", perturbation=perturbation,
+    )
+    assert build_w_sigma(purify(Z0, 0), params).sim_level == level
+    deep = dataclasses.replace(params, t_sigma=1 << 10)
+    assert build_w_sigma(purify(Z0, 0), deep).sim_level == "ideal-spectral"
+
+
+def test_ideal_w_sigma_block_on_diagonal_sigma(prep):
+    # sigma = sum lambda P_lambda: the block of W over its ancillas is
+    # sum lambda f(lambda)^2 P_lambda, one eigenvalue on the filter's ramp
+    lam = np.array([0.6, 0.3, 0.05, 0.05])
+    p = prep(DensityOperator(np.diag(lam)))
+    w = build_w_sigma(p, ideal_params(ks=16.0))
+    assert w.encoding.layout.total_qubits == 2 * (2 + 1) + p.garbage_qubits
+    expected = np.diag(lam * filter_f(lam, 16.0) ** 2)
+    assert operator_norm(w.encoding.block() - expected) <= 1e-12
+
+
 def test_w_sigma_falls_back_when_circuit_too_large(prep):
     params = PipelineParams(
         kappa_sigma=4.0, t_sigma=1 << 10, kappa=16.0, t=256,
@@ -73,7 +99,7 @@ def test_eta_equal_pure_states(prep):
     ref = Z0.matrix / (16 * 16.0)
     bound = 16.0**-1.5 + 16.0**0.5 / 256 + 16.0**2 / 256**2
     assert operator_norm(eta.block - ref) <= bound
-    assert abs(np.trace(eta.density.matrix).real - 1) <= 1e-9
+    assert abs(np.trace(eta.purification.traced_state().matrix).real - 1) <= 1e-9
 
 
 def test_eta_orthogonal_pure_states(prep):

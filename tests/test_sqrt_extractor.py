@@ -11,7 +11,6 @@ from fidest import (
     grid_eigenvalue,
     h_vector,
     ideal_sqrt_state,
-    ideal_sqrt_vector,
     layout,
     operator_norm,
     partial_trace,
@@ -32,7 +31,7 @@ from fidest.errors import (
     RegisterTooLargeError,
     SpectrumOutOfRangeError,
 )
-from fidest.sqrt_extractor import _checked_spectrum
+from fidest.sqrt_extractor import block_spectrum
 from fidest.verify import ideal_bound_grid
 
 PURE = DensityOperator(np.diag([1.0, 0.0]))
@@ -183,7 +182,7 @@ def test_build_unitary_uncompute_weight():
     for kappa, t in [(4.0, 64), (2.0, 16), (8.0, 64)]:
         p = purify(random_density(1, 2, seed=5), 1).split_system(("system", 1), ("encoding", 0))
         out = build_sqrt_unitary(p, 0, SqrtParams(kappa=kappa, t=t))
-        weight = exact_amplitude(out.state, out.full_layout, ["pe"])
+        weight = exact_amplitude(out.state, out.layout, ["pe"])
         assert weight >= 1 - 3.0 * (kappa / t) ** 2
 
 
@@ -194,17 +193,15 @@ def test_build_unitary_register_budget():
 
 def test_spectrum_guard():
     with pytest.raises(SpectrumOutOfRangeError):
-        _checked_spectrum(np.diag([1.2, 0.0]))
+        block_spectrum(np.diag([1.2, 0.0]))
     with pytest.raises(SpectrumOutOfRangeError):
-        _checked_spectrum(np.diag([0.5, -0.1]))
+        block_spectrum(np.diag([0.5, -0.1]))
 
 
 def test_ideal_state_pure_branch():
     # single eigenvalue lambda = 1: block entry is f(1)^2 = kappa^{-1/2}/4
     kappa = 16.0
-    out = ideal_sqrt_state(
-        PURE, layout(("system", 1), ("encoding", 0)), SqrtParams(kappa=kappa, t=64)
-    )
+    out = ideal_sqrt_state(pure_prep(), 0, SqrtParams(kappa=kappa, t=64))
     blk = out.encoding.block()
     assert abs(blk[0, 0] - 0.25 * kappa**-0.5) <= 1e-12
     assert abs(blk[1, 1]) <= 1e-12
@@ -212,9 +209,7 @@ def test_ideal_state_pure_branch():
 
 def test_ideal_state_zero_operator():
     rho = density_with_block(np.zeros((2, 2)), 1)
-    out = ideal_sqrt_state(
-        rho, layout(("system", 1), ("encoding", 1)), SqrtParams(kappa=4.0, t=64)
-    )
+    out = ideal_sqrt_state(purify(rho, 2), 1, SqrtParams(kappa=4.0, t=64))
     assert operator_norm(out.encoding.block()) <= 1e-12
 
 
@@ -222,9 +217,7 @@ def test_ideal_state_uniform_spectrum():
     # A = s I has every branch at lambda = s, so the block is s f(s)^2 I
     s = 0.4
     rho = density_with_block(s * np.eye(2), 1)
-    out = ideal_sqrt_state(
-        rho, layout(("system", 1), ("encoding", 1)), SqrtParams(kappa=4.0, t=64)
-    )
+    out = ideal_sqrt_state(purify(rho, 2), 1, SqrtParams(kappa=4.0, t=64))
     np.testing.assert_allclose(
         out.encoding.block(), s * filter_f(s, 4.0) ** 2 * np.eye(2), atol=1e-12
     )
@@ -234,37 +227,44 @@ def test_ideal_block_bound_constant():
     assert ideal_bound_grid(seed=2, trials=12) <= 1.0 + 1e-9
 
 
-def test_ideal_vector_matches_ideal_state():
-    # the two ideal constructions agree: tracing the full-register vector
-    # (pe exactly |0>) reproduces the pe-omitted carrier
+def test_ideal_vector_matches_ideal_state(with_pe):
+    # the ideal state and the density-level construction agree: tracing the
+    # full-register vector (pe exactly |0>) reproduces lift rho lift^dagger,
+    # lift = sum_j u_j u_j^dagger (x) h(lambda_j), and the pe-omitted carrier
     rho = random_density(1, 2, seed=9)
     p = purify(rho, 1).split_system(("system", 1), ("encoding", 0))
     params = SqrtParams(kappa=4.0, t=16)
-    v = ideal_sqrt_vector(p, 0, params)
+    ideal = ideal_sqrt_state(p, 0, params)
+    v = with_pe(ideal)
     assert abs(np.linalg.norm(v) - 1) <= 1e-12
     full = layout(("system", 1), ("encoding", 0), ("pe", params.l), ("flag", 1), ("garbage", 1))
     traced = partial_trace(np.outer(v, v.conj()), full, ["system", "encoding", "flag"])
-    ideal = ideal_sqrt_state(rho, layout(("system", 1), ("encoding", 0)), params)
+    lam, vecs = np.linalg.eigh(rho.matrix)
+    lift = sum(
+        np.kron(np.outer(u, u.conj()), h_vector(max(w, 0.0), params.kappa)[:, None])
+        for w, u in zip(lam, vecs.T)
+    )
+    assert operator_norm(traced - lift @ rho.matrix @ lift.conj().T) <= 1e-12
     assert operator_norm(traced - ideal.encoding.carrier) <= 1e-12
 
 
-def test_circuit_converges_to_ideal():
+def test_circuit_converges_to_ideal(with_pe):
     p = pure_prep()
     params = SqrtParams(kappa=8.0, t=128)
     out = build_sqrt_unitary(p, 0, params)
-    v = ideal_sqrt_vector(p, 0, params)
+    v = with_pe(ideal_sqrt_state(p, 0, params))
     dist = np.linalg.norm(out.state - v)
     assert dist <= 1.0 * params.kappa / params.t
     # density-vs-purification transfer
     traced_ideal = partial_trace(
-        np.outer(v, v.conj()), out.full_layout, ["system", "encoding", "pe", "flag"]
+        np.outer(v, v.conj()), out.layout, ["system", "encoding", "pe", "flag"]
     )
     assert operator_norm(out.encoding.carrier - traced_ideal) <= dist + 1e-9
 
 
 def test_perturbed_mode_is_seeded_and_distinct():
     p = pure_prep()
-    params = SqrtParams(kappa=4.0, t=16, sim_level="circuit-pe-perturbed", perturbation=1e-2)
+    params = SqrtParams(kappa=4.0, t=16, perturbation=1e-2)
     a = build_sqrt_unitary(p, 0, params, seed=3)
     b = build_sqrt_unitary(p, 0, params, seed=3)
     c = build_sqrt_unitary(p, 0, params, seed=4)
