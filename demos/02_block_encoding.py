@@ -1,8 +1,10 @@
-"""From a state-preparation unitary to an exact unitary block-encoding.
+"""From a purified state to an exact unitary block-encoding.
 
 A preparer U on [main, garbage] qubits, a mirror register, and one SWAP give
-a unitary whose ancilla-zero block is exactly the prepared density operator:
-two queries to U, no approximation.  The script builds the encoding for a
+a unitary W whose ancilla-zero block is exactly the prepared density operator:
+two queries to U, no approximation.  The block depends only on the state
+U|0>, so U is taken to be a reflection onto it, and W is applied to its
+ancilla-zero inputs, never formed.  The script builds the encoding for a
 random mixed state and prints the recovered block next to the original.
 """
 
@@ -22,8 +24,9 @@ def main():
     p = purify(rho, ancilla_qubits=1)
     enc = purification_to_unitary_be(p)
 
-    print("carrier acts on", enc.layout.segments)
-    print("unitarity defect:", f"{unitarity_defect(enc.carrier):.2e}")
+    print("W acts on", enc.layout.segments)
+    print("columns on the ancilla-zero inputs:", enc.carrier.shape)
+    print("orthonormality defect of those columns:", f"{unitarity_defect(enc.carrier):.2e}")
     print("encoding spec: alpha=%g, ancillas=%d, epsilon=%g"
           % (enc.spec.alpha, enc.spec.ancilla_qubits, enc.spec.epsilon))
 

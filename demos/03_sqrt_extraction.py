@@ -3,7 +3,7 @@ circuit-vs-ideal convergence as the phase budget t grows.
 
 The traced output of the extraction circuit block-encodes sqrt(A) with scale
 4 sqrt(kappa).  With perfect phase estimation the block error (unscaled) is
-at most 1/(4 kappa) -- an exact constant, checked below -- and the assembled
+at most 1/(4 kappa) -- an exact constant, checked below -- and the circuit
 circuit converges to the perfect-estimation output at rate ~ kappa/t.
 
 === EXAMPLE OUTPUT ===

@@ -60,12 +60,12 @@ def qae_error_bound(x: float, M: int) -> float:
     return 2.0 * np.pi * np.sqrt(max(x * (1.0 - x), 0.0)) / M + np.pi**2 / (M * M)
 
 
-def _pe_kernel(d: float, M: int) -> float:
-    """Squared phase-estimation kernel (sin(pi M d) / (M sin(pi d)))^2."""
+def _pe_kernel(d: np.ndarray, M: int) -> np.ndarray:
+    """Squared phase-estimation kernel (sin(pi M d) / (M sin(pi d)))^2, 1 where
+    sin(pi d) vanishes."""
     s = np.sin(np.pi * d)
-    if abs(s) < 1e-15:
-        return 1.0
-    return float((np.sin(np.pi * M * d) / (M * s)) ** 2)
+    small = np.abs(s) < 1e-15
+    return np.where(small, 1.0, (np.sin(np.pi * M * d) / (M * np.where(small, 1.0, s))) ** 2)
 
 
 def qae_outcome_distribution(x: float, M: int) -> np.ndarray:
@@ -79,11 +79,9 @@ def qae_outcome_distribution(x: float, M: int) -> np.ndarray:
     omega = np.arcsin(np.sqrt(x)) / np.pi  # in [0, 1/2] turns
     y = np.arange(M)
     if x in (0.0, 1.0) or omega in (0.0, 0.5):
-        p = np.array([_pe_kernel(omega - yi / M, M) for yi in y])
+        p = _pe_kernel(omega - y / M, M)
     else:
-        p = 0.5 * np.array(
-            [_pe_kernel(omega - yi / M, M) + _pe_kernel(-omega - yi / M, M) for yi in y]
-        )
+        p = 0.5 * (_pe_kernel(omega - y / M, M) + _pe_kernel(-omega - y / M, M))
     return p / p.sum()
 
 

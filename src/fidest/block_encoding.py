@@ -3,7 +3,9 @@ purification -> unitary-encoding construction (two queries to the preparer).
 
 Convention: in an encoded operator's layout the FIRST segment is the encoded
 system and every later segment is an encoding ancilla; the block is always
-<0|carrier|0> over the trailing segments.
+<0|carrier|0> over the trailing segments.  A unitary carrier is held as its
+columns on the ancilla-zero inputs, which is all that the block and every
+later stage read; the full unitary is never formed.
 """
 
 from __future__ import annotations
@@ -13,14 +15,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionMismatchError, RegisterTooLargeError
-from .linalg import as_complex_matrix, operator_norm, tensor
+from .linalg import as_complex_matrix, operator_norm, reflect, unitarity_defect
 from .registers import (
     DEFAULT_QUBIT_BUDGET,
     RegisterLayout,
     layout,
     project_zero,
 )
-from .states import DensityOperator, Purification
+from .states import NORM_TOL, DensityOperator, Purification
 
 BE_TOL = 1e-9
 
@@ -58,9 +60,11 @@ class EncodedOperator:
     """A carrier matrix holding ``target`` in its ancilla-zero block.
 
     ``kind`` records whether the carrier is a unitary or a density operator;
-    both occur in the pipeline.  The block error is measured once, on
-    construction: a claimed epsilon it exceeds is a construction error, never
-    silent, and an unclaimed one becomes the measured error.
+    both occur in the pipeline.  A density carrier is the full matrix; a
+    unitary one may be given as its columns on the ancilla-zero inputs.  The
+    block error is measured once, on construction: a claimed epsilon it
+    exceeds is a construction error, never silent, and an unclaimed one
+    becomes the measured error.
     """
 
     carrier: np.ndarray
@@ -98,31 +102,19 @@ class EncodedOperator:
         return project_zero(self.carrier, self.layout, self.layout.names[1:])
 
 
-def swap_registers(m_qubits: int, qubit_budget: int = DEFAULT_QUBIT_BUDGET) -> np.ndarray:
-    """SWAP of two m-qubit registers: sum over |k,j><j,k|; an involution."""
-    if m_qubits < 1:
-        raise ValueError(f"m_qubits must be >= 1, got {m_qubits}")
-    if 2 * m_qubits > qubit_budget:
-        raise RegisterTooLargeError(
-            f"SWAP on {2 * m_qubits} qubits exceeds budget {qubit_budget}"
-        )
-    d = 1 << m_qubits
-    s = np.zeros((d * d, d * d), dtype=complex)
-    x = np.arange(d * d)
-    j, k = x // d, x % d
-    s[k * d + j, x] = 1.0
-    return s
-
-
 def purification_to_unitary_be(
     p: Purification, qubit_budget: int = DEFAULT_QUBIT_BUDGET
 ) -> EncodedOperator:
     """Exact unitary block-encoding of the density operator a purification prepares.
 
-    With U the preparer on [main, garbage] and a fresh register mirroring main,
-    the composition (I (x) U^dagger) SWAP(fresh, main) (I (x) U) is a
-    (1, main+garbage qubits, 0)-block-encoding of the prepared state, acting
-    on the fresh register.
+    With U a preparer on [main, garbage] and a fresh register mirroring main,
+    W = (I (x) U^dagger) SWAP(fresh, main) (I (x) U) is a (1, main+garbage
+    qubits, 0)-block-encoding of the prepared state, acting on the fresh
+    register.  Its block depends on U|0> = psi alone, so U is the reflection
+    R_psi, and W is applied to the 2^main ancilla-zero inputs |j, 0, 0>:
+    U|0> puts psi on [main, garbage], SWAP moves index j into main, and
+    R_psi^dagger acts on [main, garbage] for each value of fresh.  The carrier
+    holds those columns, checked orthonormal.
     """
     m = p.system_qubits
     b = p.garbage_qubits
@@ -131,19 +123,19 @@ def purification_to_unitary_be(
         raise RegisterTooLargeError(
             f"construction needs {total} qubits, budget is {qubit_budget}"
         )
-    u = p.preparer
-    db = 1 << b
-    id_fresh = np.eye(1 << m, dtype=complex)
-    lift_u = tensor(id_fresh, u)
-    swap = tensor(swap_registers(m, qubit_budget=qubit_budget), np.eye(db, dtype=complex))
-    carrier = lift_u.conj().T @ swap @ lift_u
-    lay = layout(("system", m), ("mirror", m), ("enc_garbage", b))
-    target = p.traced_matrix()
+    dm, db = 1 << m, 1 << b
+    swapped = np.zeros((dm, dm, dm, db), dtype=complex)  # [j, fresh, main, garbage]
+    swapped[np.arange(dm), :, np.arange(dm), :] = p.state.reshape(dm, db)
+    columns = reflect(p.state, swapped.reshape(dm * dm, dm * db), adjoint=True)
+    columns = columns.reshape(dm, -1).T
+    defect = unitarity_defect(columns)
+    if defect > NORM_TOL:
+        raise ValueError(f"W columns orthonormality defect {defect:.3e} > {NORM_TOL:.1e}")
     return EncodedOperator(
-        carrier=carrier,
-        layout=lay,
+        carrier=columns,
+        layout=layout(("system", m), ("mirror", m), ("enc_garbage", b)),
         spec=BlockEncodingSpec(alpha=1.0, ancilla_qubits=m + b, epsilon=0.0),
-        target=target,
+        target=p.traced_matrix(),
         kind="unitary",
     )
 

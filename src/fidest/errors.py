@@ -30,7 +30,7 @@ class InsufficientAncillaError(FidestError):
 
 
 class RegisterTooLargeError(FidestError):
-    """Construction would exceed the dense-matrix qubit budget."""
+    """Construction would exceed the qubit budget."""
 
 
 class SpectrumOutOfRangeError(FidestError):

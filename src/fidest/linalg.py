@@ -1,5 +1,6 @@
-"""Dense complex linear algebra: tensor products, Hermitian eigendecomposition,
-matrix functions, exact unitary exponentials, and the norms used everywhere else.
+"""Complex linear algebra: tensor products, Hermitian eigendecomposition,
+matrix functions, exact unitary exponentials, the norms used everywhere else,
+and the reflection that loads a state as a gate applied to vectors.
 
 All operators are plain ``numpy.ndarray`` matrices in row-major order; square
 operators on qubit registers have power-of-two dimension.  Every function is
@@ -123,33 +124,26 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, "nuc")) if m.size else 0.0
 
 
-def complete_unitary(first_column: np.ndarray) -> np.ndarray:
-    """Extend a unit vector to a full unitary whose column 0 is that vector.
+def reflect(psi: np.ndarray, x: np.ndarray, axis: int = -1, adjoint: bool = False) -> np.ndarray:
+    """Apply R_psi (or its adjoint) along ``axis`` of ``x``, O(d) per vector.
 
-    The remaining columns come from orthonormalizing identity columns against
-    the prescribed first column; the completion is deterministic.
+    R_psi is a Householder reflection times the phase of psi_0, chosen so that
+    R_psi |0> = psi for a unit vector psi: a unitary whose first column is
+    psi.  With psi' = conj(phase) psi and v = |0> + psi', R_psi =
+    -phase (I - 2 v v^dagger / v^dagger v); v_0 >= 1 keeps it well conditioned.
     """
-    psi = np.asarray(first_column, dtype=complex).reshape(-1)
-    d = psi.size
-    nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValueError(f"first column norm {nrm} is not 1")
-    # Drop the identity column most parallel to psi to keep the basis full rank.
-    drop = int(np.argmax(np.abs(psi)))
-    cols = np.empty((d, d), dtype=complex)
-    cols[:, 0] = psi
-    rest = [i for i in range(d) if i != drop]
-    cols[:, 1:] = np.eye(d, dtype=complex)[:, rest]
-    q, _ = np.linalg.qr(cols)
-    phase = np.vdot(q[:, 0], psi)
-    phase /= abs(phase)
-    q[:, 0] *= phase
-    # Tiny residual from QR; pin the first column exactly.
-    q[:, 0] = psi
-    return q
+    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    phase = psi[0] / abs(psi[0]) if psi[0] != 0 else 1.0
+    v = psi / phase
+    v[0] += 1.0
+    scale = -(np.conj(phase) if adjoint else phase)
+    xm = np.moveaxis(np.asarray(x, dtype=complex), axis, -1)
+    out = scale * (xm - (2.0 / np.vdot(v, v).real) * (xm @ v.conj())[..., None] * v)
+    return np.moveaxis(out, -1, axis)
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """Operator-norm distance of U^dagger U from the identity."""
+    """Operator-norm distance of U^dagger U from the identity; for a d x k
+    matrix, how far its k columns are from orthonormal."""
     u = as_complex_matrix(u)
-    return operator_norm(u.conj().T @ u - np.eye(u.shape[0]))
+    return operator_norm(u.conj().T @ u - np.eye(u.shape[1]))

@@ -9,9 +9,11 @@ kappa_sigma) x~ against the exact-oracle fidelity together with an analytic
 error bound and measured query counts.
 
 Each stage runs at the circuit or the ideal-spectral level: the circuit
-level is used when the dense-matrix qubit budget allows, otherwise the stage
-falls back to ideal-spectral, and the report records the level actually used
-(circuit-pe-perturbed for a circuit run with perturbation > 0).
+level is used when the qubit budget allows, otherwise the stage falls back to
+ideal-spectral, and the report records the level actually used
+(circuit-pe-perturbed for a circuit run with perturbation > 0).  Both levels
+work on state vectors: W is held as its columns on the ancilla-zero inputs,
+eta as its state, and each block as M M^dagger of a state slice M.
 """
 
 from __future__ import annotations
@@ -30,12 +32,7 @@ from .block_encoding import (
 )
 from .errors import InfeasibleParamsError, RegisterTooLargeError
 from .linalg import eig_hermitian, operator_norm
-from .registers import (
-    DEFAULT_QUBIT_BUDGET,
-    embed_operator,
-    layout,
-    project_zero,
-)
+from .registers import DEFAULT_QUBIT_BUDGET, layout
 from .sqrt_extractor import (
     SqrtParams,
     block_spectrum,
@@ -139,7 +136,7 @@ def build_w_sigma(
     The extraction runs on sigma's purification, as a circuit or (at the
     ideal level, or as the fallback when the circuit exceeds the qubit
     budget) as perfect phase estimation, which is small regardless of
-    t_sigma.  Its output state's preparer then goes through the two-query
+    t_sigma.  Its output state then goes through the two-query
     purified-state-to-unitary construction.
     """
     n = sigma_prep.system_qubits
@@ -150,14 +147,16 @@ def build_w_sigma(
         out = build_sqrt_unitary(sigma_prep, 0, sp, qubit_budget=params.qubit_budget, seed=seed)
     else:
         out = ideal_sqrt_state(sigma_prep, 0, sp)
-    w_enc = purification_to_unitary_be(out.purification(), qubit_budget=params.qubit_budget)
+    w_enc = purification_to_unitary_be(
+        Purification(out.state, out.layout), qubit_budget=params.qubit_budget
+    )
     m = w_enc.system_qubits
     b = w_enc.layout.qubits("enc_garbage")
     relayout = layout(
         ("system", n), ("sqrt_anc", m - n), ("mirror", m), ("enc_garbage", b)
     )
     encoding = EncodedOperator(
-        carrier=w_enc.carrier,
+        carrier=w_enc.carrier[:, :: 1 << (m - n)],  # the inputs with sqrt_anc zero too
         layout=relayout,
         spec=BlockEncodingSpec(
             alpha=4.0 * math.sqrt(params.kappa_sigma), ancilla_qubits=relayout.total_qubits - n
@@ -184,13 +183,15 @@ def build_eta(
     w_sigma: EncodedOperator,
     qubit_budget: int = DEFAULT_QUBIT_BUDGET,
 ) -> EtaResult:
-    """Apply the sqrt(sigma) encoding to rho's purification.
+    """Apply the sqrt(sigma) encoding, held as W's columns on its
+    ancilla-zero inputs (as build_w_sigma returns it), to rho's purification.
 
     Returns eta's purification (registers [system, w_anc, garbage]) and the
     w_anc-zero block of its traced state, which approximates
-    sqrt(sigma) rho sqrt(sigma) / (16 kappa_sigma).  The traced state needs
-    no validation of its own: it is a partial trace of the pure state whose
-    preparer Purification has just checked for unitarity.
+    sqrt(sigma) rho sqrt(sigma) / (16 kappa_sigma).  Eta's state is W's
+    columns on the system inputs times rho's state on [system, garbage]; the
+    block is M M^dagger for M its w_anc-zero slice, and eta's density is
+    never formed.
     """
     n = w_sigma.system_qubits
     if rho_prep.system_qubits != n:
@@ -205,12 +206,10 @@ def build_eta(
             f"eta register needs {total} qubits, budget is {qubit_budget}"
         )
     full = layout(("system", n), ("w_anc", a_w), ("garbage", n_rho))
-    u_eta = embed_operator(w_sigma.carrier, full, ["system", "w_anc"]) @ embed_operator(
-        rho_prep.preparer, full, ["system", "garbage"]
-    )
-    purif = Purification(u_eta, full, garbage="garbage")
-    eta = purif.traced_matrix()
-    block = project_zero(eta, layout(("system", n), ("w_anc", a_w)), ["w_anc"])
+    state = w_sigma.carrier @ rho_prep.state.reshape(1 << n, 1 << n_rho)
+    purif = Purification(state.reshape(-1), full, garbage="garbage")
+    m = state.reshape(1 << n, 1 << a_w, 1 << n_rho)[:, 0, :]
+    block = m @ m.conj().T
     alpha = w_sigma.spec.alpha
     kappa_sigma = (alpha / 4.0) ** 2
     ref = w_sigma.target @ rho_prep.traced_matrix() @ w_sigma.target / (16.0 * kappa_sigma)

@@ -2,8 +2,10 @@
 
 A layout is an ordered list of named segments.  The first segment owns the
 most significant qubits (matching ``numpy.kron`` order), so a basis index
-decomposes big-endian across segments.  Block-encoding projections always
-target trailing segments; partial traces and embeddings work on any subset.
+decomposes big-endian across segments, and a state vector reshaped to
+``segment_dims()`` is a tensor with one axis per segment, on which gates act
+along their segments' axes.  Block-encoding projections always target
+trailing segments; partial traces work on any subset.
 """
 
 from __future__ import annotations
@@ -106,17 +108,16 @@ def zero_block_indices(lay: RegisterLayout, zero_segments: Sequence[str]) -> np.
 
 
 def project_zero(m: np.ndarray, lay: RegisterLayout, zero_segments: Sequence[str]) -> np.ndarray:
-    """<0|m|0> block over the named segments (matrix) or subvector (vector)."""
+    """<0|m|0> block over the named segments of a square matrix, subvector of
+    a vector, or rows of an operator's columns on the zero inputs (a
+    lay.dim x block-dim matrix, as an isometry's carrier holds them)."""
     m = np.asarray(m, dtype=complex)
     idx = zero_block_indices(lay, zero_segments)
-    if m.ndim == 1:
-        if m.shape[0] != lay.dim:
-            raise DimensionMismatchError(
-                f"vector length {m.shape[0]} does not match layout dim {lay.dim}"
-            )
-        return m[idx]
-    _check_square(m, lay)
-    return m[np.ix_(idx, idx)]
+    if m.shape[0] != lay.dim or m.ndim == 2 and m.shape[1] not in (lay.dim, idx.size):
+        raise DimensionMismatchError(f"shape {m.shape} does not match layout dim {lay.dim}")
+    if m.ndim == 2 and m.shape[1] == lay.dim:
+        return m[np.ix_(idx, idx)]
+    return m[idx]
 
 
 def partial_trace(m: np.ndarray, lay: RegisterLayout, keep: Sequence[str]) -> np.ndarray:
@@ -136,39 +137,6 @@ def partial_trace(m: np.ndarray, lay: RegisterLayout, keep: Sequence[str]) -> np
         remaining -= 1
     d_keep = int(np.prod([dims[i] for i in range(s) if lay.segments[i][0] in keep], initial=1))
     return t.reshape(d_keep, d_keep)
-
-
-def embed_operator(op: np.ndarray, lay: RegisterLayout, on: Sequence[str]) -> np.ndarray:
-    """Lift an operator acting on the named segments (in the order given) to
-    the full space, tensoring identity on the rest.
-
-    The segments in ``on`` need not be contiguous in the layout.
-    """
-    op = as_complex_matrix(op)
-    on = lay.check(on)
-    if len(set(on)) != len(on):
-        raise ValueError(f"repeated segment names in {on}")
-    dims = lay.segment_dims()
-    d_on = int(np.prod([dims[lay.index_of(n)] for n in on], initial=1))
-    if op.shape != (d_on, d_on):
-        raise DimensionMismatchError(
-            f"operator shape {op.shape} does not match segments {on} (dim {d_on})"
-        )
-    rest = [n for n in lay.names if n not in on]
-    d_rest = lay.dim // d_on
-    full = np.kron(op, np.eye(d_rest, dtype=complex))
-    # Map each layout-ordered index to its position in the [on..., rest...] ordering.
-    reordered = list(on) + rest
-    digits = {}
-    ar = np.arange(lay.dim, dtype=np.intp)
-    for name, d, stride in zip(lay.names, dims, lay.strides()):
-        digits[name] = (ar // stride) % d
-    sigma = np.zeros(lay.dim, dtype=np.intp)
-    acc = 1
-    for name in reversed(reordered):
-        sigma += digits[name] * acc
-        acc *= dims[lay.index_of(name)]
-    return full[np.ix_(sigma, sigma)]
 
 
 def basis_state(lay: RegisterLayout, index: int = 0) -> np.ndarray:

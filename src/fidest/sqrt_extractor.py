@@ -12,11 +12,12 @@ output state block-encodes sqrt(A) with scale 4*sqrt(kappa):
 
 Two simulation levels are exposed: ``ideal-spectral`` applies the filter
 directly on the exact spectrum (perfect phase estimation, no phase register
-blowup), and ``circuit-pe`` assembles the full unitary with exact controlled
-exponentials.  A ``perturbation`` > 0 multiplies each controlled exponential
-of the circuit by a random unitary within that operator distance of identity
-to model Hamiltonian-simulation error; such outputs report the level
-``circuit-pe-perturbed``.
+blowup), and ``circuit-pe`` applies the circuit's gates, with exact
+controlled exponentials, to its one input state reshaped to one axis per
+register; no 2^q x 2^q unitary is formed.  A ``perturbation`` > 0 multiplies
+each controlled exponential of the circuit by a random unitary within that
+operator distance of identity to model Hamiltonian-simulation error; such
+outputs report the level ``circuit-pe-perturbed``.
 
 Register order of outputs: [system, encoding, pe, flag, garbage] (no pe at
 the ideal level), so the traced state keeps its encoding ancillas trailing
@@ -39,15 +40,8 @@ from .errors import (
     RegisterTooLargeError,
     SpectrumOutOfRangeError,
 )
-from .linalg import HermitianEigen, complete_unitary, eig_hermitian
-from .registers import (
-    DEFAULT_QUBIT_BUDGET,
-    RegisterLayout,
-    embed_operator,
-    layout,
-    partial_trace,
-    project_zero,
-)
+from .linalg import HermitianEigen, eig_hermitian, reflect
+from .registers import DEFAULT_QUBIT_BUDGET, RegisterLayout, layout, partial_trace
 from .states import Purification
 
 SIM_LEVELS = ("ideal-spectral", "circuit-pe")
@@ -215,35 +209,27 @@ def preparer_queries(params: SqrtParams) -> int:
 class SqrtOutput:
     """Result of one extraction: the output state on ``layout``.
 
-    Circuit level: registers [system, encoding, pe, flag, garbage], and
-    ``unitary`` is the assembled circuit, whose first column is ``state``.
-    Ideal level: registers [system, encoding, flag, garbage] and no unitary;
-    the pe register is exactly |0> in every branch there and is never built
-    (the ancilla count of ``encoding`` still follows a + l + 1).
+    Circuit level: registers [system, encoding, pe, flag, garbage].  Ideal
+    level: registers [system, encoding, flag, garbage]; the pe register is
+    exactly |0> in every branch there and is never built (the ancilla count
+    of ``encoding`` still follows a + l + 1).
     """
 
     params: SqrtParams
     state: np.ndarray
     layout: RegisterLayout
     target_sqrt: np.ndarray  # sqrt(A), from the decomposition the output was built on
-    unitary: np.ndarray | None = None
 
     @property
     def sim_level(self) -> str:
         """The level a stage built on this output reports."""
-        if self.unitary is None:
+        if "pe" not in self.layout.names:
             return "ideal-spectral"
         return "circuit-pe-perturbed" if self.params.perturbation > 0 else "circuit-pe"
 
     @property
     def preparer_queries(self) -> int:
         return preparer_queries(self.params)
-
-    def purification(self) -> Purification:
-        """The output state's preparer: the circuit itself, or at the ideal
-        level the state completed to a unitary."""
-        u = complete_unitary(self.state) if self.unitary is None else self.unitary
-        return Purification(u, self.layout)
 
     @cached_property
     def encoding(self) -> EncodedOperator:
@@ -284,15 +270,16 @@ def block_spectrum(a_mat: np.ndarray) -> HermitianEigen:
 
 def _prepared_spectrum(p: Purification, encoding_qubits: int) -> tuple[HermitianEigen, np.ndarray]:
     """Spectrum and square root of A, the encoding-zero block of the state
-    ``p`` prepares on [system, encoding]."""
+    ``p`` prepares on [system, encoding]: A = M M^dagger, with M the
+    encoding-zero slice of the state on [system, garbage]."""
     n_sys = p.system_qubits - encoding_qubits
     if n_sys < 1:
         raise ValueError(
             f"{encoding_qubits} encoding qubits leave no system in "
             f"{p.system_qubits} prepared qubits"
         )
-    lay = layout(("system", n_sys), ("encoding", encoding_qubits))
-    eig = block_spectrum(project_zero(p.traced_matrix(), lay, ["encoding"]))
+    m = p.state.reshape(1 << n_sys, 1 << encoding_qubits, -1)[:, 0, :]
+    eig = block_spectrum(m @ m.conj().T)
     return eig, (eig.vectors * np.sqrt(eig.values)) @ eig.vectors.conj().T
 
 
@@ -303,12 +290,15 @@ def build_sqrt_unitary(
     qubit_budget: int = DEFAULT_QUBIT_BUDGET,
     seed: int = 0,
 ) -> SqrtOutput:
-    """Assemble the full extraction circuit.
+    """Run the extraction circuit on the state ``p`` prepares.
 
     ``p`` prepares a state on [system, encoding] qubits whose encoding-zero
-    block is the PSD operator A; the controlled phase unitary is built from A
+    block is the PSD operator A; the controlled phases are built from A
     reconstructed out of that block, not from a separately supplied matrix.
-    The returned unitary acts on [system, encoding, pe, flag, garbage].
+    The state, reshaped to [system, encoding, pe, flag, garbage], goes through
+    the sine-window reflection on pe, the controlled phases (one 2^n x 2^n
+    matrix per pe value tau, on system), the inverse QFT on pe, a rotation of
+    the flag for each pe value k, and the uncompute of the first three.
 
     With ``params.perturbation > 0`` each controlled exponential (tau >= 1)
     picks up an independent random unitary, drawn from ``seed``, within
@@ -326,16 +316,11 @@ def build_sqrt_unitary(
         )
     eig, sqrt_a = _prepared_spectrum(p, n_enc)
 
-    full = layout(
-        ("system", n_sys), ("encoding", n_enc), ("pe", l), ("flag", 1), ("garbage", b)
-    )
-    u2 = embed_operator(complete_unitary(sine_state(T)), full, ["pe"])
-
     # Controlled phases: on pe value tau apply exp(i tau ((t/3T) A + (2pi/3) I)).
     theta = params.t / (3.0 * T) * eig.values + 2.0 * np.pi / 3.0
     dn = 1 << n_sys
     rng = np.random.default_rng(seed)
-    ctrl = np.zeros((dn, T, dn, T), dtype=complex)
+    phases = np.empty((T, dn, dn), dtype=complex)
     v = eig.vectors
     for tau in range(T):
         w_tau = (v * np.exp(1j * tau * theta)) @ v.conj().T
@@ -345,26 +330,23 @@ def build_sqrt_unitary(
             h_rand /= np.linalg.norm(h_rand, 2)
             ew, evv = np.linalg.eigh(h_rand)
             w_tau = w_tau @ ((evv * np.exp(1j * params.perturbation * ew)) @ evv.conj().T)
-        ctrl[:, tau, :, tau] = w_tau
+        phases[tau] = w_tau
+    f, s = h_vector(grid_eigenvalue(np.arange(T), params), params.kappa)
+    rotations = np.array([[f, -s], [s, f]])  # [out flag, in flag, pe value]: rotation_gate
 
-    jk = np.arange(T)
-    ft = np.exp(2j * np.pi * np.outer(jk, jk) / T) / np.sqrt(T)
-    u3 = embed_operator(ft.conj().T, full, ["pe"]) @ embed_operator(
-        ctrl.reshape(dn * T, dn * T), full, ["system", "pe"]
+    # state axes: i/j system, e encoding, t pe, f/a/b flag, g garbage
+    window = sine_state(T)
+    x = np.zeros((dn, 1 << n_enc, T, 2, 1 << b), dtype=complex)
+    x[:, :, 0, 0, :] = p.state.reshape(dn, 1 << n_enc, 1 << b)
+    x = reflect(window, x, axis=2)
+    x = np.fft.fft(np.einsum("tij,jetfg->ietfg", phases, x), axis=2, norm="ortho")
+    x = np.einsum("abt,ietbg->ietag", rotations, x)
+    x = np.einsum("tji,jetfg->ietfg", phases.conj(), np.fft.ifft(x, axis=2, norm="ortho"))
+    x = reflect(window, x, axis=2, adjoint=True)
+    full = layout(
+        ("system", n_sys), ("encoding", n_enc), ("pe", l), ("flag", 1), ("garbage", b)
     )
-
-    rot = np.zeros((T, 2, T, 2), dtype=complex)
-    for k in range(T):
-        rot[k, :, k, :] = rotation_gate(k, params)
-
-    # u2^dagger u3^dagger u4 u3 u2 u1, a gate at a time: no dense product outlives its use
-    u_out = u3 @ (u2 @ embed_operator(p.preparer, full, ["system", "encoding", "garbage"]))
-    u_out = embed_operator(rot.reshape(2 * T, 2 * T), full, ["pe", "flag"]) @ u_out
-    u_out = u3.conj().T @ u_out
-    u_out = u2.conj().T @ u_out
-    return SqrtOutput(
-        params=params, state=u_out[:, 0].copy(), layout=full, target_sqrt=sqrt_a, unitary=u_out
-    )
+    return SqrtOutput(params=params, state=x.reshape(-1), layout=full, target_sqrt=sqrt_a)
 
 
 def ideal_sqrt_state(p: Purification, encoding_qubits: int, params: SqrtParams) -> SqrtOutput:

@@ -18,20 +18,18 @@ from .errors import (
 )
 from .linalg import (
     HermitianEigen,
-    complete_unitary,
     eig_hermitian,
     hermiticity_defect,
     operator_norm,
     sqrtm_psd,
     trace_norm,
-    unitarity_defect,
 )
 from .registers import RegisterLayout, layout, partial_trace
 
 PSD_TOL = 1e-9
 RANK_THRESHOLD = 1e-9
 PURIFICATION_TOL = 1e-9
-UNITARY_TOL = 1e-10
+NORM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -102,35 +100,32 @@ class DensityOperator:
 
 @dataclass(frozen=True)
 class Purification:
-    """A preparer unitary plus a register layout whose last segment is garbage.
+    """A unit vector on a register layout whose last segment is garbage.
 
-    ``preparer @ |0...0>`` is the purified state; tracing the garbage segment
-    yields the prepared density operator on the remaining segments.
+    ``state`` is the purified state; tracing the garbage segment yields the
+    prepared density operator on the remaining segments.  Any unitary whose
+    first column is ``state`` prepares it (``linalg.reflect`` is one).
     """
 
-    preparer: np.ndarray
+    state: np.ndarray
     layout: RegisterLayout
     garbage: str = "garbage"
 
     def __post_init__(self):
-        u = np.array(self.preparer, dtype=complex)
-        if u.shape != (self.layout.dim, self.layout.dim):
+        v = np.array(self.state, dtype=complex)
+        if v.shape != (self.layout.dim,):
             raise DimensionMismatchError(
-                f"preparer shape {u.shape} does not match layout dim {self.layout.dim}"
+                f"state shape {v.shape} does not match layout dim {self.layout.dim}"
             )
         if self.layout.names[-1] != self.garbage:
             raise ValueError(
                 f"garbage segment {self.garbage!r} must be last in {self.layout.names}"
             )
-        defect = unitarity_defect(u)
-        if defect > UNITARY_TOL:
-            raise ValueError(f"preparer unitarity defect {defect:.3e} > {UNITARY_TOL:.1e}")
-        u.flags.writeable = False
-        object.__setattr__(self, "preparer", u)
-
-    @property
-    def state(self) -> np.ndarray:
-        return self.preparer[:, 0]
+        defect = abs(np.linalg.norm(v) - 1.0)
+        if defect > NORM_TOL:
+            raise ValueError(f"state norm defect {defect:.3e} > {NORM_TOL:.1e}")
+        v.flags.writeable = False
+        object.__setattr__(self, "state", v)
 
     @property
     def system_segments(self) -> tuple[str, ...]:
@@ -152,22 +147,21 @@ class Purification:
         return DensityOperator(self.traced_matrix())
 
     def split_system(self, *segments: tuple[str, int]) -> "Purification":
-        """Re-segment the prepared system without touching the matrices."""
+        """Re-segment the prepared system without touching the state."""
         total = sum(q for _, q in segments)
         if total != self.system_qubits:
             raise DimensionMismatchError(
                 f"segments sum to {total} qubits, system has {self.system_qubits}"
             )
         new = layout(*segments, (self.garbage, self.garbage_qubits))
-        return Purification(self.preparer, new, garbage=self.garbage)
+        return Purification(self.state, new, garbage=self.garbage)
 
     def to_json_dict(self) -> dict:
-        u = self.preparer.reshape(-1)
         return {
             "kind": "purification",
             "segments": [[n, q] for n, q in self.layout.segments],
             "garbage": self.garbage,
-            "entries": [[float(z.real), float(z.imag)] for z in u],
+            "entries": [[float(z.real), float(z.imag)] for z in self.state],
         }
 
     @staticmethod
@@ -176,7 +170,9 @@ class Purification:
             raise ValueError(f"not a purification record: kind={data.get('kind')!r}")
         lay = layout(*[(str(n), int(q)) for n, q in data["segments"]])
         entries = np.array([complex(re, im) for re, im in data["entries"]])
-        return Purification(entries.reshape(lay.dim, lay.dim), lay, garbage=data["garbage"])
+        if entries.size != lay.dim:
+            raise ValueError(f"{entries.size} entries, layout dim is {lay.dim}")
+        return Purification(entries, lay, garbage=data["garbage"])
 
     def save(self, path: str):
         with open(path, "w", encoding="utf-8") as fh:
@@ -215,8 +211,7 @@ def random_density(qubits: int, rank: int, seed: int) -> DensityOperator:
 def purify(rho: DensityOperator, ancilla_qubits: int) -> Purification:
     """Purify via the eigendecomposition: sum_j sqrt(p_j) |u_j>|j>.
 
-    Needs 2^ancilla_qubits >= rank; the preparer is completed to a full
-    unitary from its first column.
+    Needs 2^ancilla_qubits >= rank.
     """
     if ancilla_qubits < 0 or (1 << ancilla_qubits) < rho.rank:
         raise InsufficientAncillaError(
@@ -228,9 +223,7 @@ def purify(rho: DensityOperator, ancilla_qubits: int) -> Purification:
     for j in range(rho.rank):
         psi += np.sqrt(w[j]) * np.kron(rho.eigen.vectors[:, j], np.eye(da)[:, j])
     psi /= np.linalg.norm(psi)
-    prep = complete_unitary(psi)
-    lay = layout(("system", rho.qubits), ("garbage", ancilla_qubits))
-    p = Purification(prep, lay)
+    p = Purification(psi, layout(("system", rho.qubits), ("garbage", ancilla_qubits)))
     roundtrip = operator_norm(p.traced_matrix() - rho.matrix)
     if roundtrip > PURIFICATION_TOL:
         raise ValueError(f"purification round-trip error {roundtrip:.3e}")

@@ -90,3 +90,27 @@ def test_sample_success_probability(x):
         for s in range(trials)
     )
     assert hits / trials >= 8 / np.pi**2 - 0.05
+
+
+def _loop_law(x, M):
+    """The outcome law one grid point at a time: the reference for the
+    vectorised qae_outcome_distribution."""
+    def kernel(d):
+        s = np.sin(np.pi * d)
+        return 1.0 if abs(s) < 1e-15 else float((np.sin(np.pi * M * d) / (M * s)) ** 2)
+
+    omega = np.arcsin(np.sqrt(x)) / np.pi
+    if x in (0.0, 1.0):
+        p = np.array([kernel(omega - y / M) for y in range(M)])
+    else:
+        p = np.array([0.5 * (kernel(omega - y / M) + kernel(-omega - y / M)) for y in range(M)])
+    return p / p.sum()
+
+
+@pytest.mark.parametrize("x,M", [(0.0, 8), (1.0, 64), (0.5, 64), (0.31, 64), (1e-9, 1024)])
+def test_outcome_distribution_matches_loop_reference(x, M):
+    law, ref = qae_outcome_distribution(x, M), _loop_law(x, M)
+    assert np.max(np.abs(law - ref)) <= 1e-15  # a few ulp: sin may round differently in bulk
+    for seed in range(200):
+        draws = [int(np.random.default_rng(seed).choice(M, p=p)) for p in (law, ref)]
+        assert draws[0] == draws[1]

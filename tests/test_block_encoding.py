@@ -5,6 +5,7 @@ from fidest import (
     BlockEncodingSpec,
     DensityOperator,
     EncodedOperator,
+    Purification,
     be_error,
     density_with_block,
     layout,
@@ -12,11 +13,9 @@ from fidest import (
     purification_to_unitary_be,
     purify,
     random_density,
-    swap_registers,
     tensor,
     unitarity_defect,
 )
-from fidest.errors import RegisterTooLargeError
 
 
 def test_spec_validation():
@@ -35,28 +34,6 @@ def test_be_error_identity_block():
     assert be_error(np.eye(4), layout(("sys", 1), ("anc", 1)), np.eye(2), 1.0) <= 1e-15
 
 
-def test_swap_basis_map_and_involution():
-    s = swap_registers(1)
-    v01 = np.zeros(4)
-    v01[1] = 1
-    np.testing.assert_allclose(s @ v01, [0, 0, 1, 0])
-    np.testing.assert_allclose(swap_registers(2) @ swap_registers(2), np.eye(16), atol=0)
-
-
-def test_swap_explicit_matrix():
-    # permutation sending |00>,|01>,|10>,|11> to |00>,|10>,|01>,|11>
-    expected = np.zeros((4, 4))
-    for j in range(2):
-        for k in range(2):
-            expected[k * 2 + j, j * 2 + k] = 1
-    np.testing.assert_allclose(swap_registers(1), expected, atol=0)
-
-
-def test_swap_budget():
-    with pytest.raises(RegisterTooLargeError):
-        swap_registers(8, qubit_budget=14)
-
-
 @pytest.mark.parametrize("qubits,rank", [(1, 1), (1, 2), (2, 2), (2, 4)])
 def test_purified_state_to_unitary_is_exact(qubits, rank):
     rho = random_density(qubits, rank, seed=rank * 7 + qubits)
@@ -65,6 +42,17 @@ def test_purified_state_to_unitary_is_exact(qubits, rank):
     assert enc.measured_error <= 1e-9
     assert unitarity_defect(enc.carrier) <= 1e-10
     assert enc.spec.alpha == 1.0 and enc.spec.epsilon == 0.0
+
+
+def test_unitary_encoding_of_a_state_with_complex_first_entry():
+    # purify's states have a real psi_0; here the reflection's phase matters
+    rng = np.random.default_rng(3)
+    psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    p = Purification(psi / np.linalg.norm(psi), layout(("system", 2), ("garbage", 1)))
+    enc = purification_to_unitary_be(p)
+    assert enc.measured_error <= 1e-12
+    assert unitarity_defect(enc.carrier) <= 1e-12
+    np.testing.assert_allclose(enc.block(), p.traced_matrix(), atol=1e-12)
 
 
 def test_pure_state_encoding_block_is_projector():

@@ -1,7 +1,12 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 
+import fidest
 from fidest import random_density
 from fidest.cli import main
 
@@ -59,6 +64,31 @@ def test_estimate_infeasible_exits_2(capsys):
     )
     assert code == 2
     assert "infeasible" in err.lower()
+
+
+def _limited_cli(*argv):
+    """``fidest`` in a child process whose address space, and only its own,
+    is capped at 3 GiB: an oversized array fails the command, not the run."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fidest.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "fidest.cli", *argv], env=env, preexec_fn=cap,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_five_qubit_ideal_estimate_fits_in_3_gib():
+    # a 13-qubit W and a 14-qubit eta, at the edge of the default budget
+    flags = ["estimate", "--rank-rho", "1", "--rank-sigma", "1", "--eps", "0.3", "--seed", "1"]
+    proc = _limited_cli(*flags, "--n", "5")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert abs(report["estimate"] - report["exact_fidelity"]) <= 0.3
+    proc = _limited_cli(*flags, "--n", "6")
+    assert proc.returncode == 1
+    assert "construction needs 15 qubits, budget is 14" in proc.stderr
 
 
 def test_estimate_load_dump_round_trip(tmp_path, capsys):

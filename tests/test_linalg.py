@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fidest import (
-    complete_unitary,
     eig_hermitian,
     expm_i,
     matrix_func,
@@ -15,6 +14,7 @@ from fidest import (
     unitarity_defect,
 )
 from fidest.errors import NegativeEigenvalueError, NotHermitianError
+from fidest.linalg import reflect
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -134,9 +134,23 @@ def test_operator_norm_is_max_abs_eigenvalue():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_complete_unitary_pins_first_column(seed):
+    # the reflection R_psi completes psi to a unitary whose first column is psi
     rng = np.random.default_rng(seed)
     psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     psi /= np.linalg.norm(psi)
-    u = complete_unitary(psi)
+    u = reflect(psi, np.eye(8), axis=0)
     assert unitarity_defect(u) <= 1e-12
     np.testing.assert_allclose(u[:, 0], psi, atol=1e-12)
+    adjoint = reflect(psi, np.eye(8), axis=0, adjoint=True)
+    np.testing.assert_allclose(adjoint, u.conj().T, atol=1e-14)
+    # a batch along another axis is the same gate applied to each vector
+    x = rng.standard_normal((3, 8, 2)) + 1j * rng.standard_normal((3, 8, 2))
+    np.testing.assert_allclose(reflect(psi, x, axis=1), np.einsum("ij,ajb->aib", u, x), atol=1e-12)
+
+
+def test_unitarity_defect_of_an_isometry():
+    q, _ = np.linalg.qr(random_hermitian(8, seed=4)[:, :3])
+    assert unitarity_defect(q) <= 1e-12
+    skewed = q.copy()
+    skewed[:, 2] *= 1.5
+    assert abs(unitarity_defect(skewed) - (1.5**2 - 1)) <= 1e-12

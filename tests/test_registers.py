@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fidest import (
-    embed_operator,
     layout,
     partial_trace,
     project_zero,
@@ -11,9 +10,6 @@ from fidest import (
 )
 from fidest.errors import DimensionMismatchError, UnknownSegmentError
 from fidest.registers import zero_block_indices
-
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-Z = np.diag([1.0, -1.0]).astype(complex)
 
 
 def test_layout_rejects_duplicate_names():
@@ -74,29 +70,16 @@ def test_project_zero_middle_segment():
     idx = [0, 1, 4, 5]  # indices with the middle qubit 0
     np.testing.assert_allclose(block, m[np.ix_(idx, idx)], atol=0)
     np.testing.assert_array_equal(zero_block_indices(lay, ["z"]), idx)
+    # an operator held as its columns on the zero inputs: the block is their rows
+    np.testing.assert_allclose(project_zero(m[:, idx], lay, ["z"]), block, atol=0)
+    with pytest.raises(DimensionMismatchError):
+        project_zero(m[:, :3], lay, ["z"])
 
 
 def test_project_zero_vector():
     lay = layout(("a", 1), ("b", 1))
     v = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
     np.testing.assert_allclose(project_zero(v, lay, ["b"]), [1.0, 3.0])
-
-
-def test_embed_contiguous_and_non_contiguous():
-    lay = layout(("x", 1), ("y", 1), ("z", 1))
-    np.testing.assert_allclose(
-        embed_operator(tensor(X, X), lay, ["x", "z"]), tensor(X, np.eye(2), X), atol=0
-    )
-    np.testing.assert_allclose(
-        embed_operator(tensor(X, Z), lay, ["z", "x"]), tensor(Z, np.eye(2), X), atol=0
-    )
-    np.testing.assert_allclose(embed_operator(X, lay, ["y"]), tensor(np.eye(2), X, np.eye(2)), atol=0)
-
-
-def test_embed_dimension_check():
-    lay = layout(("x", 1), ("y", 1))
-    with pytest.raises(DimensionMismatchError):
-        embed_operator(np.eye(4), lay, ["x"])
 
 
 def test_zero_qubit_segments_are_transparent():

@@ -3,10 +3,12 @@ import pytest
 
 from fidest import (
     DensityOperator,
+    Purification,
     SqrtParams,
     build_sqrt_unitary,
     density_with_block,
     exact_amplitude,
+    expm_i,
     filter_f,
     grid_eigenvalue,
     h_vector,
@@ -19,6 +21,8 @@ from fidest import (
     pe_phase_offset,
     pe_tail_bound,
     preparer_queries,
+    project_zero,
+    purification_to_unitary_be,
     purify,
     random_density,
     rotation_gate,
@@ -31,6 +35,7 @@ from fidest.errors import (
     RegisterTooLargeError,
     SpectrumOutOfRangeError,
 )
+from fidest.linalg import reflect
 from fidest.sqrt_extractor import block_spectrum
 from fidest.verify import ideal_bound_grid
 
@@ -39,6 +44,48 @@ PURE = DensityOperator(np.diag([1.0, 0.0]))
 
 def pure_prep():
     return purify(PURE, 1).split_system(("system", 1), ("encoding", 0))
+
+
+def _on(op, dims, axes):
+    """Dense matrix of ``op`` acting on the register axes ``axes`` (in that
+    order) of a register with segment dimensions ``dims``, identity elsewhere."""
+    rest = [i for i in range(len(dims)) if i not in axes]
+    d = int(np.prod(dims))
+    full = np.kron(op, np.eye(d // op.shape[0])).reshape([dims[i] for i in axes + rest] * 2)
+    inv = list(np.argsort(axes + rest))
+    return full.transpose(inv + [len(dims) + i for i in inv]).reshape(d, d)
+
+
+def dense_circuit(p, n_enc, params, seed=0):
+    """The extraction circuit as one dense unitary on [system, encoding, pe,
+    flag, garbage], multiplied out of np.kron lifts of its gates, with the
+    reflections as the preparer and the sine-window loader: the reference
+    that build_sqrt_unitary's output state must be the first column of."""
+    n_sys, T = p.system_qubits - n_enc, params.T
+    dims = [1 << n_sys, 1 << n_enc, T, 2, 1 << p.garbage_qubits]
+    d = int(np.prod(dims))
+    assert d <= 1 << 10
+    lay = layout(("system", n_sys), ("encoding", n_enc))
+    a = project_zero(p.traced_matrix(), lay, ["encoding"])
+    rng = np.random.default_rng(seed)
+    ctrl = np.zeros((dims[0], T, dims[0], T), dtype=complex)
+    for tau in range(T):
+        w_tau = expm_i(a, tau * params.t / (3.0 * T)) * np.exp(2j * np.pi * tau / 3)
+        if params.perturbation > 0 and tau:
+            g = rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape)
+            h = (g + g.conj().T) / 2
+            w_tau = w_tau @ expm_i(h / np.linalg.norm(h, 2), params.perturbation)
+        ctrl[:, tau, :, tau] = w_tau
+    rot = np.zeros((T, 2, T, 2), dtype=complex)
+    for k in range(T):
+        rot[k, :, k, :] = rotation_gate(k, params)
+    jk = np.arange(T)
+    inverse_qft = np.exp(-2j * np.pi * np.outer(jk, jk) / T) / np.sqrt(T)
+    prep = _on(reflect(p.state, np.eye(d // (2 * T)), axis=0), dims, [0, 1, 4])
+    window = _on(reflect(sine_state(T), np.eye(T), axis=0), dims, [2])
+    pe = _on(inverse_qft, dims, [2]) @ _on(ctrl.reshape(dims[0] * T, -1), dims, [0, 2])
+    flag = _on(rot.reshape(2 * T, -1), dims, [2, 3])
+    return window.conj().T @ pe.conj().T @ flag @ pe @ window @ prep
 
 
 def test_params_validation():
@@ -170,7 +217,9 @@ def test_pe_tail_bound_holds():
 def test_build_unitary_is_unitary_and_meets_theta_bound():
     # spec example instance: A = |0><0| (pure, no encoding ancillas), kappa=4
     out = build_sqrt_unitary(pure_prep(), 0, SqrtParams(kappa=4.0, t=64))
-    assert unitarity_defect(out.unitary) <= 1e-9
+    u = dense_circuit(pure_prep(), 0, out.params)
+    assert unitarity_defect(u) <= 1e-9
+    assert np.max(np.abs(out.state - u[:, 0])) <= 1e-12
     # measured constant ratio <= 0.44 over the probed grid; assert with C = 1
     assert out.encoding.spec.epsilon <= 1.0 * (4.0**-0.5 + 4.0**1.5 / 64)
     assert out.preparer_queries == preparer_queries(out.params)
@@ -269,10 +318,41 @@ def test_perturbed_mode_is_seeded_and_distinct():
     b = build_sqrt_unitary(p, 0, params, seed=3)
     c = build_sqrt_unitary(p, 0, params, seed=4)
     clean = build_sqrt_unitary(p, 0, SqrtParams(kappa=4.0, t=16))
-    assert np.array_equal(a.unitary, b.unitary)
-    assert not np.array_equal(a.unitary, c.unitary)
-    drift = operator_norm(a.unitary - clean.unitary)
+    assert np.array_equal(a.state, b.state)
+    assert not np.array_equal(a.state, c.state)
+    u_a, u_clean = dense_circuit(p, 0, params, seed=3), dense_circuit(p, 0, clean.params)
+    assert np.max(np.abs(a.state - u_a[:, 0])) <= 1e-12
+    assert np.max(np.abs(clean.state - u_clean[:, 0])) <= 1e-12
+    drift = operator_norm(u_a - u_clean)
     assert 0 < drift < 1.0  # bounded by the perturbation times the circuit depth
+
+
+@pytest.mark.parametrize("perturbation", [0.0, 0.05])
+def test_circuit_matches_dense_oracle_with_encoding_and_garbage(perturbation):
+    # A is a mixed block under one encoding qubit; two garbage qubits; 8 qubits in all
+    a = 0.6 * random_density(1, 2, seed=13).matrix
+    p = purify(density_with_block(a, 1), 2)
+    params = SqrtParams(kappa=4.0, t=8, perturbation=perturbation)
+    out = build_sqrt_unitary(p, 1, params, seed=7)
+    u = dense_circuit(p, 1, params, seed=7)
+    assert unitarity_defect(u) <= 1e-12
+    assert np.max(np.abs(out.state - u[:, 0])) <= 1e-12
+
+
+def test_w_block_same_from_dense_circuit_or_reflection():
+    # W = (I x U^dagger) SWAP (I x U) with U the dense circuit, against the
+    # matrix-free W whose preparer is the reflection of U's first column
+    p = purify(random_density(1, 1, seed=17), 0).split_system(("system", 1), ("encoding", 0))
+    params = SqrtParams(kappa=4.0, t=8)
+    out = build_sqrt_unitary(p, 0, params)
+    u = dense_circuit(p, 0, params)
+    dm = u.shape[0]  # a 5-qubit output, no garbage: W has 10 qubits
+    swap = np.eye(dm * dm)[np.arange(dm * dm).reshape(dm, dm).T.reshape(-1)]
+    lift = np.kron(np.eye(dm), u)
+    w_dense = lift.conj().T @ swap @ lift
+    enc = purification_to_unitary_be(Purification(out.state, out.layout))
+    block = project_zero(w_dense, enc.layout, ["mirror", "enc_garbage"])
+    assert np.max(np.abs(enc.block() - block)) <= 1e-12
 
 
 def test_query_count_grows_linearly_in_t():

@@ -136,9 +136,12 @@ def test_purification_serialization_round_trip(tmp_path):
     p.save(str(path))
     back = Purification.load(str(path))
     assert back.layout == p.layout and back.garbage == p.garbage
-    assert np.array_equal(back.preparer, p.preparer)
+    assert np.array_equal(back.state, p.state)
     with pytest.raises(ValueError):
         Purification.from_json_dict({"kind": "density"})
+    short = dict(p.to_json_dict(), entries=p.to_json_dict()["entries"][:-1])
+    with pytest.raises(ValueError):
+        Purification.from_json_dict(short)
 
 
 def test_split_system_relabels_the_same_matrix():
@@ -146,6 +149,6 @@ def test_split_system_relabels_the_same_matrix():
     p = purify(rho, 1)
     q = p.split_system(("system", 1), ("encoding", 1))
     assert q.layout.names == ("system", "encoding", "garbage")
-    assert np.array_equal(q.preparer, p.preparer)
+    assert np.array_equal(q.state, p.state)
     with pytest.raises(DimensionMismatchError):
         p.split_system(("system", 3),)
