@@ -30,7 +30,7 @@ def main():
           f"success rate {hits / trials:.3f} (floor 8/pi^2 = {8 / np.pi**2:.3f})")
 
     p = qae_outcome_distribution(x, M)
-    top = np.argsort(p)[-4:][::-1]
+    top = np.argsort(-p, kind="stable")[:4]  # p[y] = p[M - y]: ties list the smaller y first
     print("most likely outcomes:")
     for y in top:
         print(f"  y={y:3d} -> estimate {np.sin(np.pi * y / M) ** 2:.4f}  prob {p[y]:.3f}")

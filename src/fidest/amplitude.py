@@ -5,7 +5,9 @@ building the Grover iterate over the full extraction register (which would
 double an already deep circuit), the probability is computed exactly from
 the state and the canonical outcome law is applied to it.  ``exact`` mode
 returns the best grid point deterministically; ``sample`` mode draws from
-the phase-estimation outcome distribution of the Grover eigenphase.
+the phase-estimation outcome distribution of the Grover eigenphase: one sine
+pass in one M-length array, as the kernel numerator is a single scalar and the
+second eigenphase's denominators are the first one's at (M - y) mod M.
 """
 
 from __future__ import annotations
@@ -46,10 +48,7 @@ def exact_amplitude(state: np.ndarray, lay: RegisterLayout, zero_segments: Seque
     """
     state = np.asarray(state, dtype=complex)
     block = project_zero(state, lay, zero_segments)
-    if state.ndim == 1:
-        x = float(np.vdot(block, block).real)
-    else:
-        x = float(np.trace(block).real)
+    x = float((np.vdot(block, block) if state.ndim == 1 else np.trace(block)).real)
     if not -1e-12 <= x <= 1 + 1e-12:
         raise OutOfRangeError(f"projection probability {x} outside [0, 1]")
     return min(max(x, 0.0), 1.0)
@@ -60,29 +59,36 @@ def qae_error_bound(x: float, M: int) -> float:
     return 2.0 * np.pi * np.sqrt(max(x * (1.0 - x), 0.0)) / M + np.pi**2 / (M * M)
 
 
-def _pe_kernel(d: np.ndarray, M: int) -> np.ndarray:
-    """Squared phase-estimation kernel (sin(pi M d) / (M sin(pi d)))^2, 1 where
-    sin(pi d) vanishes."""
-    s = np.sin(np.pi * d)
-    small = np.abs(s) < 1e-15
-    return np.where(small, 1.0, (np.sin(np.pi * M * d) / (M * np.where(small, 1.0, s))) ** 2)
-
-
 def qae_outcome_distribution(x: float, M: int) -> np.ndarray:
     """Probability of each grid outcome y in 0..M-1 for true amplitude x.
 
-    The initial state splits evenly over the two Grover eigenphases
-    +-theta/pi (in turns); both map to the same estimate sin^2(pi y / M).
+    The state splits evenly over the Grover eigenphases +-omega, omega =
+    arcsin(sqrt(x)) / pi turns, which both decode to sin^2(pi y / M).  Each
+    puts K(d) = sin^2(pi M d) / (M sin(pi d))^2 on y at d = +-omega - y/M, and
+    K = 1 where |sin(pi d)| < 1e-15, which only y = rint(M omega) can meet.
+    The numerator is the scalar sin^2(pi M omega), and the -omega denominator
+    at y is the +omega one at (M - y) mod M: one sine pass, in place in one
+    M-length float array (two while reflecting, and while rng.choice sums it).
     """
     if not 0.0 <= x <= 1.0:
         raise OutOfRangeError(f"x={x} outside [0, 1]")
     omega = np.arcsin(np.sqrt(x)) / np.pi  # in [0, 1/2] turns
-    y = np.arange(M)
-    if x in (0.0, 1.0) or omega in (0.0, 0.5):
-        p = _pe_kernel(omega - y / M, M)
-    else:
-        p = 0.5 * (_pe_kernel(omega - y / M, M) + _pe_kernel(-omega - y / M, M))
-    return p / p.sum()
+    p = np.arange(M, dtype=float)
+    p /= -M
+    p += omega
+    p *= np.pi
+    np.sin(p, out=p)
+    y0 = int(np.rint(M * omega))
+    peak = [y0] if abs(p[y0]) < 1e-15 else []
+    np.square(p, out=p)
+    p[peak] = 1.0
+    np.divide((np.sin(np.pi * M * omega) / M) ** 2, p, out=p)
+    p[peak] = 1.0
+    if 0.0 < omega < 0.5:
+        p[1:] += p[:0:-1]  # K(-omega - y/M) = K(omega - (M - y)/M); y = 0 maps to itself
+        p[1:] *= 0.5
+    p /= p.sum()
+    return p
 
 
 def qae_estimate(x: float, params: QaeParams) -> float:
@@ -98,8 +104,7 @@ def qae_estimate(x: float, params: QaeParams) -> float:
     x = min(max(x, 0.0), 1.0)
     M = params.M
     if params.mode == "exact":
-        theta = np.arcsin(np.sqrt(x))
-        y = int(np.rint(M * theta / np.pi))
+        y = int(np.rint(M * np.arcsin(np.sqrt(x)) / np.pi))
     else:
         rng = np.random.default_rng(params.seed)
         y = int(rng.choice(M, p=qae_outcome_distribution(x, M)))

@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .amplitude import QaeParams
-from .errors import FidestError, InfeasibleParamsError, UnknownSuiteError
+from .errors import FidestError, InfeasibleParamsError
 from .pipeline import EstimationReport, PipelineParams, estimate_fidelity, select_params
 from .registers import DEFAULT_QUBIT_BUDGET
 from .sqrt_extractor import (
@@ -380,9 +380,6 @@ def main(argv=None) -> int:
     except InfeasibleParamsError as exc:
         print(f"infeasible parameters: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except UnknownSuiteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except FidestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -78,29 +78,25 @@ def eig_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> HermitianEigen:
 
 
 def matrix_func(
-    m: np.ndarray,
+    m: np.ndarray | HermitianEigen,
     f: Callable[[np.ndarray], np.ndarray],
     clamp_negative: bool = False,
     tol: float = HERMITIAN_TOL,
 ) -> np.ndarray:
     """Apply a real function to the spectrum: V diag(f(lambda)) V^dagger.
 
-    With ``clamp_negative`` set, eigenvalues in [-tol, 0) are treated as 0
-    before applying ``f``; anything below -tol raises NegativeEigenvalueError.
+    ``m`` is a matrix or its ``HermitianEigen``.  With ``clamp_negative`` set,
+    eigenvalues in [-tol, 0) count as 0; below -tol raise NegativeEigenvalueError.
     """
-    eig = eig_hermitian(m, tol)
+    eig = m if isinstance(m, HermitianEigen) else eig_hermitian(m, tol)
     w = eig.values
-    if clamp_negative:
-        if np.min(w) < -tol:
-            raise NegativeEigenvalueError(
-                f"eigenvalue {np.min(w):.3e} below -{tol:.1e}"
-            )
-        w = np.maximum(w, 0.0)
-    fw = np.asarray(f(w), dtype=float)
+    if clamp_negative and np.min(w) < -tol:
+        raise NegativeEigenvalueError(f"eigenvalue {np.min(w):.3e} below -{tol:.1e}")
+    fw = np.asarray(f(np.maximum(w, 0.0) if clamp_negative else w), dtype=float)
     return (eig.vectors * fw) @ eig.vectors.conj().T
 
 
-def sqrtm_psd(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def sqrtm_psd(m: np.ndarray | HermitianEigen, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """Principal square root of a PSD Hermitian matrix (negatives clamped)."""
     return matrix_func(m, np.sqrt, clamp_negative=True, tol=tol)
 

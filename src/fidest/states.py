@@ -234,11 +234,12 @@ def fidelity_exact(rho: DensityOperator, sigma: DensityOperator) -> float:
     """tr sqrt( sqrt(sigma) rho sqrt(sigma) ), the ground-truth oracle.
 
     Evaluated as the trace norm of sqrt(rho) sqrt(sigma), which is the same
-    quantity but avoids taking square roots of near-zero noise eigenvalues.
+    quantity but avoids taking square roots of near-zero noise eigenvalues;
+    both roots come from the operators' cached eigendecompositions.
     """
     if rho.qubits != sigma.qubits:
         raise DimensionMismatchError(f"{rho.qubits} vs {sigma.qubits} qubits")
-    val = trace_norm(sqrtm_psd(rho.matrix) @ sqrtm_psd(sigma.matrix))
+    val = trace_norm(sqrtm_psd(rho.eigen) @ sqrtm_psd(sigma.eigen))
     return min(max(val, 0.0), 1.0 + 1e-9)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -114,3 +116,32 @@ def test_outcome_distribution_matches_loop_reference(x, M):
     for seed in range(200):
         draws = [int(np.random.default_rng(seed).choice(M, p=p)) for p in (law, ref)]
         assert draws[0] == draws[1]
+
+
+@pytest.mark.parametrize("M", [8, 64, 1024, 4096])
+def test_sample_draws_match_the_loop_law(M):
+    """Each seed draws the outcome rng.choice draws from the loop law: at the
+    endpoints, on grid points (a zero kernel denominator) and at random x."""
+    xs = [0.0, 1.0, 0.5, 1e-9] + [float(np.sin(np.pi * k / M) ** 2) for k in (1, 3, M // 4 - 1)]
+    xs += [float(v) for v in np.random.default_rng(M).random(8)]
+    for x in xs:
+        ref = _loop_law(x, M)
+        for seed in range(30):
+            y = int(np.random.default_rng(seed).choice(M, p=ref))
+            got = qae_estimate(x, QaeParams(M=M, mode="sample", seed=seed))
+            assert got == float(np.sin(np.pi * y / M) ** 2), (x, seed)
+
+
+def test_sampled_estimate_peak_memory():
+    """The law is built in place: one sampled estimate holds at most three
+    M-length float arrays at once, the law and rng.choice's cumulative sum
+    included."""
+    M = 1 << 20
+    qae_estimate(0.31, QaeParams(M=8, mode="sample"))  # first-call allocations
+    tracemalloc.start()
+    try:
+        qae_estimate(0.31, QaeParams(M=M, mode="sample", seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * M

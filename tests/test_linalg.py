@@ -102,6 +102,16 @@ def test_matrix_func_clamps_and_rejects():
         sqrtm_psd(np.diag([1.0, -1e-3]))
 
 
+def test_matrix_func_on_a_computed_eigendecomposition():
+    m = random_hermitian(8, seed=5)
+    psd = m @ m
+    assert sqrtm_psd(eig_hermitian(psd)).tobytes() == sqrtm_psd(psd).tobytes()
+    tiny = np.diag([1.0, -1e-10])
+    assert sqrtm_psd(eig_hermitian(tiny)).tobytes() == sqrtm_psd(tiny).tobytes()
+    with pytest.raises(NegativeEigenvalueError):
+        sqrtm_psd(eig_hermitian(np.diag([1.0, -1e-3])))
+
+
 def test_expm_zero_time():
     m = random_hermitian(4, seed=9)
     np.testing.assert_allclose(expm_i(m, 0.0), np.eye(4), atol=1e-12)
