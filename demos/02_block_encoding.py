@@ -22,15 +22,14 @@ from fidest import (
 def main():
     rho = random_density(1, 2, seed=7)
     p = purify(rho, ancilla_qubits=1)
-    enc = purification_to_unitary_be(p)
+    columns = purification_to_unitary_be(p)
 
-    print("W acts on", enc.layout.segments)
-    print("columns on the ancilla-zero inputs:", enc.carrier.shape)
-    print("orthonormality defect of those columns:", f"{unitarity_defect(enc.carrier):.2e}")
-    print("encoding spec: alpha=%g, ancillas=%d, epsilon=%g"
-          % (enc.spec.alpha, enc.spec.ancilla_qubits, enc.spec.epsilon))
+    m, b = p.system_qubits, p.garbage_qubits
+    print(f"W acts on [system ({m}), mirror ({m}), enc_garbage ({b})] qubits")
+    print("columns on the ancilla-zero inputs:", columns.shape)
+    print("orthonormality defect of those columns:", f"{unitarity_defect(columns):.2e}")
 
-    block = enc.block()
+    block = columns[:: 1 << (m + b)]  # the rows with mirror and enc_garbage zero
     print("\nprepared state:")
     print(np.round(rho.matrix, 6))
     print("recovered ancilla-zero block:")

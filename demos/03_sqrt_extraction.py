@@ -2,9 +2,10 @@
 circuit-vs-ideal convergence as the phase budget t grows.
 
 The traced output of the extraction circuit block-encodes sqrt(A) with scale
-4 sqrt(kappa).  With perfect phase estimation the block error (unscaled) is
-at most 1/(4 kappa) -- an exact constant, checked below -- and the circuit
-circuit converges to the perfect-estimation output at rate ~ kappa/t.
+4 sqrt(kappa); its block is M M^dagger for M the output state's ancilla-zero
+slice.  With perfect phase estimation the block error (unscaled) is at most
+1/(4 kappa) -- an exact constant, checked below -- and the circuit converges
+to the perfect-estimation output at rate ~ kappa/t.
 
 === EXAMPLE OUTPUT ===
 filter at kappa=8: f(1)=0.297  f(1/kappa)=0.500  f(1/(2 kappa))=0.000
@@ -24,6 +25,7 @@ from fidest import (
     density_with_block,
     filter_f,
     ideal_sqrt_state,
+    operator_norm,
     purify,
     random_density,
 )
@@ -40,7 +42,8 @@ def main():
     p = purify(density_with_block(a, 1), 3)
     for k in (1.0, 4.0, 16.0, 64.0):
         out = ideal_sqrt_state(p, 1, SqrtParams(kappa=k, t=64))
-        print(f"  kappa={k:4g}: {out.unscaled_block_error() * 4 * k:.3f}")
+        err = operator_norm(out.block() - out.target_sqrt / (4 * np.sqrt(k)))
+        print(f"  kappa={k:4g}: {err * 4 * k:.3f}")
 
     print("circuit vs ideal (pure 1-qubit instance, kappa=8):")
     p = purify(random_density(1, 1, seed=7), 1).split_system(("system", 1), ("encoding", 0))

@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import itertools
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -201,6 +202,11 @@ def cmd_sweep(args) -> int:
     trials = _convert(args.trials, int) or 1
     if trials < 1:
         raise ConfigError("option --trials must be >= 1")
+    # a fork-started process pool launches all its workers at once
+    max_jobs = os.cpu_count() or 1
+    jobs = 1 if args.jobs is None else _convert(args.jobs, int)
+    if not 1 <= jobs <= max_jobs:
+        raise ConfigError(f"option --jobs must be in [1, {max_jobs}], got {jobs}")
     grid = list(
         itertools.product(
             _float_list(args.kappa_sigma_list),
@@ -228,7 +234,6 @@ def cmd_sweep(args) -> int:
         for (ks, ts, k, t, m) in grid
         for trial in range(trials)
     ]
-    jobs = _convert(args.jobs, int) or 1
     with open(args.output, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(REPORT_FIELDS) + "\n")
         fh.flush()
@@ -302,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_run_options(p):
+        """The options of the subcommands that run estimations."""
         p.add_argument("--seed", default=None)
         p.add_argument("--sim-level", dest="sim_level", default=None,
                        choices=["ideal-spectral", "circuit-pe", "circuit-pe-perturbed"])
@@ -310,10 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--perturbation", default=None)
         p.add_argument("--output", default=None)
         p.add_argument("--config", default=None)
-        p.add_argument("--jobs", default=None)
 
     est = sub.add_parser("estimate", help="run one estimation and print the report")
-    add_common(est)
+    add_run_options(est)
     est.add_argument("--n", default=None)
     est.add_argument("--rank-rho", dest="rank_rho", default=None)
     est.add_argument("--rank-sigma", dest="rank_sigma", default=None)
@@ -333,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     est.set_defaults(fn=cmd_estimate)
 
     sw = sub.add_parser("sweep", help="parameter sweep to a CSV table")
-    add_common(sw)
+    add_run_options(sw)
+    sw.add_argument("--jobs", default=None, help="worker processes, 1 to the CPU count")
     sw.add_argument("--n", default=None)
     sw.add_argument("--rank-rho", dest="rank_rho", default=None)
     sw.add_argument("--rank-sigma", dest="rank_sigma", default=None)
@@ -348,12 +354,13 @@ def build_parser() -> argparse.ArgumentParser:
     sw.set_defaults(fn=cmd_sweep)
 
     ver = sub.add_parser("verify", help="run a bound-verification suite")
-    add_common(ver)
+    ver.add_argument("--seed", default=None)
+    ver.add_argument("--config", default=None)
     ver.add_argument("suite", help=f"one of: {', '.join(list(SUITES) + ['all'])}")
     ver.set_defaults(fn=cmd_verify)
 
     co = sub.add_parser("coeffs", help="phase-estimation coefficient table")
-    add_common(co)
+    co.add_argument("--config", default=None)
     co.add_argument("--lam", default=None, help="eigenvalue lambda")
     co.add_argument("--T", dest="T", default=None, help="grid size (must be 2^ceil(log2 t))")
     co.add_argument("--t", default=None)

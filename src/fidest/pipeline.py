@@ -12,8 +12,10 @@ Each stage runs at the circuit or the ideal-spectral level: the circuit
 level is used when the qubit budget allows, otherwise the stage falls back to
 ideal-spectral, and the report records the level actually used
 (circuit-pe-perturbed for a circuit run with perturbation > 0).  Both levels
-work on state vectors: W is held as its columns on the ancilla-zero inputs,
-eta as its state, and each block as M M^dagger of a state slice M.
+work on state vectors: W is a plain array of its columns on the ancilla-zero
+inputs, eta is its state, each block is M M^dagger of a state slice M, and
+each block error is one operator norm.  This module holds the estimate path
+and the parameter schedules; the bound checks live in ``verify``.
 """
 
 from __future__ import annotations
@@ -25,13 +27,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .amplitude import QaeParams, exact_amplitude, qae_estimate, qae_error_bound
-from .block_encoding import (
-    BlockEncodingSpec,
-    EncodedOperator,
-    purification_to_unitary_be,
-)
+from .block_encoding import purification_to_unitary_be
 from .errors import InfeasibleParamsError, RegisterTooLargeError
-from .linalg import eig_hermitian, operator_norm
+from .linalg import operator_norm
 from .registers import DEFAULT_QUBIT_BUDGET, layout
 from .sqrt_extractor import (
     SqrtParams,
@@ -121,7 +119,14 @@ class EstimationReport:
 
 @dataclass(frozen=True)
 class WSigmaResult:
-    encoding: EncodedOperator  # unitary carrier, target sqrt(sigma)
+    """W's columns on the inputs |j, 0> of [system, w_anc], its block and
+    sqrt(sigma); w_anc is W's register beyond the system, in order the
+    extraction ancillas, mirror and enc_garbage."""
+
+    columns: np.ndarray  # 2^(n + a_w) x 2^n
+    block: np.ndarray  # <0|W|0> over w_anc, ~ sqrt(sigma) / (4 sqrt(kappa_sigma))
+    target_sqrt: np.ndarray  # sqrt(sigma)
+    w_sigma_error: float  # || 4 sqrt(kappa_sigma) block - sqrt(sigma) ||
     sim_level: str
     o_sigma_queries_per_use: int  # one W use = two extraction-circuit uses
 
@@ -147,25 +152,17 @@ def build_w_sigma(
         out = build_sqrt_unitary(sigma_prep, 0, sp, qubit_budget=params.qubit_budget, seed=seed)
     else:
         out = ideal_sqrt_state(sigma_prep, 0, sp)
-    w_enc = purification_to_unitary_be(
-        Purification(out.state, out.layout), qubit_budget=params.qubit_budget
-    )
-    m = w_enc.system_qubits
-    b = w_enc.layout.qubits("enc_garbage")
-    relayout = layout(
-        ("system", n), ("sqrt_anc", m - n), ("mirror", m), ("enc_garbage", b)
-    )
-    encoding = EncodedOperator(
-        carrier=w_enc.carrier[:, :: 1 << (m - n)],  # the inputs with sqrt_anc zero too
-        layout=relayout,
-        spec=BlockEncodingSpec(
-            alpha=4.0 * math.sqrt(params.kappa_sigma), ancilla_qubits=relayout.total_qubits - n
-        ),
-        target=out.target_sqrt,
-        kind="unitary",
-    )
+    prepared = Purification(out.state, out.layout)
+    w_columns = purification_to_unitary_be(prepared, qubit_budget=params.qubit_budget)
+    # W's input register is the output's [system, ancillas]: keep the inputs
+    # with those ancillas zero too, then the rows with every ancilla zero
+    columns = w_columns[:, :: 1 << (prepared.system_qubits - n)]
+    block = columns[:: columns.shape[0] >> n]
     return WSigmaResult(
-        encoding=encoding,
+        columns=columns,
+        block=block,
+        target_sqrt=out.target_sqrt,
+        w_sigma_error=operator_norm(4.0 * math.sqrt(params.kappa_sigma) * block - out.target_sqrt),
         sim_level=out.sim_level,
         o_sigma_queries_per_use=2 * out.preparer_queries,
     )
@@ -180,11 +177,12 @@ class EtaResult:
 
 def build_eta(
     rho_prep: Purification,
-    w_sigma: EncodedOperator,
+    w: WSigmaResult,
+    kappa_sigma: float,
     qubit_budget: int = DEFAULT_QUBIT_BUDGET,
 ) -> EtaResult:
     """Apply the sqrt(sigma) encoding, held as W's columns on its
-    ancilla-zero inputs (as build_w_sigma returns it), to rho's purification.
+    ancilla-zero inputs, to rho's purification.
 
     Returns eta's purification (registers [system, w_anc, garbage]) and the
     w_anc-zero block of its traced state, which approximates
@@ -193,12 +191,12 @@ def build_eta(
     block is M M^dagger for M its w_anc-zero slice, and eta's density is
     never formed.
     """
-    n = w_sigma.system_qubits
-    if rho_prep.system_qubits != n:
+    n = rho_prep.system_qubits
+    if w.columns.shape[1] != 1 << n:
         raise ValueError(
-            f"rho prepares {rho_prep.system_qubits} qubits, W encodes on {n}"
+            f"rho prepares {n} qubits, W encodes on {w.columns.shape[1].bit_length() - 1}"
         )
-    a_w = w_sigma.layout.total_qubits - n
+    a_w = (w.columns.shape[0] >> n).bit_length() - 1
     n_rho = rho_prep.garbage_qubits
     total = n + a_w + n_rho
     if total > qubit_budget:
@@ -206,13 +204,11 @@ def build_eta(
             f"eta register needs {total} qubits, budget is {qubit_budget}"
         )
     full = layout(("system", n), ("w_anc", a_w), ("garbage", n_rho))
-    state = w_sigma.carrier @ rho_prep.state.reshape(1 << n, 1 << n_rho)
+    state = w.columns @ rho_prep.state.reshape(1 << n, 1 << n_rho)
     purif = Purification(state.reshape(-1), full, garbage="garbage")
     m = state.reshape(1 << n, 1 << a_w, 1 << n_rho)[:, 0, :]
     block = m @ m.conj().T
-    alpha = w_sigma.spec.alpha
-    kappa_sigma = (alpha / 4.0) ** 2
-    ref = w_sigma.target @ rho_prep.traced_matrix() @ w_sigma.target / (16.0 * kappa_sigma)
+    ref = w.target_sqrt @ rho_prep.traced_matrix() @ w.target_sqrt / (16.0 * kappa_sigma)
     block_error = operator_norm(block - ref)
     return EtaResult(purification=purif, block=block, block_error=block_error)
 
@@ -255,8 +251,8 @@ def estimate_fidelity(
     n = rho.qubits
 
     w = build_w_sigma(sigma_prep, params, seed=seed)
-    eta = build_eta(rho_prep, w.encoding, qubit_budget=params.qubit_budget)
-    a_w = w.encoding.layout.total_qubits - n
+    eta = build_eta(rho_prep, w, params.kappa_sigma, qubit_budget=params.qubit_budget)
+    a_w = eta.purification.layout.qubits("w_anc")
 
     ep = params.eta_params()
     eta_circuit_qubits = n + a_w + rho_prep.garbage_qubits + ep.l + 1
@@ -304,7 +300,7 @@ def estimate_fidelity(
         delta_from_estimate=qae_error_bound(x_tilde, qae.M),
         analytic_bound=analytic_error_bound(params, x, rho.rank, delta),
         bound_constant=params.bound_constant,
-        w_sigma_error=w.encoding.spec.epsilon,
+        w_sigma_error=w.w_sigma_error,
         eta_block_error=eta.block_error,
         queries_o_rho=qae_uses * q_eta,
         queries_o_sigma=qae_uses * q_eta * w.o_sigma_queries_per_use,
@@ -384,33 +380,3 @@ def select_params(
         bound_constant=bound_constant,
         qubit_budget=qubit_budget,
     )
-
-
-def trace_sqrt(m: np.ndarray) -> float:
-    """tr sqrt(m) with negative eigenvalues clamped to zero."""
-    w = eig_hermitian(m, tol=1e-7).values
-    return float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
-
-
-@dataclass(frozen=True)
-class WeylCheck:
-    difference: float
-    bound: float
-    norm_j: float
-
-
-def weyl_trace_bound_check(eta_block: np.ndarray, target: np.ndarray, r: int) -> WeylCheck:
-    """|tr sqrt(eta_block) - tr sqrt(target)| against r sqrt(3 ||difference||).
-
-    Valid when both operators have rank <= r (eigenvalue perturbation keeps
-    every branch within sqrt(3 ||J||) of its mate and the other branches are
-    zero on both sides).  Raises ValueError if the bound is violated.
-    """
-    norm_j = operator_norm(eta_block - target)
-    diff = abs(trace_sqrt(eta_block) - trace_sqrt(target))
-    bound = r * math.sqrt(3.0 * norm_j)
-    if diff > bound + 1e-9:
-        raise ValueError(
-            f"trace-sqrt difference {diff:.3e} exceeds r sqrt(3||J||) = {bound:.3e}"
-        )
-    return WeylCheck(difference=diff, bound=bound, norm_j=norm_j)

@@ -108,14 +108,13 @@ def zero_block_indices(lay: RegisterLayout, zero_segments: Sequence[str]) -> np.
 
 
 def project_zero(m: np.ndarray, lay: RegisterLayout, zero_segments: Sequence[str]) -> np.ndarray:
-    """<0|m|0> block over the named segments of a square matrix, subvector of
-    a vector, or rows of an operator's columns on the zero inputs (a
-    lay.dim x block-dim matrix, as an isometry's carrier holds them)."""
+    """<0|m|0> block over the named segments of a square matrix, or the
+    subvector of a vector."""
     m = np.asarray(m, dtype=complex)
-    idx = zero_block_indices(lay, zero_segments)
-    if m.shape[0] != lay.dim or m.ndim == 2 and m.shape[1] not in (lay.dim, idx.size):
+    if m.shape[0] != lay.dim or m.ndim == 2 and m.shape[1] != lay.dim:
         raise DimensionMismatchError(f"shape {m.shape} does not match layout dim {lay.dim}")
-    if m.ndim == 2 and m.shape[1] == lay.dim:
+    idx = zero_block_indices(lay, zero_segments)
+    if m.ndim == 2:
         return m[np.ix_(idx, idx)]
     return m[idx]
 

@@ -20,20 +20,20 @@ operator distance of identity to model Hamiltonian-simulation error; such
 outputs report the level ``circuit-pe-perturbed``.
 
 Register order of outputs: [system, encoding, pe, flag, garbage] (no pe at
-the ideal level), so the traced state keeps its encoding ancillas trailing
-and the garbage segment is last (ready for the purified-state-to-unitary
-construction).
+the ideal level), so the ancillas sit between system and garbage and the
+garbage segment is last (ready for the purified-state-to-unitary
+construction).  An output's block, the traced state's <0|.|0> over every
+ancilla, is M M^dagger for M the state's ancilla-zero slice on [system,
+garbage] (``SqrtOutput.block``); no density of the output is formed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .block_encoding import BlockEncodingSpec, EncodedOperator
 from .errors import (
     IndexOutOfRangeError,
     NotPowerOfTwoError,
@@ -41,7 +41,7 @@ from .errors import (
     SpectrumOutOfRangeError,
 )
 from .linalg import HermitianEigen, eig_hermitian, reflect
-from .registers import DEFAULT_QUBIT_BUDGET, RegisterLayout, layout, partial_trace
+from .registers import DEFAULT_QUBIT_BUDGET, RegisterLayout, layout
 from .states import Purification
 
 SIM_LEVELS = ("ideal-spectral", "circuit-pe")
@@ -211,8 +211,7 @@ class SqrtOutput:
 
     Circuit level: registers [system, encoding, pe, flag, garbage].  Ideal
     level: registers [system, encoding, flag, garbage]; the pe register is
-    exactly |0> in every branch there and is never built (the ancilla count
-    of ``encoding`` still follows a + l + 1).
+    exactly |0> in every branch there and is never built.
     """
 
     params: SqrtParams
@@ -231,27 +230,13 @@ class SqrtOutput:
     def preparer_queries(self) -> int:
         return preparer_queries(self.params)
 
-    @cached_property
-    def encoding(self) -> EncodedOperator:
-        """The traced output state as a block-encoding of sqrt(A) with scale
-        4 sqrt(kappa) and its measured epsilon; built on first use."""
-        kept = self.layout.segments[:-1]
-        v = self.state
-        carrier = partial_trace(np.outer(v, v.conj()), self.layout, [name for name, _ in kept])
-        return EncodedOperator(
-            carrier=carrier,
-            layout=layout(*kept),
-            spec=BlockEncodingSpec(
-                alpha=4.0 * math.sqrt(self.params.kappa),
-                ancilla_qubits=self.layout.qubits("encoding") + self.params.l + 1,
-            ),
-            target=self.target_sqrt,
-            kind="density",
-        )
-
-    def unscaled_block_error(self) -> float:
-        """|| <0|out|0> - sqrt(A) / (4 sqrt(kappa)) ||, the unscaled form."""
-        return self.encoding.spec.epsilon / self.encoding.spec.alpha
+    def block(self) -> np.ndarray:
+        """<0|traced output|0> over every ancilla, which block-encodes sqrt(A)
+        with scale 4 sqrt(kappa): M M^dagger, for M the output state's
+        ancilla-zero slice on [system, garbage]."""
+        dn, db = 1 << self.layout.qubits("system"), 1 << self.layout.qubits("garbage")
+        m = self.state.reshape(dn, -1, db)[:, 0, :]
+        return m @ m.conj().T
 
 
 def block_spectrum(a_mat: np.ndarray) -> HermitianEigen:

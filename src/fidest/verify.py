@@ -15,8 +15,7 @@ import numpy as np
 from .amplitude import QaeParams, qae_estimate, qae_error_bound
 from .block_encoding import density_with_block
 from .errors import UnknownSuiteError
-from .linalg import operator_norm
-from .pipeline import weyl_trace_bound_check
+from .linalg import eig_hermitian, operator_norm
 from .sqrt_extractor import (
     SqrtParams,
     filter_f,
@@ -104,7 +103,9 @@ def ideal_bound_grid(seed: int = 0, trials: int = 24) -> float:
         p = purify(density_with_block(a, 1), n + 1)
         for kappa in (1.0, 4.0, 16.0, 64.0):
             out = ideal_sqrt_state(p, 1, SqrtParams(kappa=kappa, t=64, sim_level="ideal-spectral"))
-            worst = max(worst, out.unscaled_block_error() * 4 * kappa)
+            alpha = 4.0 * math.sqrt(kappa)
+            err = operator_norm(alpha * out.block() - out.target_sqrt) / alpha
+            worst = max(worst, err * 4 * kappa)
     return worst
 
 
@@ -162,6 +163,36 @@ def suite_purification_distance(seed: int = 0, pairs: int = 60) -> list[CheckRes
         _check("purification-distance", "trace-distance-vs-fidelity", worst_fvs, 1e-9),
         _check("purification-distance", "operator-norm-vs-purification", worst_pur, 1e-9),
     ]
+
+
+def trace_sqrt(m: np.ndarray) -> float:
+    """tr sqrt(m) with negative eigenvalues clamped to zero."""
+    w = eig_hermitian(m, tol=1e-7).values
+    return float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
+
+
+@dataclass(frozen=True)
+class WeylCheck:
+    difference: float
+    bound: float
+    norm_j: float
+
+
+def weyl_trace_bound_check(eta_block: np.ndarray, target: np.ndarray, r: int) -> WeylCheck:
+    """|tr sqrt(eta_block) - tr sqrt(target)| against r sqrt(3 ||difference||).
+
+    Valid when both operators have rank <= r (eigenvalue perturbation keeps
+    every branch within sqrt(3 ||J||) of its mate and the other branches are
+    zero on both sides).  Raises ValueError if the bound is violated.
+    """
+    norm_j = operator_norm(eta_block - target)
+    diff = abs(trace_sqrt(eta_block) - trace_sqrt(target))
+    bound = r * math.sqrt(3.0 * norm_j)
+    if diff > bound + 1e-9:
+        raise ValueError(
+            f"trace-sqrt difference {diff:.3e} exceeds r sqrt(3||J||) = {bound:.3e}"
+        )
+    return WeylCheck(difference=diff, bound=bound, norm_j=norm_j)
 
 
 def random_low_rank_pair(dim: int, rank: int, scale: float, rng) -> tuple[np.ndarray, np.ndarray]:

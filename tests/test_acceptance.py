@@ -118,7 +118,8 @@ def test_criterion_05_circuit_vs_ideal_convergence(with_pe):
         d = float(np.linalg.norm(out.state - v))
         kept = ["system", "encoding", "pe", "flag"]
         ideal_traced = partial_trace(np.outer(v, v.conj()), out.layout, kept)
-        transfer_ok &= operator_norm(out.encoding.carrier - ideal_traced) <= d + 1e-9
+        traced = partial_trace(np.outer(out.state, out.state.conj()), out.layout, kept)
+        transfer_ok &= operator_norm(traced - ideal_traced) <= d + 1e-9
         dists.append(d)
     slope = float(np.polyfit(np.log(ts), np.log(dists), 1)[0])
     mono = bool(np.all(np.diff(dists) <= 1e-12))

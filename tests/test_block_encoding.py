@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from fidest import (
-    BlockEncodingSpec,
     DensityOperator,
-    EncodedOperator,
     Purification,
-    be_error,
     density_with_block,
     layout,
+    operator_norm,
     project_zero,
     purification_to_unitary_be,
     purify,
@@ -16,32 +14,26 @@ from fidest import (
     tensor,
     unitarity_defect,
 )
+from fidest.registers import zero_block_indices
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        BlockEncodingSpec(alpha=0.0, ancilla_qubits=1, epsilon=0.0)
-    with pytest.raises(ValueError):
-        BlockEncodingSpec(alpha=1.0, ancilla_qubits=1, epsilon=-0.1)
-
-
-def test_be_error_no_ancillas_is_exact():
-    sigma = random_density(2, 3, seed=1).matrix
-    assert be_error(sigma, layout(("sys", 2)), sigma, 1.0) <= 1e-15
-
-
-def test_be_error_identity_block():
-    assert be_error(np.eye(4), layout(("sys", 1), ("anc", 1)), np.eye(2), 1.0) <= 1e-15
+def w_block(columns: np.ndarray, p: Purification) -> np.ndarray:
+    """<0|W|0> over W's mirror and enc_garbage segments: the rows of W's
+    columns whose digits on both are zero."""
+    m, b = p.system_qubits, p.garbage_qubits
+    lay = layout(("system", m), ("mirror", m), ("enc_garbage", b))
+    return columns[zero_block_indices(lay, ["mirror", "enc_garbage"])]
 
 
 @pytest.mark.parametrize("qubits,rank", [(1, 1), (1, 2), (2, 2), (2, 4)])
 def test_purified_state_to_unitary_is_exact(qubits, rank):
     rho = random_density(qubits, rank, seed=rank * 7 + qubits)
     anc = max(1, int(np.ceil(np.log2(max(rho.rank, 2)))))
-    enc = purification_to_unitary_be(purify(rho, anc))
-    assert enc.measured_error <= 1e-9
-    assert unitarity_defect(enc.carrier) <= 1e-10
-    assert enc.spec.alpha == 1.0 and enc.spec.epsilon == 0.0
+    p = purify(rho, anc)
+    columns = purification_to_unitary_be(p)
+    assert columns.shape == (1 << (2 * qubits + anc), 1 << qubits)
+    assert operator_norm(w_block(columns, p) - rho.matrix) <= 1e-9
+    assert unitarity_defect(columns) <= 1e-10
 
 
 def test_unitary_encoding_of_a_state_with_complex_first_entry():
@@ -49,31 +41,30 @@ def test_unitary_encoding_of_a_state_with_complex_first_entry():
     rng = np.random.default_rng(3)
     psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     p = Purification(psi / np.linalg.norm(psi), layout(("system", 2), ("garbage", 1)))
-    enc = purification_to_unitary_be(p)
-    assert enc.measured_error <= 1e-12
-    assert unitarity_defect(enc.carrier) <= 1e-12
-    np.testing.assert_allclose(enc.block(), p.traced_matrix(), atol=1e-12)
+    columns = purification_to_unitary_be(p)
+    assert unitarity_defect(columns) <= 1e-12
+    np.testing.assert_allclose(w_block(columns, p), p.traced_matrix(), atol=1e-12)
 
 
 def test_pure_state_encoding_block_is_projector():
-    enc = purification_to_unitary_be(purify(DensityOperator(np.diag([1.0, 0.0])), 1))
-    np.testing.assert_allclose(enc.block(), np.diag([1.0, 0.0]), atol=1e-12)
+    p = purify(DensityOperator(np.diag([1.0, 0.0])), 1)
+    columns = purification_to_unitary_be(p)
+    np.testing.assert_allclose(w_block(columns, p), np.diag([1.0, 0.0]), atol=1e-12)
 
 
 def test_mixed_state_encoding_block():
-    enc = purification_to_unitary_be(purify(DensityOperator(np.eye(2) / 2), 1))
-    np.testing.assert_allclose(enc.block(), np.eye(2) / 2, atol=1e-10)
+    p = purify(DensityOperator(np.eye(2) / 2), 1)
+    columns = purification_to_unitary_be(p)
+    np.testing.assert_allclose(w_block(columns, p), np.eye(2) / 2, atol=1e-10)
 
 
-def test_encoded_operator_invariant_is_enforced():
-    with pytest.raises(ValueError):
-        EncodedOperator(
-            carrier=np.eye(4),
-            layout=layout(("sys", 1), ("anc", 1)),
-            spec=BlockEncodingSpec(alpha=1.0, ancilla_qubits=1, epsilon=0.0),
-            target=np.diag([0.5, 0.5]),
-            kind="unitary",
-        )
+def test_encoded_operator_invariant_is_enforced(monkeypatch):
+    # W's block must equal the prepared density: against a wrong target
+    # (here diag(1/2, 1/2) for the pure state |0>) the construction raises
+    p = purify(DensityOperator(np.diag([1.0, 0.0])), 1)
+    monkeypatch.setattr(Purification, "traced_matrix", lambda self: np.diag([0.5, 0.5]))
+    with pytest.raises(ValueError, match="W block"):
+        purification_to_unitary_be(p)
 
 
 def test_block_extraction_against_kron_structure():

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 
 import fidest
-from fidest import random_density
+from fidest import cli, random_density
 from fidest.cli import main
 
 
@@ -237,3 +237,22 @@ def test_config_unknown_key_exits_3(tmp_path, capsys):
     cfg.write_text("not-a-key = 1\n")
     code, _, err = run(capsys, "estimate", "--config", str(cfg))
     assert code == 3 and "not-a-key" in err
+
+
+def test_sweep_jobs_outside_cpu_count_exits_3(tmp_path, capsys, monkeypatch):
+    def no_executor(*args, **kwargs):
+        raise AssertionError("a process pool was constructed")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_executor)
+    out = tmp_path / "s.csv"
+    for jobs in (0, os.cpu_count() + 1):
+        code, _, err = run(capsys, *SWEEP_FLAGS, "--output", str(out), "--jobs", str(jobs))
+        assert code == 3 and "--jobs" in err
+    assert not out.exists()
+
+
+def test_verify_rejects_a_config_key_it_does_not_read(tmp_path, capsys):
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("seed = 1\nsim-level = ideal-spectral\n")
+    code, _, err = run(capsys, "verify", "sine-state", "--config", str(cfg))
+    assert code == 3 and "unknown config key: sim-level" in err

@@ -8,21 +8,25 @@ import pytest
 from fidest import (
     DensityOperator,
     PipelineParams,
+    Purification,
     QaeParams,
     build_eta,
+    build_sqrt_unitary,
     build_w_sigma,
     estimate_fidelity,
     filter_f,
+    ideal_sqrt_state,
     operator_norm,
+    purification_to_unitary_be,
     purify,
     random_density,
     select_params,
     sqrtm_psd,
     unitarity_defect,
-    weyl_trace_bound_check,
 )
 from fidest.errors import InfeasibleParamsError
 from fidest.pipeline import CIRCUIT_T_CEILING, IDEAL_T_CEILING, analytic_error_bound
+from fidest.verify import weyl_trace_bound_check
 
 Z0 = DensityOperator(np.diag([1.0, 0.0]))
 Z1 = DensityOperator(np.diag([0.0, 1.0]))
@@ -43,9 +47,9 @@ def test_w_sigma_block_approximates_scaled_sqrt(prep, sigma, name):
         w = build_w_sigma(prep(sigma), params)
         target = sqrtm_psd(sigma.matrix) / (4 * math.sqrt(ks))
         # perfect-phase-estimation block sits within 1/(4 kappa) of the target
-        assert operator_norm(w.encoding.block() - target) <= 1 / (4 * ks) + 1e-9
-        assert unitarity_defect(w.encoding.carrier) <= 1e-9
-        assert w.encoding.spec.epsilon <= 1.0 * (ks**-0.5 + ks**1.5 / params.t_sigma)
+        assert operator_norm(w.block - target) <= 1 / (4 * ks) + 1e-9
+        assert unitarity_defect(w.columns) <= 1e-9
+        assert w.w_sigma_error <= 1.0 * (ks**-0.5 + ks**1.5 / params.t_sigma)
 
 
 def test_w_sigma_circuit_level_meets_theta_bound(prep):
@@ -56,8 +60,8 @@ def test_w_sigma_circuit_level_meets_theta_bound(prep):
     sigma = random_density(1, 2, seed=3)
     w = build_w_sigma(prep(sigma), params)
     assert w.sim_level == "circuit-pe"
-    assert unitarity_defect(w.encoding.carrier) <= 1e-9
-    assert w.encoding.spec.epsilon <= 1.0 * (4.0**-0.5 + 4.0**1.5 / 8)
+    assert unitarity_defect(w.columns) <= 1e-9
+    assert w.w_sigma_error <= 1.0 * (4.0**-0.5 + 4.0**1.5 / 8)
 
 
 @pytest.mark.parametrize("perturbation,level", [(0.0, "circuit-pe"), (0.05, "circuit-pe-perturbed")])
@@ -78,9 +82,33 @@ def test_ideal_w_sigma_block_on_diagonal_sigma(prep):
     lam = np.array([0.6, 0.3, 0.05, 0.05])
     p = prep(DensityOperator(np.diag(lam)))
     w = build_w_sigma(p, ideal_params(ks=16.0))
-    assert w.encoding.layout.total_qubits == 2 * (2 + 1) + p.garbage_qubits
+    assert w.columns.shape == (1 << (2 * (2 + 1) + p.garbage_qubits), 1 << 2)
     expected = np.diag(lam * filter_f(lam, 16.0) ** 2)
-    assert operator_norm(w.encoding.block() - expected) <= 1e-12
+    assert operator_norm(w.block - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("level,perturbation,label", [
+    ("ideal-spectral", 0.0, "ideal-spectral"),
+    ("circuit-pe", 0.0, "circuit-pe"),
+    ("circuit-pe", 0.05, "circuit-pe-perturbed"),
+])
+def test_w_sigma_block_is_its_extraction_block(prep, level, perturbation, label):
+    # W's block over all its ancillas is the block of the extraction output
+    # W is built from, and W's columns on that output are orthonormal
+    params = PipelineParams(
+        kappa_sigma=4.0, t_sigma=8, kappa=16.0, t=256,
+        qae=QaeParams(M=64), sim_level=level, perturbation=perturbation,
+    )
+    sigma_prep = prep(random_density(1, 2, seed=3))
+    if level == "circuit-pe":
+        out = build_sqrt_unitary(sigma_prep, 0, params.sigma_params(), seed=0)
+    else:
+        out = ideal_sqrt_state(sigma_prep, 0, params.sigma_params())
+    w = build_w_sigma(sigma_prep, params, seed=0)
+    assert w.sim_level == out.sim_level == label
+    np.testing.assert_allclose(w.block, out.block(), rtol=0, atol=1e-12)  # shapes too
+    columns = purification_to_unitary_be(Purification(out.state, out.layout))
+    assert unitarity_defect(columns) <= 1e-12
 
 
 def test_w_sigma_falls_back_when_circuit_too_large(prep):
@@ -95,7 +123,7 @@ def test_w_sigma_falls_back_when_circuit_too_large(prep):
 def test_eta_equal_pure_states(prep):
     params = ideal_params(ks=16.0)
     w = build_w_sigma(prep(Z0), params)
-    eta = build_eta(prep(Z0), w.encoding)
+    eta = build_eta(prep(Z0), w, params.kappa_sigma)
     ref = Z0.matrix / (16 * 16.0)
     bound = 16.0**-1.5 + 16.0**0.5 / 256 + 16.0**2 / 256**2
     assert operator_norm(eta.block - ref) <= bound
@@ -105,7 +133,7 @@ def test_eta_equal_pure_states(prep):
 def test_eta_orthogonal_pure_states(prep):
     params = ideal_params(ks=16.0)
     w = build_w_sigma(prep(Z1), params)
-    eta = build_eta(prep(Z0), w.encoding)
+    eta = build_eta(prep(Z0), w, params.kappa_sigma)
     bound = 16.0**-1.5 + 16.0**0.5 / 256 + 16.0**2 / 256**2
     assert operator_norm(eta.block) <= bound
 
@@ -116,11 +144,11 @@ def test_eta_block_error_scaling(prep, ks):
     sigma = random_density(1, 2, seed=22)
     params = ideal_params(ks=ks, ts=4096)
     w = build_w_sigma(prep(sigma), params)
-    eta = build_eta(prep(rho), w.encoding)
+    eta = build_eta(prep(rho), w, ks)
     bound = ks**-1.5 + ks**0.5 / 4096 + ks**2 / 4096**2
     assert eta.block_error <= 1.0 * bound
     # the block equals (block of W) rho (block of W) exactly, by construction
-    b = w.encoding.block()
+    b = w.block
     assert operator_norm(eta.block - b @ rho.matrix @ b) <= 1e-12
 
 

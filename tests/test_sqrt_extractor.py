@@ -36,6 +36,7 @@ from fidest.errors import (
     SpectrumOutOfRangeError,
 )
 from fidest.linalg import reflect
+from fidest.registers import zero_block_indices
 from fidest.sqrt_extractor import block_spectrum
 from fidest.verify import ideal_bound_grid
 
@@ -221,7 +222,8 @@ def test_build_unitary_is_unitary_and_meets_theta_bound():
     assert unitarity_defect(u) <= 1e-9
     assert np.max(np.abs(out.state - u[:, 0])) <= 1e-12
     # measured constant ratio <= 0.44 over the probed grid; assert with C = 1
-    assert out.encoding.spec.epsilon <= 1.0 * (4.0**-0.5 + 4.0**1.5 / 64)
+    err = operator_norm(4.0 * np.sqrt(out.params.kappa) * out.block() - out.target_sqrt)
+    assert err <= 1.0 * (4.0**-0.5 + 4.0**1.5 / 64)
     assert out.preparer_queries == preparer_queries(out.params)
 
 
@@ -251,7 +253,7 @@ def test_ideal_state_pure_branch():
     # single eigenvalue lambda = 1: block entry is f(1)^2 = kappa^{-1/2}/4
     kappa = 16.0
     out = ideal_sqrt_state(pure_prep(), 0, SqrtParams(kappa=kappa, t=64))
-    blk = out.encoding.block()
+    blk = out.block()
     assert abs(blk[0, 0] - 0.25 * kappa**-0.5) <= 1e-12
     assert abs(blk[1, 1]) <= 1e-12
 
@@ -259,7 +261,7 @@ def test_ideal_state_pure_branch():
 def test_ideal_state_zero_operator():
     rho = density_with_block(np.zeros((2, 2)), 1)
     out = ideal_sqrt_state(purify(rho, 2), 1, SqrtParams(kappa=4.0, t=64))
-    assert operator_norm(out.encoding.block()) <= 1e-12
+    assert operator_norm(out.block()) <= 1e-12
 
 
 def test_ideal_state_uniform_spectrum():
@@ -268,7 +270,7 @@ def test_ideal_state_uniform_spectrum():
     rho = density_with_block(s * np.eye(2), 1)
     out = ideal_sqrt_state(purify(rho, 2), 1, SqrtParams(kappa=4.0, t=64))
     np.testing.assert_allclose(
-        out.encoding.block(), s * filter_f(s, 4.0) ** 2 * np.eye(2), atol=1e-12
+        out.block(), s * filter_f(s, 4.0) ** 2 * np.eye(2), atol=1e-12
     )
 
 
@@ -279,7 +281,7 @@ def test_ideal_block_bound_constant():
 def test_ideal_vector_matches_ideal_state(with_pe):
     # the ideal state and the density-level construction agree: tracing the
     # full-register vector (pe exactly |0>) reproduces lift rho lift^dagger,
-    # lift = sum_j u_j u_j^dagger (x) h(lambda_j), and the pe-omitted carrier
+    # lift = sum_j u_j u_j^dagger (x) h(lambda_j), and the pe-omitted state traced
     rho = random_density(1, 2, seed=9)
     p = purify(rho, 1).split_system(("system", 1), ("encoding", 0))
     params = SqrtParams(kappa=4.0, t=16)
@@ -294,7 +296,9 @@ def test_ideal_vector_matches_ideal_state(with_pe):
         for w, u in zip(lam, vecs.T)
     )
     assert operator_norm(traced - lift @ rho.matrix @ lift.conj().T) <= 1e-12
-    assert operator_norm(traced - ideal.encoding.carrier) <= 1e-12
+    kept = ["system", "encoding", "flag"]
+    traced_ideal = partial_trace(np.outer(ideal.state, ideal.state.conj()), ideal.layout, kept)
+    assert operator_norm(traced - traced_ideal) <= 1e-12
 
 
 def test_circuit_converges_to_ideal(with_pe):
@@ -305,10 +309,10 @@ def test_circuit_converges_to_ideal(with_pe):
     dist = np.linalg.norm(out.state - v)
     assert dist <= 1.0 * params.kappa / params.t
     # density-vs-purification transfer
-    traced_ideal = partial_trace(
-        np.outer(v, v.conj()), out.layout, ["system", "encoding", "pe", "flag"]
-    )
-    assert operator_norm(out.encoding.carrier - traced_ideal) <= dist + 1e-9
+    kept = ["system", "encoding", "pe", "flag"]
+    traced_ideal = partial_trace(np.outer(v, v.conj()), out.layout, kept)
+    traced = partial_trace(np.outer(out.state, out.state.conj()), out.layout, kept)
+    assert operator_norm(traced - traced_ideal) <= dist + 1e-9
 
 
 def test_perturbed_mode_is_seeded_and_distinct():
@@ -350,9 +354,10 @@ def test_w_block_same_from_dense_circuit_or_reflection():
     swap = np.eye(dm * dm)[np.arange(dm * dm).reshape(dm, dm).T.reshape(-1)]
     lift = np.kron(np.eye(dm), u)
     w_dense = lift.conj().T @ swap @ lift
-    enc = purification_to_unitary_be(Purification(out.state, out.layout))
-    block = project_zero(w_dense, enc.layout, ["mirror", "enc_garbage"])
-    assert np.max(np.abs(enc.block() - block)) <= 1e-12
+    columns = purification_to_unitary_be(Purification(out.state, out.layout))
+    lay = layout(("system", 5), ("mirror", 5), ("enc_garbage", 0))
+    block = project_zero(w_dense, lay, ["mirror", "enc_garbage"])
+    assert np.max(np.abs(columns[zero_block_indices(lay, ["mirror"])] - block)) <= 1e-12
 
 
 def test_query_count_grows_linearly_in_t():
