@@ -22,14 +22,13 @@ from fidest import (
 def main():
     rho = random_density(1, 2, seed=7)
     p = purify(rho, ancilla_qubits=1)
-    columns = purification_to_unitary_be(p)
+    columns, block = purification_to_unitary_be(p)
 
     m, b = p.system_qubits, p.garbage_qubits
     print(f"W acts on [system ({m}), mirror ({m}), enc_garbage ({b})] qubits")
     print("columns on the ancilla-zero inputs:", columns.shape)
     print("orthonormality defect of those columns:", f"{unitarity_defect(columns):.2e}")
 
-    block = columns[:: 1 << (m + b)]  # the rows with mirror and enc_garbage zero
     print("\nprepared state:")
     print(np.round(rho.matrix, 6))
     print("recovered ancilla-zero block:")

@@ -25,10 +25,10 @@ from fidest import (
     density_with_block,
     filter_f,
     ideal_sqrt_state,
-    operator_norm,
     purify,
     random_density,
 )
+from fidest.sqrt_extractor import scaled_block_error
 
 
 def main():
@@ -42,7 +42,7 @@ def main():
     p = purify(density_with_block(a, 1), 3)
     for k in (1.0, 4.0, 16.0, 64.0):
         out = ideal_sqrt_state(p, 1, SqrtParams(kappa=k, t=64))
-        err = operator_norm(out.block() - out.target_sqrt / (4 * np.sqrt(k)))
+        err = scaled_block_error(out.block(), out.target_sqrt, k) / (4 * np.sqrt(k))
         print(f"  kappa={k:4g}: {err * 4 * k:.3f}")
 
     print("circuit vs ideal (pure 1-qubit instance, kappa=8):")

@@ -2,9 +2,9 @@
 and the smallest density operator with a given ancilla-zero block.
 
 W is held as its columns on the ancilla-zero inputs, a plain array whose rows
-are ordered [system, mirror, enc_garbage] (system most significant); its block
-<0|W|0> over the trailing mirror and enc_garbage segments is those columns'
-rows with both segments zero.  The full unitary is never formed.
+are ordered [system, mirror, enc_garbage] (system most significant), and its
+block <0|W|0> over mirror and enc_garbage: the rows with both segments zero.
+The full unitary is never formed.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ BE_TOL = 1e-9
 
 def purification_to_unitary_be(
     p: Purification, qubit_budget: int = DEFAULT_QUBIT_BUDGET
-) -> np.ndarray:
-    """W's columns on its ancilla-zero inputs, for W the exact unitary
-    block-encoding of the density operator a purification prepares.
+) -> tuple[np.ndarray, np.ndarray]:
+    """W's columns on its ancilla-zero inputs and W's block, for W the exact
+    unitary block-encoding of the density operator a purification prepares.
 
     With U a preparer on [main, garbage] and a fresh register mirroring main,
     W = (I (x) U^dagger) SWAP(fresh, main) (I (x) U) is a (1, main+garbage
@@ -34,8 +34,8 @@ def purification_to_unitary_be(
     R_psi^dagger acts on [main, garbage] for each value of fresh.  Returns
     those columns, a 2^(2 main + garbage) x 2^main array on [system (the
     fresh register), mirror, enc_garbage], checked orthonormal within
-    NORM_TOL and with block (rows j 2^(main + garbage)) equal to the prepared
-    density within BE_TOL; either failure raises ValueError.
+    NORM_TOL, and the block (their rows j 2^(main + garbage)), checked equal
+    to the prepared density within BE_TOL; either failure raises ValueError.
     """
     m = p.system_qubits
     b = p.garbage_qubits
@@ -52,10 +52,11 @@ def purification_to_unitary_be(
     defect = unitarity_defect(columns)
     if defect > NORM_TOL:
         raise ValueError(f"W columns orthonormality defect {defect:.3e} > {NORM_TOL:.1e}")
-    err = operator_norm(columns[:: dm * db] - p.traced_matrix())
+    block = columns[:: dm * db]
+    err = operator_norm(block - p.traced_matrix())
     if err > BE_TOL:
         raise ValueError(f"W block differs from the prepared density by {err:.3e} > {BE_TOL:.1e}")
-    return columns
+    return columns, block
 
 
 def density_with_block(a: np.ndarray, ancilla_qubits: int) -> DensityOperator:

@@ -202,8 +202,9 @@ def cmd_sweep(args) -> int:
     trials = _convert(args.trials, int) or 1
     if trials < 1:
         raise ConfigError("option --trials must be >= 1")
-    # a fork-started process pool launches all its workers at once
-    max_jobs = os.cpu_count() or 1
+    # a fork-started process pool launches all its workers at once: one per usable CPU
+    affinity = getattr(os, "sched_getaffinity", None)
+    max_jobs = len(affinity(0)) if affinity else os.cpu_count() or 1
     jobs = 1 if args.jobs is None else _convert(args.jobs, int)
     if not 1 <= jobs <= max_jobs:
         raise ConfigError(f"option --jobs must be in [1, {max_jobs}], got {jobs}")
@@ -339,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser("sweep", help="parameter sweep to a CSV table")
     add_run_options(sw)
-    sw.add_argument("--jobs", default=None, help="worker processes, 1 to the CPU count")
+    sw.add_argument("--jobs", default=None, help="worker processes, 1 to the usable CPU count")
     sw.add_argument("--n", default=None)
     sw.add_argument("--rank-rho", dest="rank_rho", default=None)
     sw.add_argument("--rank-sigma", dest="rank_sigma", default=None)

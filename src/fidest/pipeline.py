@@ -38,6 +38,7 @@ from .sqrt_extractor import (
     filter_f,
     ideal_sqrt_state,
     preparer_queries,
+    scaled_block_error,
 )
 from .states import DensityOperator, Purification, fidelity_exact
 
@@ -126,6 +127,7 @@ class WSigmaResult:
     columns: np.ndarray  # 2^(n + a_w) x 2^n
     block: np.ndarray  # <0|W|0> over w_anc, ~ sqrt(sigma) / (4 sqrt(kappa_sigma))
     target_sqrt: np.ndarray  # sqrt(sigma)
+    kappa_sigma: float  # W's block encodes sqrt(sigma) at scale 4 sqrt(kappa_sigma)
     w_sigma_error: float  # || 4 sqrt(kappa_sigma) block - sqrt(sigma) ||
     sim_level: str
     o_sigma_queries_per_use: int  # one W use = two extraction-circuit uses
@@ -153,16 +155,16 @@ def build_w_sigma(
     else:
         out = ideal_sqrt_state(sigma_prep, 0, sp)
     prepared = Purification(out.state, out.layout)
-    w_columns = purification_to_unitary_be(prepared, qubit_budget=params.qubit_budget)
-    # W's input register is the output's [system, ancillas]: keep the inputs
-    # with those ancillas zero too, then the rows with every ancilla zero
-    columns = w_columns[:, :: 1 << (prepared.system_qubits - n)]
-    block = columns[:: columns.shape[0] >> n]
+    w_columns, w_block = purification_to_unitary_be(prepared, qubit_budget=params.qubit_budget)
+    # W's inputs and block rows with the output's ancillas zero, copied to free the rest
+    keep = slice(None, None, 1 << (prepared.system_qubits - n))
+    block = np.array(w_block[keep, keep])
     return WSigmaResult(
-        columns=columns,
+        columns=np.array(w_columns[:, keep]),
         block=block,
         target_sqrt=out.target_sqrt,
-        w_sigma_error=operator_norm(4.0 * math.sqrt(params.kappa_sigma) * block - out.target_sqrt),
+        kappa_sigma=params.kappa_sigma,
+        w_sigma_error=scaled_block_error(block, out.target_sqrt, params.kappa_sigma),
         sim_level=out.sim_level,
         o_sigma_queries_per_use=2 * out.preparer_queries,
     )
@@ -178,7 +180,6 @@ class EtaResult:
 def build_eta(
     rho_prep: Purification,
     w: WSigmaResult,
-    kappa_sigma: float,
     qubit_budget: int = DEFAULT_QUBIT_BUDGET,
 ) -> EtaResult:
     """Apply the sqrt(sigma) encoding, held as W's columns on its
@@ -208,7 +209,7 @@ def build_eta(
     purif = Purification(state.reshape(-1), full, garbage="garbage")
     m = state.reshape(1 << n, 1 << a_w, 1 << n_rho)[:, 0, :]
     block = m @ m.conj().T
-    ref = w.target_sqrt @ rho_prep.traced_matrix() @ w.target_sqrt / (16.0 * kappa_sigma)
+    ref = w.target_sqrt @ rho_prep.traced_matrix() @ w.target_sqrt / (16.0 * w.kappa_sigma)
     block_error = operator_norm(block - ref)
     return EtaResult(purification=purif, block=block, block_error=block_error)
 
@@ -251,7 +252,7 @@ def estimate_fidelity(
     n = rho.qubits
 
     w = build_w_sigma(sigma_prep, params, seed=seed)
-    eta = build_eta(rho_prep, w, params.kappa_sigma, qubit_budget=params.qubit_budget)
+    eta = build_eta(rho_prep, w, qubit_budget=params.qubit_budget)
     a_w = eta.purification.layout.qubits("w_anc")
 
     ep = params.eta_params()

@@ -40,7 +40,7 @@ from .errors import (
     RegisterTooLargeError,
     SpectrumOutOfRangeError,
 )
-from .linalg import HermitianEigen, eig_hermitian, reflect
+from .linalg import HermitianEigen, eig_hermitian, operator_norm, reflect
 from .registers import DEFAULT_QUBIT_BUDGET, RegisterLayout, layout
 from .states import Purification
 
@@ -237,6 +237,11 @@ class SqrtOutput:
         dn, db = 1 << self.layout.qubits("system"), 1 << self.layout.qubits("garbage")
         m = self.state.reshape(dn, -1, db)[:, 0, :]
         return m @ m.conj().T
+
+
+def scaled_block_error(block: np.ndarray, target_sqrt: np.ndarray, kappa: float) -> float:
+    """|| 4 sqrt(kappa) block - sqrt(A) ||, for a block encoding sqrt(A) at scale 4 sqrt(kappa)."""
+    return operator_norm(4.0 * math.sqrt(kappa) * block - target_sqrt)
 
 
 def block_spectrum(a_mat: np.ndarray) -> HermitianEigen:

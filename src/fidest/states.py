@@ -143,9 +143,6 @@ class Purification:
         v = self.state
         return partial_trace(np.outer(v, v.conj()), self.layout, self.system_segments)
 
-    def traced_state(self) -> DensityOperator:
-        return DensityOperator(self.traced_matrix())
-
     def split_system(self, *segments: tuple[str, int]) -> "Purification":
         """Re-segment the prepared system without touching the state."""
         total = sum(q for _, q in segments)

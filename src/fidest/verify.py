@@ -24,6 +24,7 @@ from .sqrt_extractor import (
     pe_coefficient_direct,
     pe_phase_offset,
     pe_tail_bound,
+    scaled_block_error,
     sine_state,
 )
 from .states import fidelity_exact, purify, random_density, trace_distance
@@ -103,9 +104,8 @@ def ideal_bound_grid(seed: int = 0, trials: int = 24) -> float:
         p = purify(density_with_block(a, 1), n + 1)
         for kappa in (1.0, 4.0, 16.0, 64.0):
             out = ideal_sqrt_state(p, 1, SqrtParams(kappa=kappa, t=64, sim_level="ideal-spectral"))
-            alpha = 4.0 * math.sqrt(kappa)
-            err = operator_norm(alpha * out.block() - out.target_sqrt) / alpha
-            worst = max(worst, err * 4 * kappa)
+            err = scaled_block_error(out.block(), out.target_sqrt, kappa)
+            worst = max(worst, err / (4.0 * math.sqrt(kappa)) * 4 * kappa)
     return worst
 
 

@@ -17,22 +17,17 @@ from fidest import (
 from fidest.registers import zero_block_indices
 
 
-def w_block(columns: np.ndarray, p: Purification) -> np.ndarray:
-    """<0|W|0> over W's mirror and enc_garbage segments: the rows of W's
-    columns whose digits on both are zero."""
-    m, b = p.system_qubits, p.garbage_qubits
-    lay = layout(("system", m), ("mirror", m), ("enc_garbage", b))
-    return columns[zero_block_indices(lay, ["mirror", "enc_garbage"])]
-
-
 @pytest.mark.parametrize("qubits,rank", [(1, 1), (1, 2), (2, 2), (2, 4)])
 def test_purified_state_to_unitary_is_exact(qubits, rank):
     rho = random_density(qubits, rank, seed=rank * 7 + qubits)
     anc = max(1, int(np.ceil(np.log2(max(rho.rank, 2)))))
-    p = purify(rho, anc)
-    columns = purification_to_unitary_be(p)
+    columns, block = purification_to_unitary_be(purify(rho, anc))
     assert columns.shape == (1 << (2 * qubits + anc), 1 << qubits)
-    assert operator_norm(w_block(columns, p) - rho.matrix) <= 1e-9
+    # the block is the rows of the columns with mirror and enc_garbage zero
+    lay = layout(("system", qubits), ("mirror", qubits), ("enc_garbage", anc))
+    rows = zero_block_indices(lay, ["mirror", "enc_garbage"])
+    np.testing.assert_array_equal(block, columns[rows])
+    assert operator_norm(block - rho.matrix) <= 1e-9
     assert unitarity_defect(columns) <= 1e-10
 
 
@@ -41,21 +36,20 @@ def test_unitary_encoding_of_a_state_with_complex_first_entry():
     rng = np.random.default_rng(3)
     psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     p = Purification(psi / np.linalg.norm(psi), layout(("system", 2), ("garbage", 1)))
-    columns = purification_to_unitary_be(p)
+    columns, block = purification_to_unitary_be(p)
+    assert operator_norm(block - p.traced_matrix()) <= 1e-12
     assert unitarity_defect(columns) <= 1e-12
-    np.testing.assert_allclose(w_block(columns, p), p.traced_matrix(), atol=1e-12)
+    np.testing.assert_allclose(block, p.traced_matrix(), atol=1e-12)
 
 
 def test_pure_state_encoding_block_is_projector():
-    p = purify(DensityOperator(np.diag([1.0, 0.0])), 1)
-    columns = purification_to_unitary_be(p)
-    np.testing.assert_allclose(w_block(columns, p), np.diag([1.0, 0.0]), atol=1e-12)
+    _, block = purification_to_unitary_be(purify(DensityOperator(np.diag([1.0, 0.0])), 1))
+    np.testing.assert_allclose(block, np.diag([1.0, 0.0]), atol=1e-12)
 
 
 def test_mixed_state_encoding_block():
-    p = purify(DensityOperator(np.eye(2) / 2), 1)
-    columns = purification_to_unitary_be(p)
-    np.testing.assert_allclose(w_block(columns, p), np.eye(2) / 2, atol=1e-10)
+    _, block = purification_to_unitary_be(purify(DensityOperator(np.eye(2) / 2), 1))
+    np.testing.assert_allclose(block, np.eye(2) / 2, atol=1e-10)
 
 
 def test_encoded_operator_invariant_is_enforced(monkeypatch):

@@ -248,6 +248,10 @@ def test_sweep_jobs_outside_cpu_count_exits_3(tmp_path, capsys, monkeypatch):
     for jobs in (0, os.cpu_count() + 1):
         code, _, err = run(capsys, *SWEEP_FLAGS, "--output", str(out), "--jobs", str(jobs))
         assert code == 3 and "--jobs" in err
+    # the bound is the CPUs this process may run on, not the host's count
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    code, _, err = run(capsys, *SWEEP_FLAGS, "--output", str(out), "--jobs", "2")
+    assert code == 3 and "[1, 1]" in err
     assert not out.exists()
 
 

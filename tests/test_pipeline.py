@@ -107,7 +107,7 @@ def test_w_sigma_block_is_its_extraction_block(prep, level, perturbation, label)
     w = build_w_sigma(sigma_prep, params, seed=0)
     assert w.sim_level == out.sim_level == label
     np.testing.assert_allclose(w.block, out.block(), rtol=0, atol=1e-12)  # shapes too
-    columns = purification_to_unitary_be(Purification(out.state, out.layout))
+    columns, _ = purification_to_unitary_be(Purification(out.state, out.layout))
     assert unitarity_defect(columns) <= 1e-12
 
 
@@ -123,17 +123,17 @@ def test_w_sigma_falls_back_when_circuit_too_large(prep):
 def test_eta_equal_pure_states(prep):
     params = ideal_params(ks=16.0)
     w = build_w_sigma(prep(Z0), params)
-    eta = build_eta(prep(Z0), w, params.kappa_sigma)
+    eta = build_eta(prep(Z0), w)
     ref = Z0.matrix / (16 * 16.0)
     bound = 16.0**-1.5 + 16.0**0.5 / 256 + 16.0**2 / 256**2
     assert operator_norm(eta.block - ref) <= bound
-    assert abs(np.trace(eta.purification.traced_state().matrix).real - 1) <= 1e-9
+    assert abs(np.trace(eta.purification.traced_matrix()).real - 1) <= 1e-9
 
 
 def test_eta_orthogonal_pure_states(prep):
     params = ideal_params(ks=16.0)
     w = build_w_sigma(prep(Z1), params)
-    eta = build_eta(prep(Z0), w, params.kappa_sigma)
+    eta = build_eta(prep(Z0), w)
     bound = 16.0**-1.5 + 16.0**0.5 / 256 + 16.0**2 / 256**2
     assert operator_norm(eta.block) <= bound
 
@@ -144,7 +144,7 @@ def test_eta_block_error_scaling(prep, ks):
     sigma = random_density(1, 2, seed=22)
     params = ideal_params(ks=ks, ts=4096)
     w = build_w_sigma(prep(sigma), params)
-    eta = build_eta(prep(rho), w, ks)
+    eta = build_eta(prep(rho), w)
     bound = ks**-1.5 + ks**0.5 / 4096 + ks**2 / 4096**2
     assert eta.block_error <= 1.0 * bound
     # the block equals (block of W) rho (block of W) exactly, by construction
