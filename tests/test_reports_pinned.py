@@ -1,0 +1,97 @@
+"""Reports of ten small estimates, pinned to ``reports_pinned.json``.
+
+The calls cover both levels, perturbed circuits, equal-rank pairs and
+sampled amplitude estimation.  Strings, integers and booleans must match the
+file exactly; floats within 1e-12 relative or 1e-14 absolute.  When a change
+of reported numbers is intended, regenerate the file with
+``PYTHONPATH=src python tests/test_reports_pinned.py`` and name the fields
+that moved.
+"""
+
+import json
+import math
+import os
+
+import pytest
+
+from fidest import (
+    PipelineParams,
+    QaeParams,
+    estimate_fidelity,
+    purify,
+    random_density,
+    select_params,
+)
+
+PINNED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "reports_pinned.json")
+
+IDEAL, CIRCUIT = "ideal-spectral", "circuit-pe"
+
+# name: (n, rank_rho, rank_sigma, instance seed,
+#        (kappa_sigma, t_sigma, kappa, t, M, level, qae mode, perturbation))
+CASES = {
+    "ideal-n1-ranks-1-2": (1, 1, 2, 11, (4.0, 1 << 12, 256.0, 1 << 20, 4096, IDEAL, "exact", 0.0)),
+    "ideal-n2-ranks-2-3": (
+        2, 2, 3, 21, (4.0, 1 << 20, 512.0, 1 << 22, 1 << 15, IDEAL, "exact", 0.0)
+    ),
+    "ideal-n3-ranks-3-3": (
+        3, 3, 3, 31, (4.0, 1 << 20, 512.0, 1 << 22, 1 << 15, IDEAL, "exact", 0.0)
+    ),
+    "ideal-n2-ranks-2-2-sampled": (
+        2, 2, 2, 41, (4.0, 4096, 512.0, 1 << 22, 256, IDEAL, "sample", 0.0)
+    ),
+    "practical-n2-ranks-1-2": (2, 1, 2, 51, None),
+    "circuit-w-n1-ranks-1-2": (1, 1, 2, 61, (4.0, 8, 512.0, 1 << 22, 1024, CIRCUIT, "exact", 0.0)),
+    "circuit-w-perturbed": (1, 1, 2, 71, (4.0, 8, 512.0, 1 << 22, 1024, CIRCUIT, "exact", 0.05)),
+    "circuit-eta-n1-ranks-1-2": (
+        1, 1, 2, 81, (2.0, 1 << 18, 64.0, 12, 256, CIRCUIT, "exact", 0.0)
+    ),
+    "circuit-eta-perturbed": (1, 1, 2, 91, (2.0, 1 << 18, 64.0, 12, 256, CIRCUIT, "exact", 0.05)),
+    "circuit-eta-ranks-2-2": (1, 2, 2, 101, (2.0, 1 << 18, 64.0, 12, 256, CIRCUIT, "exact", 0.0)),
+}
+
+
+def _prep(rho):
+    return purify(rho, max(1, math.ceil(math.log2(max(rho.rank, 2)))))
+
+
+def run_case(name: str) -> dict:
+    n, rank_rho, rank_sigma, seed, knobs = CASES[name]
+    rho = random_density(n, rank_rho, seed=seed)
+    sigma = random_density(n, rank_sigma, seed=seed + 1)
+    if knobs is None:
+        params = select_params(min(rank_rho, rank_sigma), 0.5, mode="practical")
+    else:
+        ks, ts, k, t, m, level, mode, perturbation = knobs
+        params = PipelineParams(
+            kappa_sigma=ks, t_sigma=ts, kappa=k, t=t, qae=QaeParams(M=m, mode=mode),
+            sim_level=level, perturbation=perturbation,
+        )
+    rep = estimate_fidelity(_prep(rho), _prep(sigma), params, seed=seed)
+    return json.loads(rep.to_json())
+
+
+def _matches(got, want) -> bool:
+    if isinstance(want, float):
+        return isinstance(got, float) and math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-14)
+    return type(got) is type(want) and got == want
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    with open(PINNED, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_pinned(pinned, name):
+    got, want = run_case(name), pinned[name]
+    assert list(got) == list(want)
+    moved = {k: (got[k], want[k]) for k in want if not _matches(got[k], want[k])}
+    assert moved == {}
+
+
+if __name__ == "__main__":
+    with open(PINNED, "w", encoding="utf-8") as fh:
+        json.dump({name: run_case(name) for name in sorted(CASES)}, fh, indent=1)
+        fh.write("\n")
