@@ -46,14 +46,13 @@ def main():
         print(f"  kappa={k:4g}: {err * 4 * k:.3f}")
 
     print("circuit vs ideal (pure 1-qubit instance, kappa=8):")
-    p = purify(random_density(1, 1, seed=7), 1).split_system(("system", 1), ("encoding", 0))
+    p = purify(random_density(1, 1, seed=7), 1)
     for t in (8, 16, 32, 64, 128):
         params = SqrtParams(kappa=kappa, t=t)
         out = build_sqrt_unitary(p, 0, params)
-        # the ideal output on the circuit's registers: pe exactly |0>
-        ideal = np.zeros((2, params.T, 4), dtype=complex)
-        ideal[:, 0, :] = ideal_sqrt_state(p, 0, params).state.reshape(2, 4)
-        ideal = ideal.reshape(-1)
+        # the ideal output has a length-1 pe axis: on the circuit's, pe is exactly |0>
+        ideal = np.zeros_like(out.state)
+        ideal[:, :, :1] = ideal_sqrt_state(p, 0, params).state
         print(f"  t={t:4d}: ||circuit - ideal|| = {np.linalg.norm(out.state - ideal):.6f} "
               f"(preparer queries: {out.preparer_queries})")
 

@@ -3,7 +3,6 @@ low-rank states via block-encoded operator square roots."""
 
 from .amplitude import (
     QaeParams,
-    exact_amplitude,
     qae_error_bound,
     qae_estimate,
     qae_outcome_distribution,
@@ -20,24 +19,13 @@ from .linalg import (
     unitarity_defect,
 )
 from .pipeline import (
-    EstimationReport,
     PipelineParams,
-    analytic_error_bound,
     build_eta,
     build_w_sigma,
     estimate_fidelity,
     select_params,
 )
-from .registers import (
-    DEFAULT_QUBIT_BUDGET,
-    RegisterLayout,
-    basis_state,
-    layout,
-    partial_trace,
-    project_zero,
-)
 from .sqrt_extractor import (
-    SqrtOutput,
     SqrtParams,
     build_sqrt_unitary,
     filter_f,
@@ -59,45 +47,36 @@ from .states import (
     purify,
     random_density,
     trace_distance,
+    uhlmann_fidelity,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_QUBIT_BUDGET",
     "DensityOperator",
-    "EstimationReport",
     "PipelineParams",
     "Purification",
     "QaeParams",
-    "RegisterLayout",
-    "SqrtOutput",
     "SqrtParams",
-    "analytic_error_bound",
-    "basis_state",
     "build_eta",
     "build_sqrt_unitary",
     "build_w_sigma",
     "density_with_block",
     "eig_hermitian",
     "estimate_fidelity",
-    "exact_amplitude",
     "expm_i",
     "fidelity_exact",
     "filter_f",
     "grid_eigenvalue",
     "h_vector",
     "ideal_sqrt_state",
-    "layout",
     "matrix_func",
     "operator_norm",
-    "partial_trace",
     "pe_coefficient",
     "pe_coefficient_direct",
     "pe_phase_offset",
     "pe_tail_bound",
     "preparer_queries",
-    "project_zero",
     "purification_to_unitary_be",
     "purify",
     "qae_error_bound",
@@ -111,5 +90,6 @@ __all__ = [
     "tensor",
     "trace_distance",
     "trace_norm",
+    "uhlmann_fidelity",
     "unitarity_defect",
 ]

@@ -3,7 +3,8 @@
 The estimator statistics depend on the amplitude alone, so instead of
 building the Grover iterate over the full extraction register (which would
 double an already deep circuit), the probability is computed exactly from
-the state and the canonical outcome law is applied to it.  ``exact`` mode
+the state (``SqrtOutput.zero_probability``) and the canonical outcome law is
+applied to it.  ``exact`` mode
 returns the best grid point deterministically; ``sample`` mode draws from
 the phase-estimation outcome distribution of the Grover eigenphase: one sine
 pass in one M-length array, as the kernel numerator is a single scalar and the
@@ -13,12 +14,10 @@ second eigenphase's denominators are the first one's at (M - y) mod M.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import OutOfRangeError
-from .registers import RegisterLayout, project_zero
 
 QAE_MODES = ("exact", "sample")
 
@@ -38,20 +37,6 @@ class QaeParams:
             raise ValueError(f"M must be >= 2, got {self.M}")
         if self.mode == "sample" and self.M & (self.M - 1):
             raise ValueError(f"sample mode needs M a power of two, got {self.M}")
-
-
-def exact_amplitude(state: np.ndarray, lay: RegisterLayout, zero_segments: Sequence[str]) -> float:
-    """Probability of projecting the named segments onto all-zeros.
-
-    ``state`` may be a vector (squared norm of the projected component) or a
-    density matrix (trace of the projected block).
-    """
-    state = np.asarray(state, dtype=complex)
-    block = project_zero(state, lay, zero_segments)
-    x = float((np.vdot(block, block) if state.ndim == 1 else np.trace(block)).real)
-    if not -1e-12 <= x <= 1 + 1e-12:
-        raise OutOfRangeError(f"projection probability {x} outside [0, 1]")
-    return min(max(x, 0.0), 1.0)
 
 
 def qae_error_bound(x: float, M: int) -> float:

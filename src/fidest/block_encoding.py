@@ -46,8 +46,8 @@ def purification_to_unitary_be(
         )
     dm, db = 1 << m, 1 << b
     swapped = np.zeros((dm, dm, dm, db), dtype=complex)  # [j, fresh, main, garbage]
-    swapped[np.arange(dm), :, np.arange(dm), :] = p.state.reshape(dm, db)
-    columns = reflect(p.state, swapped.reshape(dm * dm, dm * db), adjoint=True)
+    swapped[np.arange(dm), :, np.arange(dm), :] = p.factor
+    columns = reflect(p.factor, swapped.reshape(dm * dm, dm * db), adjoint=True)
     columns = columns.reshape(dm, -1).T
     defect = unitarity_defect(columns)
     if defect > NORM_TOL:

@@ -12,10 +12,13 @@ Each stage runs at the circuit or the ideal-spectral level: the circuit
 level is used when the qubit budget allows, otherwise the stage falls back to
 ideal-spectral, and the report records the level actually used
 (circuit-pe-perturbed for a circuit run with perturbation > 0).  Both levels
-work on state vectors: W is a plain array of its columns on the ancilla-zero
-inputs, eta is its state, each block is M M^dagger of a state slice M, and
-each block error is one operator norm.  This module holds the estimate path
-and the parameter schedules; the bound checks live in ``verify``.
+work on arrays: each purification is its factor, W is a plain array of its
+columns on the ancilla-zero inputs, eta's factor is those columns times
+rho's, each block is M M^dagger of a slice M, and each block error is one
+operator norm.  The reported exact fidelity is Uhlmann's || M_rho^dagger
+M_sigma ||_1 on the two factors the estimate was given.  This module holds
+the estimate path and the parameter schedules; the bound checks live in
+``verify``.
 """
 
 from __future__ import annotations
@@ -26,11 +29,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .amplitude import QaeParams, exact_amplitude, qae_estimate, qae_error_bound
+from .amplitude import QaeParams, qae_estimate, qae_error_bound
 from .block_encoding import purification_to_unitary_be
 from .errors import InfeasibleParamsError, RegisterTooLargeError
 from .linalg import operator_norm
-from .registers import DEFAULT_QUBIT_BUDGET, layout
+from .registers import DEFAULT_QUBIT_BUDGET
 from .sqrt_extractor import (
     SqrtParams,
     block_spectrum,
@@ -40,7 +43,7 @@ from .sqrt_extractor import (
     preparer_queries,
     scaled_block_error,
 )
-from .states import DensityOperator, Purification, fidelity_exact
+from .states import DensityOperator, Purification, uhlmann_fidelity
 
 CIRCUIT_T_CEILING = 1 << 20
 IDEAL_T_CEILING = 1 << 30
@@ -154,10 +157,11 @@ def build_w_sigma(
         out = build_sqrt_unitary(sigma_prep, 0, sp, qubit_budget=params.qubit_budget, seed=seed)
     else:
         out = ideal_sqrt_state(sigma_prep, 0, sp)
-    prepared = Purification(out.state, out.layout)
+    # the output as a purification: its factor on [system and ancillas, garbage]
+    prepared = Purification(out.state.reshape(-1, out.state.shape[-1]))
     w_columns, w_block = purification_to_unitary_be(prepared, qubit_budget=params.qubit_budget)
     # W's inputs and block rows with the output's ancillas zero, copied to free the rest
-    keep = slice(None, None, 1 << (prepared.system_qubits - n))
+    keep = slice(None, None, prepared.factor.shape[0] >> n)
     block = np.array(w_block[keep, keep])
     return WSigmaResult(
         columns=np.array(w_columns[:, keep]),
@@ -185,12 +189,11 @@ def build_eta(
     """Apply the sqrt(sigma) encoding, held as W's columns on its
     ancilla-zero inputs, to rho's purification.
 
-    Returns eta's purification (registers [system, w_anc, garbage]) and the
-    w_anc-zero block of its traced state, which approximates
-    sqrt(sigma) rho sqrt(sigma) / (16 kappa_sigma).  Eta's state is W's
-    columns on the system inputs times rho's state on [system, garbage]; the
-    block is M M^dagger for M its w_anc-zero slice, and eta's density is
-    never formed.
+    Returns eta's purification and the w_anc-zero block of its traced state,
+    which approximates sqrt(sigma) rho sqrt(sigma) / (16 kappa_sigma).  Eta's
+    factor, on [system, w_anc] x garbage, is W's columns on the system inputs
+    times rho's factor; the block is M M^dagger for M its w_anc-zero rows, and
+    eta's density is never formed.
     """
     n = rho_prep.system_qubits
     if w.columns.shape[1] != 1 << n:
@@ -204,14 +207,12 @@ def build_eta(
         raise RegisterTooLargeError(
             f"eta register needs {total} qubits, budget is {qubit_budget}"
         )
-    full = layout(("system", n), ("w_anc", a_w), ("garbage", n_rho))
-    state = w.columns @ rho_prep.state.reshape(1 << n, 1 << n_rho)
-    purif = Purification(state.reshape(-1), full, garbage="garbage")
-    m = state.reshape(1 << n, 1 << a_w, 1 << n_rho)[:, 0, :]
+    factor = w.columns @ rho_prep.factor
+    m = factor[:: 1 << a_w]
     block = m @ m.conj().T
     ref = w.target_sqrt @ rho_prep.traced_matrix() @ w.target_sqrt / (16.0 * w.kappa_sigma)
     block_error = operator_norm(block - ref)
-    return EtaResult(purification=purif, block=block, block_error=block_error)
+    return EtaResult(purification=Purification(factor), block=block, block_error=block_error)
 
 
 def analytic_error_bound(
@@ -231,12 +232,17 @@ def analytic_error_bound(
 def _role_order(
     rho_prep: Purification, sigma_prep: Purification
 ) -> tuple[Purification, Purification, DensityOperator, DensityOperator, bool]:
-    """Ensure rank(rho) <= rank(sigma); on equal ranks break the tie by the
-    matrix bytes so both call orders execute the identical computation.
-    Returns both purifications and both states in role order."""
-    m_rho, m_sigma = rho_prep.traced_matrix(), sigma_prep.traced_matrix()
-    rho, sigma = DensityOperator(m_rho), DensityOperator(m_sigma)
-    if rho.rank > sigma.rank or (rho.rank == sigma.rank and m_rho.tobytes() > m_sigma.tobytes()):
+    """Ensure rank(rho) <= rank(sigma), so both call orders execute the
+    identical computation.  Equal ranks are ordered by value: by the real
+    diagonals (the factors' squared row norms) compared lexicographically,
+    and by every entry only when the diagonals are equal.  Returns both
+    purifications and both states in role order."""
+    rho = DensityOperator(rho_prep.traced_matrix())
+    sigma = DensityOperator(sigma_prep.traced_matrix())
+    key_rho, key_sigma = (m.diagonal().real.tolist() for m in (rho.matrix, sigma.matrix))
+    if key_rho == key_sigma:
+        key_rho, key_sigma = (m.view(float).ravel().tolist() for m in (rho.matrix, sigma.matrix))
+    if rho.rank > sigma.rank or (rho.rank == sigma.rank and key_rho > key_sigma):
         return sigma_prep, rho_prep, sigma, rho, True
     return rho_prep, sigma_prep, rho, sigma, False
 
@@ -253,7 +259,7 @@ def estimate_fidelity(
 
     w = build_w_sigma(sigma_prep, params, seed=seed)
     eta = build_eta(rho_prep, w, qubit_budget=params.qubit_budget)
-    a_w = eta.purification.layout.qubits("w_anc")
+    a_w = eta.purification.system_qubits - n
 
     ep = params.eta_params()
     eta_circuit_qubits = n + a_w + rho_prep.garbage_qubits + ep.l + 1
@@ -261,7 +267,7 @@ def estimate_fidelity(
         out = build_sqrt_unitary(
             eta.purification, a_w, ep, qubit_budget=params.qubit_budget, seed=seed + 1
         )
-        x = exact_amplitude(out.state, out.layout, ["encoding", "pe", "flag"])
+        x = out.zero_probability()
         level_eta = out.sim_level
     else:
         g = block_spectrum(eta.block).values
@@ -273,7 +279,7 @@ def estimate_fidelity(
     scale = 16.0 * math.sqrt(params.kappa * params.kappa_sigma)
     estimate = scale * x_tilde
 
-    exact = fidelity_exact(rho, sigma)
+    exact = uhlmann_fidelity(rho_prep, sigma_prep)
     delta = qae_error_bound(x, qae.M)
     q_eta = preparer_queries(ep)
     qae_uses = 2 * params.qae.M + 1

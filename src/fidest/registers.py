@@ -1,11 +1,11 @@
-"""Named qubit registers and the index bookkeeping built on them.
+"""The qubit budget of the circuit-level constructions, and named register
+layouts with the index bookkeeping built on them.
 
 A layout is an ordered list of named segments.  The first segment owns the
 most significant qubits (matching ``numpy.kron`` order), so a basis index
-decomposes big-endian across segments, and a state vector reshaped to
-``segment_dims()`` is a tensor with one axis per segment, on which gates act
-along their segments' axes.  Block-encoding projections always target
-trailing segments; partial traces work on any subset.
+decomposes big-endian across segments.  The estimate path reads array axes
+instead: the layouts, ancilla-zero projections and partial traces here are
+reference oracles, against which the tests check those axis slices.
 """
 
 from __future__ import annotations
@@ -136,9 +136,3 @@ def partial_trace(m: np.ndarray, lay: RegisterLayout, keep: Sequence[str]) -> np
         remaining -= 1
     d_keep = int(np.prod([dims[i] for i in range(s) if lay.segments[i][0] in keep], initial=1))
     return t.reshape(d_keep, d_keep)
-
-
-def basis_state(lay: RegisterLayout, index: int = 0) -> np.ndarray:
-    v = np.zeros(lay.dim, dtype=complex)
-    v[index] = 1.0
-    return v

@@ -19,12 +19,13 @@ each controlled exponential of the circuit by a random unitary within that
 operator distance of identity to model Hamiltonian-simulation error; such
 outputs report the level ``circuit-pe-perturbed``.
 
-Register order of outputs: [system, encoding, pe, flag, garbage] (no pe at
-the ideal level), so the ancillas sit between system and garbage and the
-garbage segment is last (ready for the purified-state-to-unitary
+An output is one array with axes [system, encoding, pe, flag, garbage]; the
+pe axis has length 1 at the ideal level.  The ancillas sit between system
+and garbage, so the array reshaped to [everything but garbage, garbage] is
+the factor of a purification (ready for the purified-state-to-unitary
 construction).  An output's block, the traced state's <0|.|0> over every
-ancilla, is M M^dagger for M the state's ancilla-zero slice on [system,
-garbage] (``SqrtOutput.block``); no density of the output is formed.
+ancilla, is M M^dagger for M the slice with every ancilla zero
+(``SqrtOutput.block``); no density of the output is formed.
 """
 
 from __future__ import annotations
@@ -37,11 +38,12 @@ import numpy as np
 from .errors import (
     IndexOutOfRangeError,
     NotPowerOfTwoError,
+    OutOfRangeError,
     RegisterTooLargeError,
     SpectrumOutOfRangeError,
 )
 from .linalg import HermitianEigen, eig_hermitian, operator_norm, reflect
-from .registers import DEFAULT_QUBIT_BUDGET, RegisterLayout, layout
+from .registers import DEFAULT_QUBIT_BUDGET
 from .states import Purification
 
 SIM_LEVELS = ("ideal-spectral", "circuit-pe")
@@ -207,22 +209,20 @@ def preparer_queries(params: SqrtParams) -> int:
 
 @dataclass(frozen=True)
 class SqrtOutput:
-    """Result of one extraction: the output state on ``layout``.
-
-    Circuit level: registers [system, encoding, pe, flag, garbage].  Ideal
-    level: registers [system, encoding, flag, garbage]; the pe register is
-    exactly |0> in every branch there and is never built.
+    """Result of one extraction: the output state with axes [system,
+    encoding, pe, flag, garbage].  The pe axis has length T at the circuit
+    level and 1 at the ideal level, where the pe register is exactly |0> in
+    every branch and is never built.
     """
 
     params: SqrtParams
     state: np.ndarray
-    layout: RegisterLayout
     target_sqrt: np.ndarray  # sqrt(A), from the decomposition the output was built on
 
     @property
     def sim_level(self) -> str:
         """The level a stage built on this output reports."""
-        if "pe" not in self.layout.names:
+        if self.state.shape[2] == 1:
             return "ideal-spectral"
         return "circuit-pe-perturbed" if self.params.perturbation > 0 else "circuit-pe"
 
@@ -230,13 +230,24 @@ class SqrtOutput:
     def preparer_queries(self) -> int:
         return preparer_queries(self.params)
 
+    def zero_slice(self) -> np.ndarray:
+        """M: the output state with every ancilla zero, on [system, garbage]."""
+        return self.state[:, 0, 0, 0, :]
+
     def block(self) -> np.ndarray:
         """<0|traced output|0> over every ancilla, which block-encodes sqrt(A)
-        with scale 4 sqrt(kappa): M M^dagger, for M the output state's
-        ancilla-zero slice on [system, garbage]."""
-        dn, db = 1 << self.layout.qubits("system"), 1 << self.layout.qubits("garbage")
-        m = self.state.reshape(dn, -1, db)[:, 0, :]
+        with scale 4 sqrt(kappa): M M^dagger."""
+        m = self.zero_slice()
         return m @ m.conj().T
+
+    def zero_probability(self) -> float:
+        """Probability that every ancilla reads zero, tr block() = ||M||^2,
+        checked to lie in [0, 1] and clipped there."""
+        m = self.zero_slice()
+        x = float(np.vdot(m, m).real)
+        if not -1e-12 <= x <= 1 + 1e-12:
+            raise OutOfRangeError(f"projection probability {x} outside [0, 1]")
+        return min(max(x, 0.0), 1.0)
 
 
 def scaled_block_error(block: np.ndarray, target_sqrt: np.ndarray, kappa: float) -> float:
@@ -268,7 +279,7 @@ def _prepared_spectrum(p: Purification, encoding_qubits: int) -> tuple[Hermitian
             f"{encoding_qubits} encoding qubits leave no system in "
             f"{p.system_qubits} prepared qubits"
         )
-    m = p.state.reshape(1 << n_sys, 1 << encoding_qubits, -1)[:, 0, :]
+    m = p.factor.reshape(1 << n_sys, 1 << encoding_qubits, -1)[:, 0, :]
     eig = block_spectrum(m @ m.conj().T)
     return eig, (eig.vectors * np.sqrt(eig.values)) @ eig.vectors.conj().T
 
@@ -327,16 +338,13 @@ def build_sqrt_unitary(
     # state axes: i/j system, e encoding, t pe, f/a/b flag, g garbage
     window = sine_state(T)
     x = np.zeros((dn, 1 << n_enc, T, 2, 1 << b), dtype=complex)
-    x[:, :, 0, 0, :] = p.state.reshape(dn, 1 << n_enc, 1 << b)
+    x[:, :, 0, 0, :] = p.factor.reshape(dn, 1 << n_enc, 1 << b)
     x = reflect(window, x, axis=2)
     x = np.fft.fft(np.einsum("tij,jetfg->ietfg", phases, x), axis=2, norm="ortho")
     x = np.einsum("abt,ietbg->ietag", rotations, x)
     x = np.einsum("tji,jetfg->ietfg", phases.conj(), np.fft.ifft(x, axis=2, norm="ortho"))
     x = reflect(window, x, axis=2, adjoint=True)
-    full = layout(
-        ("system", n_sys), ("encoding", n_enc), ("pe", l), ("flag", 1), ("garbage", b)
-    )
-    return SqrtOutput(params=params, state=x.reshape(-1), layout=full, target_sqrt=sqrt_a)
+    return SqrtOutput(params=params, state=np.ascontiguousarray(x), target_sqrt=sqrt_a)
 
 
 def ideal_sqrt_state(p: Purification, encoding_qubits: int, params: SqrtParams) -> SqrtOutput:
@@ -344,18 +352,15 @@ def ideal_sqrt_state(p: Purification, encoding_qubits: int, params: SqrtParams) 
 
     ``p`` prepares psi on [system, encoding] as for build_sqrt_unitary.  Every
     eigenbranch (lambda_j, u_j) of A gains the flag state h(lambda_j): the
-    output is sum_j (u_j u_j^dagger psi) (x) h(lambda_j) on [system, encoding,
-    flag, garbage].  No phase register is built, so t may be arbitrarily deep.
+    output is sum_j (u_j u_j^dagger psi) (x) h(lambda_j), with a length-1 pe
+    axis.  No phase register is built, so t may be arbitrarily deep.
     """
-    n_enc, b = encoding_qubits, p.garbage_qubits
-    eig, sqrt_a = _prepared_spectrum(p, n_enc)
+    eig, sqrt_a = _prepared_spectrum(p, encoding_qubits)
     v = eig.vectors
     dn = v.shape[0]
     f, s = h_vector(eig.values, params.kappa)
-    branches = v.conj().T @ p.state.reshape(dn, -1)  # [branch, (encoding, garbage)]
-    out = np.stack([(v * f) @ branches, (v * s) @ branches], axis=1)
-    state = out.reshape(dn, 2, 1 << n_enc, 1 << b).transpose(0, 2, 1, 3).reshape(-1)
-    lay = layout(
-        ("system", p.system_qubits - n_enc), ("encoding", n_enc), ("flag", 1), ("garbage", b)
-    )
-    return SqrtOutput(params=params, state=state, layout=lay, target_sqrt=sqrt_a)
+    branches = v.conj().T @ p.factor.reshape(dn, -1)  # [branch, (encoding, garbage)]
+    shape = (dn, 1 << encoding_qubits, 1, 1 << p.garbage_qubits)
+    flag = [((v * h) @ branches).reshape(shape) for h in (f, s)]  # flag 0, flag 1
+    state = np.stack(flag, axis=3)
+    return SqrtOutput(params=params, state=state, target_sqrt=sqrt_a)

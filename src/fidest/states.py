@@ -1,5 +1,9 @@
-"""Density operators, purifications, random low-rank instances, and the exact
-fidelity / trace-distance oracle used as ground truth."""
+"""Density operators, purifications held as their factors, random low-rank
+instances, and the ground-truth oracles: fidelity (by eigendecomposition on
+density operators, by Uhlmann's theorem on purifications) and trace distance.
+
+A purification of a rank-r state on n qubits is its 2^n x 2^g factor M, with
+at least r columns; the prepared state is M M^dagger."""
 
 from __future__ import annotations
 
@@ -24,7 +28,6 @@ from .linalg import (
     sqrtm_psd,
     trace_norm,
 )
-from .registers import RegisterLayout, layout, partial_trace
 
 PSD_TOL = 1e-9
 RANK_THRESHOLD = 1e-9
@@ -100,100 +103,53 @@ class DensityOperator:
 
 @dataclass(frozen=True)
 class Purification:
-    """A unit vector on a register layout whose last segment is garbage.
+    """A purified state as its factor M: a 2^system x 2^garbage matrix with
+    unit Frobenius norm, the state sum_ij M_ij |i>|j> stored row-major, so
+    ``factor.reshape(-1)`` is the state vector on [system, garbage].
 
-    ``state`` is the purified state; tracing the garbage segment yields the
-    prepared density operator on the remaining segments.  Any unitary whose
-    first column is ``state`` prepares it (``linalg.reflect`` is one).
+    Tracing the garbage yields the prepared density operator M M^dagger.  Any
+    unitary whose first column is that vector prepares it (``linalg.reflect``
+    is one).
     """
 
-    state: np.ndarray
-    layout: RegisterLayout
-    garbage: str = "garbage"
+    factor: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.state, dtype=complex)
-        if v.shape != (self.layout.dim,):
-            raise DimensionMismatchError(
-                f"state shape {v.shape} does not match layout dim {self.layout.dim}"
-            )
-        if self.layout.names[-1] != self.garbage:
-            raise ValueError(
-                f"garbage segment {self.garbage!r} must be last in {self.layout.names}"
-            )
-        defect = abs(np.linalg.norm(v) - 1.0)
+        m = np.array(self.factor, dtype=complex, order="C")
+        if m.ndim != 2 or any(d & (d - 1) for d in m.shape):
+            raise DimensionMismatchError(f"not a power-of-two factor: {m.shape}")
+        defect = abs(np.linalg.norm(m) - 1.0)
         if defect > NORM_TOL:
             raise ValueError(f"state norm defect {defect:.3e} > {NORM_TOL:.1e}")
-        v.flags.writeable = False
-        object.__setattr__(self, "state", v)
-
-    @property
-    def system_segments(self) -> tuple[str, ...]:
-        return self.layout.names[:-1]
+        m.flags.writeable = False
+        object.__setattr__(self, "factor", m)
 
     @property
     def system_qubits(self) -> int:
-        return self.layout.total_qubits - self.garbage_qubits
+        return self.factor.shape[0].bit_length() - 1
 
     @property
     def garbage_qubits(self) -> int:
-        return self.layout.qubits(self.garbage)
+        return self.factor.shape[1].bit_length() - 1
 
     def traced_matrix(self) -> np.ndarray:
-        v = self.state
-        return partial_trace(np.outer(v, v.conj()), self.layout, self.system_segments)
-
-    def split_system(self, *segments: tuple[str, int]) -> "Purification":
-        """Re-segment the prepared system without touching the state."""
-        total = sum(q for _, q in segments)
-        if total != self.system_qubits:
-            raise DimensionMismatchError(
-                f"segments sum to {total} qubits, system has {self.system_qubits}"
-            )
-        new = layout(*segments, (self.garbage, self.garbage_qubits))
-        return Purification(self.state, new, garbage=self.garbage)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "purification",
-            "segments": [[n, q] for n, q in self.layout.segments],
-            "garbage": self.garbage,
-            "entries": [[float(z.real), float(z.imag)] for z in self.state],
-        }
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "Purification":
-        if data.get("kind") != "purification":
-            raise ValueError(f"not a purification record: kind={data.get('kind')!r}")
-        lay = layout(*[(str(n), int(q)) for n, q in data["segments"]])
-        entries = np.array([complex(re, im) for re, im in data["entries"]])
-        if entries.size != lay.dim:
-            raise ValueError(f"{entries.size} entries, layout dim is {lay.dim}")
-        return Purification(entries, lay, garbage=data["garbage"])
-
-    def save(self, path: str):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh)
-
-    @staticmethod
-    def load(path: str) -> "Purification":
-        with open(path, encoding="utf-8") as fh:
-            return Purification.from_json_dict(json.load(fh))
+        return self.factor @ self.factor.conj().T
 
 
 def random_density(qubits: int, rank: int, seed: int) -> DensityOperator:
     """Random density operator with the requested numerical rank.
 
-    Eigenvectors come from QR-orthonormalization of a complex Gaussian matrix
-    (Haar-like), the nonzero spectrum from normalized exponential samples.
-    Deterministic for a fixed seed.
+    Eigenvectors come from QR-orthonormalization of the first ``rank`` columns
+    of a d x d complex Gaussian matrix (Haar-like), the nonzero spectrum from
+    normalized exponential samples.  Deterministic for a fixed seed.
     """
     d = 1 << qubits
     if not 1 <= rank <= d:
         raise RankOutOfRangeError(f"rank {rank} outside [1, {d}]")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
+    # Q's first rank columns depend only on g's first rank columns
+    q, r = np.linalg.qr(g[:, :rank])
     q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
     while True:
         p = rng.exponential(size=rank)
@@ -201,12 +157,12 @@ def random_density(qubits: int, rank: int, seed: int) -> DensityOperator:
         if p.min() > 1e-6:  # keep the numerical rank unambiguous
             break
     p = np.sort(p)[::-1]
-    m = (q[:, :rank] * p) @ q[:, :rank].conj().T
-    return DensityOperator(m)
+    return DensityOperator((q * p) @ q.conj().T)
 
 
 def purify(rho: DensityOperator, ancilla_qubits: int) -> Purification:
-    """Purify via the eigendecomposition: sum_j sqrt(p_j) |u_j>|j>.
+    """Purify via the eigendecomposition: sum_j sqrt(p_j) |u_j>|j>, so the
+    factor's column j is sqrt(p_j) u_j.
 
     Needs 2^ancilla_qubits >= rank.
     """
@@ -214,13 +170,11 @@ def purify(rho: DensityOperator, ancilla_qubits: int) -> Purification:
         raise InsufficientAncillaError(
             f"{ancilla_qubits} ancilla qubits cannot hold rank {rho.rank}"
         )
-    d, da = rho.dim, 1 << ancilla_qubits
     w = np.maximum(rho.eigen.values[: rho.rank], 0.0)
-    psi = np.zeros(d * da, dtype=complex)
-    for j in range(rho.rank):
-        psi += np.sqrt(w[j]) * np.kron(rho.eigen.vectors[:, j], np.eye(da)[:, j])
-    psi /= np.linalg.norm(psi)
-    p = Purification(psi, layout(("system", rho.qubits), ("garbage", ancilla_qubits)))
+    m = np.zeros((rho.dim, 1 << ancilla_qubits), dtype=complex)
+    m[:, : rho.rank] = rho.eigen.vectors[:, : rho.rank] * np.sqrt(w)
+    m /= np.linalg.norm(m)
+    p = Purification(m)
     roundtrip = operator_norm(p.traced_matrix() - rho.matrix)
     if roundtrip > PURIFICATION_TOL:
         raise ValueError(f"purification round-trip error {roundtrip:.3e}")
@@ -228,16 +182,26 @@ def purify(rho: DensityOperator, ancilla_qubits: int) -> Purification:
 
 
 def fidelity_exact(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """tr sqrt( sqrt(sigma) rho sqrt(sigma) ), the ground-truth oracle.
+    """tr sqrt( sqrt(sigma) rho sqrt(sigma) ), the oracle for density operators.
 
-    Evaluated as the trace norm of sqrt(rho) sqrt(sigma), which is the same
-    quantity but avoids taking square roots of near-zero noise eigenvalues;
-    both roots come from the operators' cached eigendecompositions.
+    Evaluated as the trace norm of sqrt(rho) sqrt(sigma), both roots from the
+    operators' cached eigendecompositions.  On a low-rank state those hold
+    rounding eigenvalues near 1e-17, whose square roots (near 3e-9) enter the
+    product, so the value can be off by about 1e-8; ``uhlmann_fidelity`` on
+    purifications takes no square root.
     """
     if rho.qubits != sigma.qubits:
         raise DimensionMismatchError(f"{rho.qubits} vs {sigma.qubits} qubits")
     val = trace_norm(sqrtm_psd(rho.eigen) @ sqrtm_psd(sigma.eigen))
     return min(max(val, 0.0), 1.0 + 1e-9)
+
+
+def uhlmann_fidelity(p: Purification, q: Purification) -> float:
+    """F of the two prepared states by Uhlmann's theorem: || M_p^dagger M_q ||_1
+    on the two factors."""
+    if p.system_qubits != q.system_qubits:
+        raise DimensionMismatchError(f"{p.system_qubits} vs {q.system_qubits} qubits")
+    return trace_norm(p.factor.conj().T @ q.factor)
 
 
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:

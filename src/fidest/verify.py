@@ -157,7 +157,7 @@ def suite_purification_distance(seed: int = 0, pairs: int = 60) -> list[CheckRes
         pa, pb = purify(a, n), purify(b, n)
         worst_pur = max(
             worst_pur,
-            operator_norm(a.matrix - b.matrix) - float(np.linalg.norm(pa.state - pb.state)),
+            operator_norm(a.matrix - b.matrix) - float(np.linalg.norm(pa.factor - pb.factor)),
         )
     return [
         _check("purification-distance", "trace-distance-vs-fidelity", worst_fvs, 1e-9),

@@ -17,12 +17,13 @@ def prep():
 
 
 def with_pe_register(out) -> np.ndarray:
-    """An ideal-level extraction output on the circuit's registers: the pe
-    register, exactly |0> there, inserted before the flag."""
-    v = out.state.reshape(-1, 1, 2 << out.layout.qubits("garbage"))
-    padded = np.zeros((v.shape[0], out.params.T, v.shape[2]), dtype=complex)
-    padded[:, :1, :] = v
-    return padded.reshape(-1)
+    """An ideal-level extraction output on the circuit's registers: its
+    length-1 pe axis widened to T, with the pe register exactly |0>."""
+    shape = list(out.state.shape)
+    shape[2] = out.params.T
+    padded = np.zeros(shape, dtype=complex)
+    padded[:, :, :1] = out.state
+    return padded
 
 
 @pytest.fixture

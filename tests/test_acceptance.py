@@ -20,12 +20,12 @@ from fidest import (
     fidelity_exact,
     ideal_sqrt_state,
     operator_norm,
-    partial_trace,
     purify,
     random_density,
     trace_distance,
 )
 from fidest.cli import main as cli_main
+from fidest.registers import layout, partial_trace
 from fidest.verify import (
     ideal_bound_grid,
     pe_coefficient_deviations,
@@ -108,7 +108,7 @@ def test_criterion_04_lipschitz_bound():
 def test_criterion_05_circuit_vs_ideal_convergence(with_pe):
     # fixed pure 1-qubit instance (rank 1), kappa = 8
     rho = random_density(1, 1, seed=7)
-    p = purify(rho, 1).split_system(("system", 1), ("encoding", 0))
+    p = purify(rho, 1)
     ts = (8, 16, 32, 64, 128, 256)
     dists, transfer_ok = [], True
     for t in ts:
@@ -116,9 +116,10 @@ def test_criterion_05_circuit_vs_ideal_convergence(with_pe):
         out = build_sqrt_unitary(p, 0, params)
         v = with_pe(ideal_sqrt_state(p, 0, params))
         d = float(np.linalg.norm(out.state - v))
+        lay = layout(("system", 1), ("encoding", 0), ("pe", params.l), ("flag", 1), ("garbage", 1))
         kept = ["system", "encoding", "pe", "flag"]
-        ideal_traced = partial_trace(np.outer(v, v.conj()), out.layout, kept)
-        traced = partial_trace(np.outer(out.state, out.state.conj()), out.layout, kept)
+        ideal_traced = partial_trace(np.outer(v, v.conj()), lay, kept)
+        traced = partial_trace(np.outer(out.state, out.state.conj()), lay, kept)
         transfer_ok &= operator_norm(traced - ideal_traced) <= d + 1e-9
         dists.append(d)
     slope = float(np.polyfit(np.log(ts), np.log(dists), 1)[0])

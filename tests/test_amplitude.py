@@ -5,14 +5,11 @@ import pytest
 
 from fidest import (
     QaeParams,
-    basis_state,
-    exact_amplitude,
-    layout,
     qae_estimate,
     qae_outcome_distribution,
     qae_error_bound,
 )
-from fidest.errors import OutOfRangeError, UnknownSegmentError
+from fidest.errors import OutOfRangeError
 
 
 def test_params_validation():
@@ -23,25 +20,6 @@ def test_params_validation():
     with pytest.raises(ValueError):
         QaeParams(M=8, mode="bogus")
     QaeParams(M=24, mode="exact")  # any M >= 2 in exact mode
-
-
-def test_exact_amplitude_all_zeros():
-    lay = layout(("a", 1), ("b", 1))
-    assert exact_amplitude(basis_state(lay), lay, ["a", "b"]) == 1.0
-
-
-def test_exact_amplitude_born_rule():
-    lay = layout(("q", 1),)
-    v = np.array([1.0, 1.0]) / np.sqrt(2)
-    assert abs(exact_amplitude(v, lay, ["q"]) - 0.5) <= 1e-12
-
-
-def test_exact_amplitude_density_path():
-    lay = layout(("a", 1), ("b", 1))
-    rho = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
-    assert abs(exact_amplitude(rho, lay, ["b"]) - (0.1 + 0.3)) <= 1e-12
-    with pytest.raises(UnknownSegmentError):
-        exact_amplitude(rho, lay, ["nope"])
 
 
 def test_qae_endpoints():

@@ -5,16 +5,14 @@ from fidest import (
     DensityOperator,
     Purification,
     density_with_block,
-    layout,
     operator_norm,
-    project_zero,
     purification_to_unitary_be,
     purify,
     random_density,
     tensor,
     unitarity_defect,
 )
-from fidest.registers import zero_block_indices
+from fidest.registers import layout, project_zero, zero_block_indices
 
 
 @pytest.mark.parametrize("qubits,rank", [(1, 1), (1, 2), (2, 2), (2, 4)])
@@ -35,7 +33,7 @@ def test_unitary_encoding_of_a_state_with_complex_first_entry():
     # purify's states have a real psi_0; here the reflection's phase matters
     rng = np.random.default_rng(3)
     psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    p = Purification(psi / np.linalg.norm(psi), layout(("system", 2), ("garbage", 1)))
+    p = Purification((psi / np.linalg.norm(psi)).reshape(4, 2))
     columns, block = purification_to_unitary_be(p)
     assert operator_norm(block - p.traced_matrix()) <= 1e-12
     assert unitarity_defect(columns) <= 1e-12

@@ -25,7 +25,12 @@ from fidest import (
     unitarity_defect,
 )
 from fidest.errors import InfeasibleParamsError
-from fidest.pipeline import CIRCUIT_T_CEILING, IDEAL_T_CEILING, analytic_error_bound
+from fidest.pipeline import (
+    CIRCUIT_T_CEILING,
+    IDEAL_T_CEILING,
+    _role_order,
+    analytic_error_bound,
+)
 from fidest.verify import weyl_trace_bound_check
 
 Z0 = DensityOperator(np.diag([1.0, 0.0]))
@@ -107,7 +112,8 @@ def test_w_sigma_block_is_its_extraction_block(prep, level, perturbation, label)
     w = build_w_sigma(sigma_prep, params, seed=0)
     assert w.sim_level == out.sim_level == label
     np.testing.assert_allclose(w.block, out.block(), rtol=0, atol=1e-12)  # shapes too
-    columns, _ = purification_to_unitary_be(Purification(out.state, out.layout))
+    factor = out.state.reshape(-1, out.state.shape[-1])  # [system and ancillas, garbage]
+    columns, _ = purification_to_unitary_be(Purification(factor))
     assert unitarity_defect(columns) <= 1e-12
 
 
@@ -211,6 +217,42 @@ def test_swap_symmetry_at_equal_ranks(prep):
     da.pop("swapped")
     db.pop("swapped")
     assert da == db
+
+
+def _random_factor(rng, n, rank):
+    g = rng.standard_normal((1 << n, rank)) + 1j * rng.standard_normal((1 << n, rank))
+    return g / np.linalg.norm(g)
+
+
+def test_equal_rank_role_order_ignores_phase_and_garbage_order(prep):
+    # 50 equal-rank pairs, each purified 20 more times with a unit phase and
+    # its garbage columns permuted: the same two states keep one role order
+    rng = np.random.default_rng(77)
+    for trial in range(50):
+        n = 1 + trial % 3
+        rank = 1 + trial % min(4, 1 << n)
+        pair = [prep(random_density(n, rank, seed=1000 * trial + k)) for k in (1, 2)]
+        swapped = _role_order(*pair)[-1]
+        for _ in range(20):
+            moved = [
+                Purification(p.factor[:, rng.permutation(p.factor.shape[1])]
+                             * np.exp(2j * np.pi * rng.uniform()))
+                for p in pair
+            ]
+            assert _role_order(*moved)[-1] == swapped
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_report_fidelity_is_uhlmann_on_the_factors(n):
+    # ||A^dagger B||_1 for the factors A, B the two states are built from
+    rng = np.random.default_rng(n)
+    for rank_a in range(1, (1 << n) + 1):
+        for rank_b in range(1, (1 << n) + 1):
+            a, b = _random_factor(rng, n, rank_a), _random_factor(rng, n, rank_b)
+            rho, sigma = DensityOperator(a @ a.conj().T), DensityOperator(b @ b.conj().T)
+            rep = estimate_fidelity(purify(rho, n), purify(sigma, n), ideal_params(), seed=0)
+            uhlmann = np.linalg.svd(a.conj().T @ b, compute_uv=False).sum()
+            assert abs(rep.exact_fidelity - uhlmann) <= 1e-12
 
 
 def test_report_round_trips_through_json(prep):

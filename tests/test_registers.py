@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
-from fidest import (
-    layout,
-    partial_trace,
-    project_zero,
-    random_density,
-    tensor,
-)
+from fidest import random_density, tensor
 from fidest.errors import DimensionMismatchError, UnknownSegmentError
-from fidest.registers import zero_block_indices
+from fidest.registers import layout, partial_trace, project_zero, zero_block_indices
 
 
 def test_layout_rejects_duplicate_names():

@@ -7,21 +7,17 @@ from fidest import (
     SqrtParams,
     build_sqrt_unitary,
     density_with_block,
-    exact_amplitude,
     expm_i,
     filter_f,
     grid_eigenvalue,
     h_vector,
     ideal_sqrt_state,
-    layout,
     operator_norm,
-    partial_trace,
     pe_coefficient,
     pe_coefficient_direct,
     pe_phase_offset,
     pe_tail_bound,
     preparer_queries,
-    project_zero,
     purification_to_unitary_be,
     purify,
     random_density,
@@ -32,18 +28,20 @@ from fidest import (
 from fidest.errors import (
     IndexOutOfRangeError,
     NotPowerOfTwoError,
+    OutOfRangeError,
     RegisterTooLargeError,
     SpectrumOutOfRangeError,
 )
 from fidest.linalg import reflect
-from fidest.sqrt_extractor import block_spectrum, scaled_block_error
+from fidest.registers import layout, partial_trace, project_zero
+from fidest.sqrt_extractor import SqrtOutput, block_spectrum, scaled_block_error
 from fidest.verify import ideal_bound_grid
 
 PURE = DensityOperator(np.diag([1.0, 0.0]))
 
 
 def pure_prep():
-    return purify(PURE, 1).split_system(("system", 1), ("encoding", 0))
+    return purify(PURE, 1)
 
 
 def _on(op, dims, axes):
@@ -81,7 +79,7 @@ def dense_circuit(p, n_enc, params, seed=0):
         rot[k, :, k, :] = rotation_gate(k, params)
     jk = np.arange(T)
     inverse_qft = np.exp(-2j * np.pi * np.outer(jk, jk) / T) / np.sqrt(T)
-    prep = _on(reflect(p.state, np.eye(d // (2 * T)), axis=0), dims, [0, 1, 4])
+    prep = _on(reflect(p.factor, np.eye(d // (2 * T)), axis=0), dims, [0, 1, 4])
     window = _on(reflect(sine_state(T), np.eye(T), axis=0), dims, [2])
     pe = _on(inverse_qft, dims, [2]) @ _on(ctrl.reshape(dims[0] * T, -1), dims, [0, 2])
     flag = _on(rot.reshape(2 * T, -1), dims, [2, 3])
@@ -219,7 +217,7 @@ def test_build_unitary_is_unitary_and_meets_theta_bound():
     out = build_sqrt_unitary(pure_prep(), 0, SqrtParams(kappa=4.0, t=64))
     u = dense_circuit(pure_prep(), 0, out.params)
     assert unitarity_defect(u) <= 1e-9
-    assert np.max(np.abs(out.state - u[:, 0])) <= 1e-12
+    assert np.max(np.abs(out.state.reshape(-1) - u[:, 0])) <= 1e-12
     # measured constant ratio <= 0.44 over the probed grid; assert with C = 1
     err = scaled_block_error(out.block(), out.target_sqrt, out.params.kappa)
     assert err <= 1.0 * (4.0**-0.5 + 4.0**1.5 / 64)
@@ -230,10 +228,23 @@ def test_build_unitary_uncompute_weight():
     # pe register returns to |0> up to (kappa/t)^2; measured ratios <= 0.95,
     # asserted with constant 3
     for kappa, t in [(4.0, 64), (2.0, 16), (8.0, 64)]:
-        p = purify(random_density(1, 2, seed=5), 1).split_system(("system", 1), ("encoding", 0))
+        p = purify(random_density(1, 2, seed=5), 1)
         out = build_sqrt_unitary(p, 0, SqrtParams(kappa=kappa, t=t))
-        weight = exact_amplitude(out.state, out.layout, ["pe"])
+        weight = np.linalg.norm(out.state[:, :, 0]) ** 2
         assert weight >= 1 - 3.0 * (kappa / t) ** 2
+
+
+def test_zero_probability_is_the_all_ancillas_zero_weight():
+    # the weight of the slice block() reads, against the layout oracle's
+    # projection of the flat output; out of [0, 1] it raises
+    p = purify(density_with_block(0.6 * random_density(1, 2, seed=13).matrix, 1), 2)
+    out = build_sqrt_unitary(p, 1, SqrtParams(kappa=4.0, t=8))
+    lay = layout(("system", 1), ("encoding", 1), ("pe", 3), ("flag", 1), ("garbage", 2))
+    v = project_zero(out.state.reshape(-1), lay, ["encoding", "pe", "flag"])
+    assert out.zero_probability() == np.vdot(v, v).real
+    assert abs(out.zero_probability() - np.trace(out.block()).real) <= 1e-15
+    with pytest.raises(OutOfRangeError):
+        SqrtOutput(out.params, np.ones_like(out.state), out.target_sqrt).zero_probability()
 
 
 def test_build_unitary_register_budget():
@@ -282,7 +293,7 @@ def test_ideal_vector_matches_ideal_state(with_pe):
     # full-register vector (pe exactly |0>) reproduces lift rho lift^dagger,
     # lift = sum_j u_j u_j^dagger (x) h(lambda_j), and the pe-omitted state traced
     rho = random_density(1, 2, seed=9)
-    p = purify(rho, 1).split_system(("system", 1), ("encoding", 0))
+    p = purify(rho, 1)
     params = SqrtParams(kappa=4.0, t=16)
     ideal = ideal_sqrt_state(p, 0, params)
     v = with_pe(ideal)
@@ -296,7 +307,8 @@ def test_ideal_vector_matches_ideal_state(with_pe):
     )
     assert operator_norm(traced - lift @ rho.matrix @ lift.conj().T) <= 1e-12
     kept = ["system", "encoding", "flag"]
-    traced_ideal = partial_trace(np.outer(ideal.state, ideal.state.conj()), ideal.layout, kept)
+    ideal_lay = layout(("system", 1), ("encoding", 0), ("pe", 0), ("flag", 1), ("garbage", 1))
+    traced_ideal = partial_trace(np.outer(ideal.state, ideal.state.conj()), ideal_lay, kept)
     assert operator_norm(traced - traced_ideal) <= 1e-12
 
 
@@ -308,9 +320,10 @@ def test_circuit_converges_to_ideal(with_pe):
     dist = np.linalg.norm(out.state - v)
     assert dist <= 1.0 * params.kappa / params.t
     # density-vs-purification transfer
+    full = layout(("system", 1), ("encoding", 0), ("pe", params.l), ("flag", 1), ("garbage", 1))
     kept = ["system", "encoding", "pe", "flag"]
-    traced_ideal = partial_trace(np.outer(v, v.conj()), out.layout, kept)
-    traced = partial_trace(np.outer(out.state, out.state.conj()), out.layout, kept)
+    traced_ideal = partial_trace(np.outer(v, v.conj()), full, kept)
+    traced = partial_trace(np.outer(out.state, out.state.conj()), full, kept)
     assert operator_norm(traced - traced_ideal) <= dist + 1e-9
 
 
@@ -324,8 +337,8 @@ def test_perturbed_mode_is_seeded_and_distinct():
     assert np.array_equal(a.state, b.state)
     assert not np.array_equal(a.state, c.state)
     u_a, u_clean = dense_circuit(p, 0, params, seed=3), dense_circuit(p, 0, clean.params)
-    assert np.max(np.abs(a.state - u_a[:, 0])) <= 1e-12
-    assert np.max(np.abs(clean.state - u_clean[:, 0])) <= 1e-12
+    assert np.max(np.abs(a.state.reshape(-1) - u_a[:, 0])) <= 1e-12
+    assert np.max(np.abs(clean.state.reshape(-1) - u_clean[:, 0])) <= 1e-12
     drift = operator_norm(u_a - u_clean)
     assert 0 < drift < 1.0  # bounded by the perturbation times the circuit depth
 
@@ -339,13 +352,13 @@ def test_circuit_matches_dense_oracle_with_encoding_and_garbage(perturbation):
     out = build_sqrt_unitary(p, 1, params, seed=7)
     u = dense_circuit(p, 1, params, seed=7)
     assert unitarity_defect(u) <= 1e-12
-    assert np.max(np.abs(out.state - u[:, 0])) <= 1e-12
+    assert np.max(np.abs(out.state.reshape(-1) - u[:, 0])) <= 1e-12
 
 
 def test_w_block_same_from_dense_circuit_or_reflection():
     # W = (I x U^dagger) SWAP (I x U) with U the dense circuit, against the
     # matrix-free W whose preparer is the reflection of U's first column
-    p = purify(random_density(1, 1, seed=17), 0).split_system(("system", 1), ("encoding", 0))
+    p = purify(random_density(1, 1, seed=17), 0)
     params = SqrtParams(kappa=4.0, t=8)
     out = build_sqrt_unitary(p, 0, params)
     u = dense_circuit(p, 0, params)
@@ -353,7 +366,7 @@ def test_w_block_same_from_dense_circuit_or_reflection():
     swap = np.eye(dm * dm)[np.arange(dm * dm).reshape(dm, dm).T.reshape(-1)]
     lift = np.kron(np.eye(dm), u)
     w_dense = lift.conj().T @ swap @ lift
-    _, w_block = purification_to_unitary_be(Purification(out.state, out.layout))
+    _, w_block = purification_to_unitary_be(Purification(out.state.reshape(-1, 1)))
     lay = layout(("system", 5), ("mirror", 5), ("enc_garbage", 0))
     block = project_zero(w_dense, lay, ["mirror", "enc_garbage"])
     assert np.max(np.abs(w_block - block)) <= 1e-12

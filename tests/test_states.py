@@ -5,11 +5,13 @@ import pytest
 
 from fidest import (
     DensityOperator,
+    Purification,
     fidelity_exact,
     operator_norm,
     purify,
     random_density,
     trace_distance,
+    uhlmann_fidelity,
 )
 from fidest.errors import (
     DimensionMismatchError,
@@ -44,6 +46,26 @@ def test_random_density_bitwise_determinism():
     assert a.matrix.tobytes() == b.matrix.tobytes()
 
 
+@pytest.mark.parametrize("qubits", range(1, 6))
+def test_random_density_matches_the_full_qr_construction(qubits):
+    # the first rank columns of the full QR, from the same draws
+    d = 1 << qubits
+    for rank in range(1, min(6, d) + 1):
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            q, r = np.linalg.qr(g)
+            q = q[:, :rank] * (np.diagonal(r)[:rank] / np.abs(np.diagonal(r)[:rank]))
+            while True:
+                p = rng.exponential(size=rank)
+                p /= p.sum()
+                if p.min() > 1e-6:
+                    break
+            full = (q * np.sort(p)[::-1]) @ q.conj().T
+            got = random_density(qubits, rank, seed=seed).matrix
+            assert np.max(np.abs(got - full)) <= 1e-12
+
+
 def test_random_density_rank_range():
     with pytest.raises(RankOutOfRangeError):
         random_density(1, 3, seed=0)
@@ -53,13 +75,13 @@ def test_random_density_rank_range():
 
 def test_purify_pure_state_is_product():
     p = purify(Z0, 1)
-    amps = np.abs(p.state) ** 2
+    amps = np.abs(p.factor.reshape(-1)) ** 2
     assert abs(amps[0] - 1.0) < 1e-12  # |0>|0> up to phase
 
 
 def test_purify_maximally_mixed_schmidt():
     p = purify(HALF, 1)
-    sv = np.linalg.svd(p.state.reshape(2, 2), compute_uv=False)
+    sv = np.linalg.svd(p.factor, compute_uv=False)
     np.testing.assert_allclose(sv, [1 / np.sqrt(2)] * 2, atol=1e-12)
 
 
@@ -68,6 +90,23 @@ def test_purify_round_trip(qubits, rank, anc):
     rho = random_density(qubits, rank, seed=rank * 10 + qubits)
     p = purify(rho, anc)
     assert operator_norm(p.traced_matrix() - rho.matrix) <= 1e-9
+
+
+def test_purification_is_its_factor():
+    rho = random_density(2, 3, seed=3)
+    p = purify(rho, 2)
+    assert p.factor.shape == (4, 4) and (p.system_qubits, p.garbage_qubits) == (2, 2)
+    # row-major: the purified vector is sum_j sqrt(p_j) |u_j>|j>
+    w, v = rho.eigen.values, rho.eigen.vectors
+    psi = sum(np.sqrt(w[j]) * np.kron(v[:, j], np.eye(4)[j]) for j in range(3))
+    np.testing.assert_allclose(p.factor.reshape(-1), psi, atol=1e-14)
+    assert operator_norm(p.traced_matrix() - rho.matrix) <= 1e-14
+    with pytest.raises(DimensionMismatchError):
+        Purification(np.ones(4) / 2)
+    with pytest.raises(DimensionMismatchError):
+        Purification(np.ones((3, 2)) / np.sqrt(6))
+    with pytest.raises(ValueError):
+        Purification(np.ones((2, 2)))
 
 
 def test_purify_insufficient_ancilla():
@@ -88,6 +127,19 @@ def test_fidelity_symmetry_and_dimension_check():
     assert abs(fidelity_exact(a, b) - fidelity_exact(b, a)) <= 1e-9
     with pytest.raises(DimensionMismatchError):
         fidelity_exact(a, random_density(1, 1, seed=0))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_uhlmann_fidelity_agrees_with_the_density_oracle(seed):
+    n = 1 + seed % 3
+    a = random_density(n, 1 + seed % (1 << n), seed=300 + seed)
+    b = random_density(n, 1 + (seed + 1) % (1 << n), seed=350 + seed)
+    pa, pb = purify(a, n), purify(b, n)
+    # fidelity_exact takes square roots of rounding eigenvalues: ~1e-8 off here
+    assert abs(uhlmann_fidelity(pa, pb) - fidelity_exact(a, b)) <= 1e-7
+    assert abs(uhlmann_fidelity(pa, pb) - uhlmann_fidelity(pb, pa)) <= 1e-14
+    with pytest.raises(DimensionMismatchError):
+        uhlmann_fidelity(pa, purify(random_density(n + 1, 1, seed=0), 1))
 
 
 def test_trace_distance_examples():
@@ -115,7 +167,7 @@ def test_purification_norm_dominates_operator_norm(seed):
     a = random_density(n, 1 + seed % (1 << n), seed=600 + seed)
     b = random_density(n, 1 + (seed + 1) % (1 << n), seed=700 + seed)
     pa, pb = purify(a, n), purify(b, n)
-    assert operator_norm(a.matrix - b.matrix) <= np.linalg.norm(pa.state - pb.state) + 1e-9
+    assert operator_norm(a.matrix - b.matrix) <= np.linalg.norm(pa.factor - pb.factor) + 1e-9
 
 
 def test_serialization_round_trip(tmp_path):
@@ -126,29 +178,3 @@ def test_serialization_round_trip(tmp_path):
     path = tmp_path / "rho.json"
     rho.save(str(path))
     assert operator_norm(DensityOperator.load(str(path)).matrix - rho.matrix) <= 1e-15
-
-
-def test_purification_serialization_round_trip(tmp_path):
-    from fidest import Purification
-
-    p = purify(random_density(2, 3, seed=13), 2).split_system(("system", 1), ("encoding", 1))
-    path = tmp_path / "prep.json"
-    p.save(str(path))
-    back = Purification.load(str(path))
-    assert back.layout == p.layout and back.garbage == p.garbage
-    assert np.array_equal(back.state, p.state)
-    with pytest.raises(ValueError):
-        Purification.from_json_dict({"kind": "density"})
-    short = dict(p.to_json_dict(), entries=p.to_json_dict()["entries"][:-1])
-    with pytest.raises(ValueError):
-        Purification.from_json_dict(short)
-
-
-def test_split_system_relabels_the_same_matrix():
-    rho = random_density(2, 2, seed=12)
-    p = purify(rho, 1)
-    q = p.split_system(("system", 1), ("encoding", 1))
-    assert q.layout.names == ("system", "encoding", "garbage")
-    assert np.array_equal(q.state, p.state)
-    with pytest.raises(DimensionMismatchError):
-        p.split_system(("system", 3),)
