@@ -193,7 +193,8 @@ def build_eta(
     which approximates sqrt(sigma) rho sqrt(sigma) / (16 kappa_sigma).  Eta's
     factor, on [system, w_anc] x garbage, is W's columns on the system inputs
     times rho's factor; the block is M M^dagger for M its w_anc-zero rows, and
-    eta's density is never formed.
+    its reference is T T^dagger / (16 kappa_sigma) for T = sqrt(sigma) times
+    rho's factor, so neither eta's density nor rho's is formed.
     """
     n = rho_prep.system_qubits
     if w.columns.shape[1] != 1 << n:
@@ -210,7 +211,8 @@ def build_eta(
     factor = w.columns @ rho_prep.factor
     m = factor[:: 1 << a_w]
     block = m @ m.conj().T
-    ref = w.target_sqrt @ rho_prep.traced_matrix() @ w.target_sqrt / (16.0 * w.kappa_sigma)
+    t = w.target_sqrt @ rho_prep.factor
+    ref = t @ t.conj().T / (16.0 * w.kappa_sigma)
     block_error = operator_norm(block - ref)
     return EtaResult(purification=Purification(factor), block=block, block_error=block_error)
 

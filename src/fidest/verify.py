@@ -27,7 +27,7 @@ from .sqrt_extractor import (
     scaled_block_error,
     sine_state,
 )
-from .states import fidelity_exact, purify, random_density, trace_distance
+from .states import fidelity_exact, purify, random_density, trace_distance, uhlmann_fidelity
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ def suite_tail_bound(seed: int = 0) -> list[CheckResult]:
 
 
 def suite_purification_distance(seed: int = 0, pairs: int = 60) -> list[CheckResult]:
-    worst_fvs = worst_pur = -math.inf
+    worst_fvs = worst_pur = worst_uhl = -math.inf
     for s in range(pairs):
         n = 1 + s % 3
         a = random_density(n, 1 + s % (1 << n), seed=seed * 7000 + s)
@@ -159,9 +159,12 @@ def suite_purification_distance(seed: int = 0, pairs: int = 60) -> list[CheckRes
             worst_pur,
             operator_norm(a.matrix - b.matrix) - float(np.linalg.norm(pa.factor - pb.factor)),
         )
+        # fidelity_exact takes square roots of rounding eigenvalues: ~1e-8 apart
+        worst_uhl = max(worst_uhl, abs(uhlmann_fidelity(pa, pb) - f))
     return [
         _check("purification-distance", "trace-distance-vs-fidelity", worst_fvs, 1e-9),
         _check("purification-distance", "operator-norm-vs-purification", worst_pur, 1e-9),
+        _check("purification-distance", "uhlmann-vs-density", worst_uhl, 1e-7),
     ]
 
 

@@ -1,10 +1,13 @@
 import json
 import os
+import re
 import resource
+import shlex
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import fidest
 from fidest import cli, random_density
@@ -30,6 +33,15 @@ def test_estimate_explicit_params(capsys):
     report = json.loads(out)
     assert report["n"] == 1 and report["qae_m"] == 1024
     assert report["abs_error"] <= report["analytic_bound"]
+
+
+def test_zero_flag_values_are_not_replaced_by_defaults(capsys):
+    code, out, _ = run(capsys, *ESTIMATE_FLAGS, "--bound-constant", "0")
+    assert code == 0
+    report = json.loads(out)
+    assert report["bound_constant"] == 0.0 and report["analytic_bound"] == 0.0
+    code, _, err = run(capsys, *ESTIMATE_FLAGS, "--qubit-budget", "0")
+    assert code == 1 and "budget is 0" in err
 
 
 def test_estimate_eps_mode(capsys):
@@ -198,6 +210,8 @@ def test_verify_all(capsys):
     code, out, _ = run(capsys, "verify", "all")
     assert code == 0
     assert "FAIL" not in out
+    assert "[pass] purification-distance/uhlmann-vs-density" in out
+    assert out.splitlines()[-1] == "19/19 checks passed"
 
 
 def test_coeffs_table(capsys):
@@ -245,9 +259,9 @@ def test_sweep_jobs_outside_cpu_count_exits_3(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", no_executor)
     out = tmp_path / "s.csv"
-    for jobs in (0, os.cpu_count() + 1):
-        code, _, err = run(capsys, *SWEEP_FLAGS, "--output", str(out), "--jobs", str(jobs))
-        assert code == 3 and "--jobs" in err
+    for flag, value in (("--jobs", 0), ("--jobs", os.cpu_count() + 1), ("--trials", 0)):
+        code, _, err = run(capsys, *SWEEP_FLAGS, "--output", str(out), flag, str(value))
+        assert code == 3 and flag in err
     # the bound is the CPUs this process may run on, not the host's count
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     code, _, err = run(capsys, *SWEEP_FLAGS, "--output", str(out), "--jobs", "2")
@@ -260,3 +274,71 @@ def test_verify_rejects_a_config_key_it_does_not_read(tmp_path, capsys):
     cfg.write_text("seed = 1\nsim-level = ideal-spectral\n")
     code, _, err = run(capsys, "verify", "sine-state", "--config", str(cfg))
     assert code == 3 and "unknown config key: sim-level" in err
+
+
+EPS_FLAGS = ["estimate", "--rank-rho", "1", "--rank-sigma", "2", "--eps", "0.5", "--seed", "7"]
+
+
+@pytest.mark.parametrize("source", ["command line", "config file"])
+@pytest.mark.parametrize("flag, value", [
+    ("--bogus", "1"), ("--mode", "bogus"), ("--sim-level", "bogus"), ("--n", "x"),
+])
+def test_usage_errors_exit_3(tmp_path, capsys, source, flag, value):
+    flags = EPS_FLAGS + ([] if flag == "--n" else ["--n", "1"])
+    if source == "command line":
+        flags += [flag, value]
+    else:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{flag[2:]} = {value}\n")
+        flags += ["--config", str(cfg)]
+    code, _, err = run(capsys, *flags)
+    assert code == 3 and flag[2:] in err and "config error" in err
+
+
+def test_config_file_gives_the_command_line_report(tmp_path, capsys):
+    """Every value-taking flag of estimate read from a config file gives the
+    report that the same flags give on the command line."""
+    rho, sigma = tmp_path / "rho.json", tmp_path / "sigma.json"
+    random_density(1, 1, seed=5).save(str(rho))
+    random_density(1, 2, seed=6).save(str(sigma))
+    values = {
+        "seed": "4", "sim-level": "circuit-pe-perturbed", "qubit-budget": "13",
+        "perturbation": "0.05", "output": str(tmp_path / "report.json"),
+        "n": "1", "rank-rho": "1", "rank-sigma": "2", "qae-mode": "sample",
+        "bound-constant": "2.5", "eps": "0.5", "mode": "paper",
+        "kappa-sigma": "4", "t-sigma": "8", "kappa": "16", "t": "12", "qae-m": "256",
+        "load-rho": str(rho), "load-sigma": str(sigma),
+        "dump-rho": str(tmp_path / "rho-out.json"), "dump-sigma": str(tmp_path / "sigma-out.json"),
+    }
+    def written():
+        return [(tmp_path / name).read_bytes()
+                for name in ("report.json", "rho-out.json", "sigma-out.json")]
+
+    flags = [token for key, value in values.items() for token in (f"--{key}", value)]
+    code, flag_out, _ = run(capsys, "estimate", *flags)
+    assert code == 0
+    flag_files = written()
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    code, cfg_out, _ = run(capsys, "estimate", "--config", str(cfg))
+    assert code == 0
+    assert cfg_out == flag_out
+    assert written() == flag_files
+    assert json.loads(cfg_out)["sim_level_sigma"] == "circuit-pe-perturbed"
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def test_readme_examples_parse():
+    """Every ``fidest`` command in the README's code blocks names only flags
+    and choices the parser has."""
+    with open(README, encoding="utf-8") as fh:
+        blocks = re.findall(r"```[a-z]*\n(.*?)```", fh.read(), flags=re.S)
+    lines = [line.strip() for block in blocks
+             for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line, comments=True) for line in lines if line.startswith("fidest ")]
+    assert len(commands) >= 6
+    parser = cli.build_parser()
+    for tokens in commands:
+        parser.parse_args(tokens[1:])
