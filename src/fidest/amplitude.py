@@ -13,6 +13,7 @@ second eigenphase's denominators are the first one's at (M - y) mod M.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,7 @@ class QaeParams:
 
 def qae_error_bound(x: float, M: int) -> float:
     """2 pi sqrt(x(1-x)) / M + pi^2 / M^2."""
-    return 2.0 * np.pi * np.sqrt(max(x * (1.0 - x), 0.0)) / M + np.pi**2 / (M * M)
+    return 2.0 * math.pi * math.sqrt(max(x * (1.0 - x), 0.0)) / M + math.pi**2 / (M * M)
 
 
 def qae_outcome_distribution(x: float, M: int) -> np.ndarray:

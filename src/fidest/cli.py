@@ -78,6 +78,15 @@ def _need(args: argparse.Namespace, *names: str):
             raise ConfigError(f"missing required option: --{name.replace('_', '-')}")
 
 
+def _need_instance(args: argparse.Namespace):
+    """The flags of a generated instance: each given, and each rank in [1, 2^n]."""
+    _need(args, "n", "rank_rho", "rank_sigma", "seed")
+    for name in ("rank_rho", "rank_sigma"):
+        if getattr(args, name) > 1 << args.n:
+            raise ConfigError(f"option --{name.replace('_', '-')} must be in [1, {1 << args.n}] "
+                              f"for --n {args.n}, got {getattr(args, name)}")
+
+
 def _random_pair(n: int, rank_rho: int, rank_sigma: int, seed: int) -> tuple:
     return (random_density(n, rank_rho, seed=seed),
             random_density(n, rank_sigma, seed=seed + SIGMA_SEED_OFFSET))
@@ -89,7 +98,7 @@ def _instance(args) -> tuple:
         rho = DensityOperator.load(args.load_rho)
         sigma = DensityOperator.load(args.load_sigma)
     else:
-        _need(args, "n", "rank_rho", "rank_sigma", "seed")
+        _need_instance(args)
         rho, sigma = _random_pair(args.n, args.rank_rho, args.rank_sigma, args.seed)
     if args.dump_rho:
         rho.save(args.dump_rho)
@@ -179,11 +188,24 @@ def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
 
 
+def _checked(kind: type, ok, expected: str):
+    """An argparse type: ``kind`` of the text, a value that ``ok`` accepts."""
+    def convert(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {expected}, got {text}")
+        return value
+    convert.__name__ = kind.__name__  # named in argparse's 'invalid int value' message
+    return convert
+
+
+_NON_NEGATIVE = _checked(int, lambda v: v >= 0, ">= 0")
+_POSITIVE = _checked(int, lambda v: v >= 1, ">= 1")
+
+
 def cmd_sweep(args) -> int:
-    _need(args, "n", "rank_rho", "rank_sigma", "seed", "output",
-          "kappa_sigma_list", "t_sigma_list", "kappa_list", "t_list", "qae_m_list")
-    if args.trials < 1:
-        raise ConfigError("option --trials must be >= 1")
+    _need_instance(args)
+    _need(args, "output", "kappa_sigma_list", "t_sigma_list", "kappa_list", "t_list", "qae_m_list")
     # a fork-started process pool launches all its workers at once: one per usable CPU
     affinity = getattr(os, "sched_getaffinity", None)
     max_jobs = len(affinity(0)) if affinity else os.cpu_count() or 1
@@ -278,22 +300,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_run_options(p):
         """The options of the subcommands that run estimations."""
-        p.add_argument("--seed", type=int)
+        p.add_argument("--seed", type=_NON_NEGATIVE)
         p.add_argument("--sim-level", default="ideal-spectral",
                        choices=["ideal-spectral", "circuit-pe", "circuit-pe-perturbed"])
         p.add_argument("--qubit-budget", type=int, default=DEFAULT_QUBIT_BUDGET)
         p.add_argument("--perturbation", type=float, default=0.0)
         p.add_argument("--output")
         p.add_argument("--config")
-        p.add_argument("--n", type=int)
-        p.add_argument("--rank-rho", type=int)
-        p.add_argument("--rank-sigma", type=int)
+        p.add_argument("--n", type=_POSITIVE)
+        p.add_argument("--rank-rho", type=_POSITIVE)
+        p.add_argument("--rank-sigma", type=_POSITIVE)
         p.add_argument("--qae-mode", default="exact", choices=["exact", "sample"])
         p.add_argument("--bound-constant", type=float, default=1.0)
 
     est = sub.add_parser("estimate", help="run one estimation and print the report")
     add_run_options(est)
-    est.add_argument("--eps", type=float)
+    est.add_argument("--eps", type=_checked(float, lambda v: 0 < v < 1, "in (0, 1)"))
     est.add_argument("--mode", default="practical", choices=["paper", "practical"])
     est.add_argument("--kappa-sigma", type=float)
     est.add_argument("--t-sigma", type=int)
@@ -310,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_run_options(sw)
     sw.add_argument("--jobs", type=int, default=1,
                     help="worker processes, 1 to the usable CPU count")
-    sw.add_argument("--trials", type=int, default=1)
+    sw.add_argument("--trials", type=_POSITIVE, default=1)
     sw.add_argument("--kappa-sigma-list", type=_float_list)
     sw.add_argument("--t-sigma-list", type=_int_list)
     sw.add_argument("--kappa-list", type=_float_list)
@@ -319,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.set_defaults(fn=cmd_sweep)
 
     ver = sub.add_parser("verify", help="run a bound-verification suite")
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--seed", type=_NON_NEGATIVE, default=0)
     ver.add_argument("--config")
     ver.add_argument("suite", help=f"one of: {', '.join(list(SUITES) + ['all'])}")
     ver.set_defaults(fn=cmd_verify)
@@ -344,6 +366,11 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        if exc.filename is None:  # not a --config, --load-*, --dump-* or --output path
+            raise
+        print(f"config error: cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_CONFIG
     except InfeasibleParamsError as exc:
         print(f"infeasible parameters: {exc}", file=sys.stderr)

@@ -13,11 +13,14 @@ output state block-encodes sqrt(A) with scale 4*sqrt(kappa):
 Two simulation levels are exposed: ``ideal-spectral`` applies the filter
 directly on the exact spectrum (perfect phase estimation, no phase register
 blowup), and ``circuit-pe`` applies the circuit's gates, with exact
-controlled exponentials, to its one input state reshaped to one axis per
-register; no 2^q x 2^q unitary is formed.  A ``perturbation`` > 0 multiplies
-each controlled exponential of the circuit by a random unitary within that
-operator distance of identity to model Hamiltonian-simulation error; such
-outputs report the level ``circuit-pe-perturbed``.
+controlled exponentials; no 2^q x 2^q unitary is formed.  Each gate is a
+function of A, so each eigenbranch of A runs alone on [pe, flag] from
+|0>|0>: the circuit is simulated on a branches x T x 2 array.  A
+``perturbation`` > 0 multiplies each controlled exponential by a random
+unitary within that operator distance of identity to model
+Hamiltonian-simulation error; such unitaries mix branches, so those circuits
+run on the input state reshaped to one axis per register, and their outputs
+report the level ``circuit-pe-perturbed``.
 
 An output is one array with axes [system, encoding, pe, flag, garbage]; the
 pe axis has length 1 at the ideal level.  The ancillas sit between system
@@ -296,14 +299,21 @@ def build_sqrt_unitary(
     ``p`` prepares a state on [system, encoding] qubits whose encoding-zero
     block is the PSD operator A; the controlled phases are built from A
     reconstructed out of that block, not from a separately supplied matrix.
-    The state, reshaped to [system, encoding, pe, flag, garbage], goes through
-    the sine-window reflection on pe, the controlled phases (one 2^n x 2^n
-    matrix per pe value tau, on system), the inverse QFT on pe, a rotation of
+    The circuit is the sine-window reflection on pe, the controlled phases
+    (exp(i tau theta) on pe value tau), the inverse QFT on pe, a rotation of
     the flag for each pe value k, and the uncompute of the first three.
+
+    Unperturbed, eigenbranch (lambda_k, v_k) of A, with theta_k = (t/3T)
+    lambda_k + 2pi/3, takes |0>_pe |0>_flag to a_k: window, phases
+    e^{i tau theta_k}, FFT over pe, each rotation's first column, inverse FFT,
+    conjugate phases, adjoint window.  The output is sum_k v_k (x) a_k (x)
+    v_k^dagger psi.
 
     With ``params.perturbation > 0`` each controlled exponential (tau >= 1)
     picks up an independent random unitary, drawn from ``seed``, within
-    operator distance ``params.perturbation`` of identity.
+    operator distance ``params.perturbation`` of identity.  These mix
+    branches, so the gates run on the whole state reshaped to [system,
+    encoding, pe, flag, garbage], one 2^n x 2^n phase matrix per tau.
     """
     n_enc = encoding_qubits
     n_sys = p.system_qubits - n_enc
@@ -319,24 +329,32 @@ def build_sqrt_unitary(
 
     # Controlled phases: on pe value tau apply exp(i tau ((t/3T) A + (2pi/3) I)).
     theta = params.t / (3.0 * T) * eig.values + 2.0 * np.pi / 3.0
-    dn = 1 << n_sys
+    dn, v = 1 << n_sys, eig.vectors
+    f, s = h_vector(grid_eigenvalue(np.arange(T), params), params.kappa)
+    rotations = np.array([[f, -s], [s, f]])  # [out flag, in flag, pe value]: rotation_gate
+    window = sine_state(T)
+    if not params.perturbation:
+        # branch k of A runs alone on [pe, flag] from |0>|0>: a_k, axes [branch, pe, flag]
+        ph = np.exp(1j * np.outer(theta, np.arange(T)))
+        a = np.fft.fft(ph * window, axis=1, norm="ortho")[:, :, None] * rotations[:, 0].T
+        a = np.fft.ifft(a, axis=1, norm="ortho") * ph.conj()[:, :, None]
+        a = reflect(window, a, axis=1, adjoint=True)
+        c = (v.conj().T @ p.factor.reshape(dn, -1)).reshape(dn, 1 << n_enc, 1 << b)
+        x = np.einsum("ik,ktf,keg->ietfg", v, a, c)  # sum_k v_k (x) a_k (x) v_k^dagger psi
+        return SqrtOutput(params=params, state=x, target_sqrt=sqrt_a)
     rng = np.random.default_rng(seed)
     phases = np.empty((T, dn, dn), dtype=complex)
-    v = eig.vectors
     for tau in range(T):
         w_tau = (v * np.exp(1j * tau * theta)) @ v.conj().T
-        if params.perturbation > 0 and tau:
+        if tau:
             g = rng.standard_normal((dn, dn)) + 1j * rng.standard_normal((dn, dn))
             h_rand = (g + g.conj().T) / 2
             h_rand /= np.linalg.norm(h_rand, 2)
             ew, evv = np.linalg.eigh(h_rand)
             w_tau = w_tau @ ((evv * np.exp(1j * params.perturbation * ew)) @ evv.conj().T)
         phases[tau] = w_tau
-    f, s = h_vector(grid_eigenvalue(np.arange(T), params), params.kappa)
-    rotations = np.array([[f, -s], [s, f]])  # [out flag, in flag, pe value]: rotation_gate
 
     # state axes: i/j system, e encoding, t pe, f/a/b flag, g garbage
-    window = sine_state(T)
     x = np.zeros((dn, 1 << n_enc, T, 2, 1 << b), dtype=complex)
     x[:, :, 0, 0, :] = p.factor.reshape(dn, 1 << n_enc, 1 << b)
     x = reflect(window, x, axis=2)

@@ -276,15 +276,19 @@ def test_verify_rejects_a_config_key_it_does_not_read(tmp_path, capsys):
     assert code == 3 and "unknown config key: sim-level" in err
 
 
-EPS_FLAGS = ["estimate", "--rank-rho", "1", "--rank-sigma", "2", "--eps", "0.5", "--seed", "7"]
+EPS_FLAGS = {"--n": "1", "--rank-rho": "1", "--rank-sigma": "2", "--eps": "0.5", "--seed": "7"}
 
 
 @pytest.mark.parametrize("source", ["command line", "config file"])
 @pytest.mark.parametrize("flag, value", [
     ("--bogus", "1"), ("--mode", "bogus"), ("--sim-level", "bogus"), ("--n", "x"),
+    ("--seed", "-1"), ("--n", "0"), ("--rank-rho", "0"), ("--rank-sigma", "3"),
+    ("--eps", "0"), ("--eps", "1"),
 ])
 def test_usage_errors_exit_3(tmp_path, capsys, source, flag, value):
-    flags = EPS_FLAGS + ([] if flag == "--n" else ["--n", "1"])
+    # the flag under test is left out of the base flags, so that a config
+    # file's value is the one the run would use
+    flags = ["estimate"] + [s for f, v in EPS_FLAGS.items() if f != flag for s in (f, v)]
     if source == "command line":
         flags += [flag, value]
     else:
@@ -292,7 +296,29 @@ def test_usage_errors_exit_3(tmp_path, capsys, source, flag, value):
         cfg.write_text(f"{flag[2:]} = {value}\n")
         flags += ["--config", str(cfg)]
     code, _, err = run(capsys, *flags)
-    assert code == 3 and flag[2:] in err and "config error" in err
+    assert code == 3 and re.search(rf"\b{flag[2:]}\b", err) and "config error" in err
+
+
+def test_negative_seed_exits_3_on_sweep_and_verify(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    for argv in (["sweep", *SWEEP_FLAGS[1:], "--output", str(out), "--seed", "-1"],
+                 ["verify", "--seed", "-1", "sine-state"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 3 and "argument --seed: must be >= 0, got -1" in err
+    assert not out.exists()
+
+
+def test_unopenable_paths_exit_3(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    for argv, path in [
+        ([*ESTIMATE_FLAGS, "--config", str(missing / "a.cfg")], missing / "a.cfg"),
+        (["estimate", "--load-rho", str(missing / "r.json"), "--load-sigma",
+          str(missing / "r.json"), "--eps", "0.5"], missing / "r.json"),
+        ([*SWEEP_FLAGS, "--output", str(missing / "x.csv")], missing / "x.csv"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err == f"config error: cannot open {path}: No such file or directory\n"
 
 
 def test_config_file_gives_the_command_line_report(tmp_path, capsys):

@@ -262,6 +262,21 @@ def test_report_round_trips_through_json(prep):
     assert list(data) == list(rep.to_dict())
 
 
+@pytest.mark.parametrize("params", [
+    ideal_params(),
+    PipelineParams(kappa_sigma=2.0, t_sigma=8, kappa=4.0, t=12, qae=QaeParams(M=256),
+                   sim_level="circuit-pe"),
+    select_params(r=1, eps=0.3, mode="practical", qae_mode="sample"),
+])
+def test_report_floats_are_python_floats(prep, params):
+    rep = estimate_fidelity(prep(random_density(1, 1, seed=21)),
+                            prep(random_density(1, 2, seed=40)), params, seed=1)
+    floats = [f.name for f in dataclasses.fields(rep) if f.type == "float"]
+    assert {"delta", "delta_from_estimate", "analytic_bound", "x"} <= set(floats)
+    for name in floats:
+        assert type(getattr(rep, name)) is float, name
+
+
 def test_select_params_paper_example():
     p = select_params(1, 0.5, mode="paper")
     assert (p.kappa_sigma, p.t_sigma, p.kappa, p.t) == (16.0, 256, 64.0, 4096)

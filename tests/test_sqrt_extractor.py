@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -343,16 +345,44 @@ def test_perturbed_mode_is_seeded_and_distinct():
     assert 0 < drift < 1.0  # bounded by the perturbation times the circuit depth
 
 
-@pytest.mark.parametrize("perturbation", [0.0, 0.05])
-def test_circuit_matches_dense_oracle_with_encoding_and_garbage(perturbation):
-    # A is a mixed block under one encoding qubit; two garbage qubits; 8 qubits in all
-    a = 0.6 * random_density(1, 2, seed=13).matrix
-    p = purify(density_with_block(a, 1), 2)
+def _equal_weight_block(n, rank, weight, seed):
+    g = np.random.default_rng(seed).standard_normal((2, 1 << n, rank))
+    q = np.linalg.qr(g[0] + 1j * g[1])[0]
+    return weight * q @ q.conj().T
+
+
+@pytest.mark.parametrize("a, garbage, perturbation", [
+    # a mixed block under one encoding qubit; two garbage qubits; 8 qubits in all
+    pytest.param(0.6 * random_density(1, 2, seed=13).matrix, 2, 0.0, id="0.0"),
+    pytest.param(0.6 * random_density(1, 2, seed=13).matrix, 2, 0.05, id="0.05"),
+    # eigenvalues 0.6 and 0
+    pytest.param(0.6 * random_density(1, 1, seed=13).matrix, 2, 0.0, id="zero-eigenvalue"),
+    # eigenvalues 0.4, 0.4, 0, 0 on n = 2; three garbage qubits; 10 qubits in all
+    pytest.param(_equal_weight_block(2, 2, 0.4, 5), 3, 0.0, id="repeated-eigenvalue"),
+])
+def test_circuit_matches_dense_oracle_with_encoding_and_garbage(a, garbage, perturbation):
+    p = purify(density_with_block(a, 1), garbage)
     params = SqrtParams(kappa=4.0, t=8, perturbation=perturbation)
     out = build_sqrt_unitary(p, 1, params, seed=7)
     u = dense_circuit(p, 1, params, seed=7)
     assert unitarity_defect(u) <= 1e-12
     assert np.max(np.abs(out.state.reshape(-1) - u[:, 0])) <= 1e-12
+
+
+def test_unperturbed_circuit_peak_memory():
+    """An unperturbed circuit runs one eigenbranch of A at a time on [pe, flag]:
+    at 16 qubits it peaks within 2.5 times its 1 MB output state."""
+    p = purify(density_with_block(0.6 * random_density(2, 2, seed=13).matrix, 1), 3)
+    params = SqrtParams(kappa=4.0, t=512)  # 2 system, 1 encoding, 9 pe, 1 flag, 3 garbage
+    build_sqrt_unitary(p, 1, SqrtParams(kappa=4.0, t=8))  # first-call allocations
+    tracemalloc.start()
+    try:
+        out = build_sqrt_unitary(p, 1, params, qubit_budget=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.state.nbytes == 16 << 16
+    assert peak <= 2.5 * out.state.nbytes
 
 
 def test_w_block_same_from_dense_circuit_or_reflection():
