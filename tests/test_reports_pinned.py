@@ -1,4 +1,4 @@
-"""Reports of ten small estimates, pinned to ``reports_pinned.json``.
+"""Reports of twelve small estimates, pinned to ``reports_pinned.json``.
 
 The calls cover both levels, perturbed circuits, equal-rank pairs and
 sampled amplitude estimation.  Strings, integers and booleans must match the
@@ -48,6 +48,12 @@ CASES = {
     ),
     "circuit-eta-perturbed": (1, 1, 2, 91, (2.0, 1 << 18, 64.0, 12, 256, CIRCUIT, "exact", 0.05)),
     "circuit-eta-ranks-2-2": (1, 2, 2, 101, (2.0, 1 << 18, 64.0, 12, 256, CIRCUIT, "exact", 0.0)),
+    "circuit-eta-n2-ranks-2-3": (  # a 14-qubit eta circuit
+        2, 2, 3, 111, (2.0, 1 << 18, 64.0, 12, 256, CIRCUIT, "exact", 0.0)
+    ),
+    "ideal-n3-ranks-2-2-swapped": (
+        3, 2, 2, 122, (4.0, 1 << 20, 512.0, 1 << 22, 1 << 15, IDEAL, "exact", 0.0)
+    ),
 }
 
 
