@@ -39,6 +39,7 @@ from .sqrt_extractor import (
     preparer_queries,
     rotation_gate,
     sine_state,
+    stage_gain,
 )
 from .states import (
     DensityOperator,
@@ -87,6 +88,7 @@ __all__ = [
     "select_params",
     "sine_state",
     "sqrtm_psd",
+    "stage_gain",
     "tensor",
     "trace_distance",
     "trace_norm",

@@ -2,8 +2,9 @@
 
 The estimator statistics depend on the amplitude alone, so instead of
 building the Grover iterate over the full extraction register (which would
-double an already deep circuit), the probability is computed exactly from
-the state (``SqrtOutput.zero_probability``) and the canonical outcome law is
+double an already deep circuit), the probability is computed exactly (from
+the spectrum of the encoded block, or from the state for a perturbed
+circuit: ``SqrtOutput.zero_probability``) and the canonical outcome law is
 applied to it.  ``exact`` mode
 returns the best grid point deterministically; ``sample`` mode draws from
 the phase-estimation outcome distribution of the Grover eigenphase: one sine

@@ -180,14 +180,6 @@ def _sweep_task(item: tuple) -> dict:
     return _estimate(rho, sigma, params, seed).to_dict()
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
-
-
 def _checked(kind: type, ok, expected: str):
     """An argparse type: ``kind`` of the text, a value that ``ok`` accepts."""
     def convert(text: str):
@@ -199,8 +191,21 @@ def _checked(kind: type, ok, expected: str):
     return convert
 
 
+def _list_of(convert):
+    """An argparse type: comma-separated values, each read by ``convert``."""
+    def read(text: str) -> list:
+        return [convert(v) for v in text.split(",") if v.strip()]
+    read.__name__ = f"{convert.__name__} list"
+    return read
+
+
 _NON_NEGATIVE = _checked(int, lambda v: v >= 0, ">= 0")
 _POSITIVE = _checked(int, lambda v: v >= 1, ">= 1")
+_NON_NEGATIVE_FLOAT = _checked(float, lambda v: v >= 0, ">= 0")
+# the knobs: SqrtParams' kappa >= 1 and t >= 6, QaeParams' M >= 2
+_KAPPA = _checked(float, lambda v: v >= 1, ">= 1")
+_T = _checked(int, lambda v: v >= 6, "an integer >= 6")
+_QAE_M = _checked(int, lambda v: v >= 2, "an integer >= 2")
 
 
 def cmd_sweep(args) -> int:
@@ -304,24 +309,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sim-level", default="ideal-spectral",
                        choices=["ideal-spectral", "circuit-pe", "circuit-pe-perturbed"])
         p.add_argument("--qubit-budget", type=int, default=DEFAULT_QUBIT_BUDGET)
-        p.add_argument("--perturbation", type=float, default=0.0)
+        p.add_argument("--perturbation", type=_NON_NEGATIVE_FLOAT, default=0.0)
         p.add_argument("--output")
         p.add_argument("--config")
         p.add_argument("--n", type=_POSITIVE)
         p.add_argument("--rank-rho", type=_POSITIVE)
         p.add_argument("--rank-sigma", type=_POSITIVE)
         p.add_argument("--qae-mode", default="exact", choices=["exact", "sample"])
-        p.add_argument("--bound-constant", type=float, default=1.0)
+        p.add_argument("--bound-constant", type=_NON_NEGATIVE_FLOAT, default=1.0)
 
     est = sub.add_parser("estimate", help="run one estimation and print the report")
     add_run_options(est)
     est.add_argument("--eps", type=_checked(float, lambda v: 0 < v < 1, "in (0, 1)"))
     est.add_argument("--mode", default="practical", choices=["paper", "practical"])
-    est.add_argument("--kappa-sigma", type=float)
-    est.add_argument("--t-sigma", type=int)
-    est.add_argument("--kappa", type=float)
-    est.add_argument("--t", type=int)
-    est.add_argument("--qae-m", type=int)
+    est.add_argument("--kappa-sigma", type=_KAPPA)
+    est.add_argument("--t-sigma", type=_T)
+    est.add_argument("--kappa", type=_KAPPA)
+    est.add_argument("--t", type=_T)
+    est.add_argument("--qae-m", type=_QAE_M)
     est.add_argument("--load-rho")
     est.add_argument("--load-sigma")
     est.add_argument("--dump-rho")
@@ -333,11 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--jobs", type=int, default=1,
                     help="worker processes, 1 to the usable CPU count")
     sw.add_argument("--trials", type=_POSITIVE, default=1)
-    sw.add_argument("--kappa-sigma-list", type=_float_list)
-    sw.add_argument("--t-sigma-list", type=_int_list)
-    sw.add_argument("--kappa-list", type=_float_list)
-    sw.add_argument("--t-list", type=_int_list)
-    sw.add_argument("--qae-m-list", type=_int_list)
+    sw.add_argument("--kappa-sigma-list", type=_list_of(_KAPPA))
+    sw.add_argument("--t-sigma-list", type=_list_of(_T))
+    sw.add_argument("--kappa-list", type=_list_of(_KAPPA))
+    sw.add_argument("--t-list", type=_list_of(_T))
+    sw.add_argument("--qae-m-list", type=_list_of(_QAE_M))
     sw.set_defaults(fn=cmd_sweep)
 
     ver = sub.add_parser("verify", help="run a bound-verification suite")
@@ -350,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     co.add_argument("--config")
     co.add_argument("--lam", type=float, help="eigenvalue lambda")
     co.add_argument("--T", type=int, help="grid size (must be 2^ceil(log2 t))")
-    co.add_argument("--t", type=int)
+    co.add_argument("--t", type=_T)
     co.set_defaults(fn=cmd_coeffs)
     return parser
 

@@ -15,10 +15,14 @@ ideal-spectral, and the report records the level actually used
 work on arrays: each purification is its factor, W is a plain array of its
 columns on the ancilla-zero inputs, eta's factor is those columns times
 rho's, each block is M M^dagger of a slice M, and each block error is one
-operator norm.  The reported exact fidelity is Uhlmann's || M_rho^dagger
-M_sigma ||_1 on the two factors the estimate was given.  This module holds
-the estimate path and the parameter schedules; the bound checks live in
-``verify``.
+operator norm.  The eta stage needs only the all-zeros probability x of its
+output, so unperturbed it reads x = sum_g g G(g)^2 off the block's spectrum:
+G is the circuit's per-eigenvalue gain (``stage_gain``) or, at the ideal
+level, the filter; only a perturbed eta circuit runs on the state.  The
+roles and ranks come from the factors, so no density operator is formed.
+The reported exact fidelity is Uhlmann's || M_rho^dagger M_sigma ||_1 on
+the two factors the estimate was given.  This module holds the estimate
+path and the parameter schedules; the bound checks live in ``verify``.
 """
 
 from __future__ import annotations
@@ -38,12 +42,14 @@ from .sqrt_extractor import (
     SqrtParams,
     block_spectrum,
     build_sqrt_unitary,
+    checked_probability,
     filter_f,
     ideal_sqrt_state,
     preparer_queries,
     scaled_block_error,
+    stage_gain,
 )
-from .states import DensityOperator, Purification, uhlmann_fidelity
+from .states import Purification, uhlmann_fidelity
 
 CIRCUIT_T_CEILING = 1 << 20
 IDEAL_T_CEILING = 1 << 30
@@ -64,6 +70,10 @@ class PipelineParams:
     bound_constant: float = 1.0
     qubit_budget: int = DEFAULT_QUBIT_BUDGET
     perturbation: float = 0.0
+
+    def __post_init__(self):
+        if not self.bound_constant >= 0:
+            raise ValueError(f"bound_constant must be >= 0, got {self.bound_constant}")
 
     def sigma_params(self) -> SqrtParams:
         return SqrtParams(
@@ -233,20 +243,28 @@ def analytic_error_bound(
 
 def _role_order(
     rho_prep: Purification, sigma_prep: Purification
-) -> tuple[Purification, Purification, DensityOperator, DensityOperator, bool]:
+) -> tuple[Purification, Purification, int, int, bool]:
     """Ensure rank(rho) <= rank(sigma), so both call orders execute the
-    identical computation.  Equal ranks are ordered by value: by the real
-    diagonals (the factors' squared row norms) compared lexicographically,
-    and by every entry only when the diagonals are equal.  Returns both
-    purifications and both states in role order."""
-    rho = DensityOperator(rho_prep.traced_matrix())
-    sigma = DensityOperator(sigma_prep.traced_matrix())
-    key_rho, key_sigma = (m.diagonal().real.tolist() for m in (rho.matrix, sigma.matrix))
-    if key_rho == key_sigma:
-        key_rho, key_sigma = (m.view(float).ravel().tolist() for m in (rho.matrix, sigma.matrix))
-    if rho.rank > sigma.rank or (rho.rank == sigma.rank and key_rho > key_sigma):
-        return sigma_prep, rho_prep, sigma, rho, True
-    return rho_prep, sigma_prep, rho, sigma, False
+    identical computation.  Ranks come from the factors' singular values.
+    Equal ranks are ordered by value: by the traced diagonals (the factors'
+    squared row norms) compared lexicographically, and by every traced entry
+    only when the diagonals are equal.  Returns both purifications and both
+    ranks in role order; no density operator is formed."""
+    rank_rho, rank_sigma = rho_prep.rank, sigma_prep.rank
+    swapped = rank_rho > rank_sigma
+    if rank_rho == rank_sigma:
+        key_rho, key_sigma = (
+            (p.factor.real**2 + p.factor.imag**2).sum(axis=1).tolist()
+            for p in (rho_prep, sigma_prep)
+        )
+        if key_rho == key_sigma:
+            key_rho, key_sigma = (
+                p.traced_matrix().view(float).ravel().tolist() for p in (rho_prep, sigma_prep)
+            )
+        swapped = key_rho > key_sigma
+    if swapped:
+        return sigma_prep, rho_prep, rank_sigma, rank_rho, True
+    return rho_prep, sigma_prep, rank_rho, rank_sigma, False
 
 
 def estimate_fidelity(
@@ -256,8 +274,8 @@ def estimate_fidelity(
     seed: int = 0,
 ) -> EstimationReport:
     """Run the full pipeline and report the estimate against the oracle."""
-    rho_prep, sigma_prep, rho, sigma, swapped = _role_order(rho_prep, sigma_prep)
-    n = rho.qubits
+    rho_prep, sigma_prep, rank_rho, rank_sigma, swapped = _role_order(rho_prep, sigma_prep)
+    n = rho_prep.system_qubits
 
     w = build_w_sigma(sigma_prep, params, seed=seed)
     eta = build_eta(rho_prep, w, qubit_budget=params.qubit_budget)
@@ -265,16 +283,20 @@ def estimate_fidelity(
 
     ep = params.eta_params()
     eta_circuit_qubits = n + a_w + rho_prep.garbage_qubits + ep.l + 1
-    if ep.sim_level == "circuit-pe" and eta_circuit_qubits <= params.qubit_budget:
+    circuit = ep.sim_level == "circuit-pe" and eta_circuit_qubits <= params.qubit_budget
+    if circuit and ep.perturbation:
         out = build_sqrt_unitary(
             eta.purification, a_w, ep, qubit_budget=params.qubit_budget, seed=seed + 1
         )
         x = out.zero_probability()
         level_eta = out.sim_level
     else:
+        # eigenbranch g of the block reads all-zeros with amplitude G(g): the
+        # circuit's stage gain, or the filter under perfect phase estimation
         g = block_spectrum(eta.block).values
-        x = float(np.sum(g * filter_f(g, params.kappa) ** 2))
-        level_eta = "ideal-spectral"
+        gain = stage_gain(g, ep) if circuit else filter_f(g, params.kappa)
+        x = checked_probability(float(np.sum(g * gain**2)))
+        level_eta = "circuit-pe" if circuit else "ideal-spectral"
 
     qae = QaeParams(M=params.qae.M, mode=params.qae.mode, seed=seed)
     x_tilde = qae_estimate(x, qae)
@@ -287,9 +309,9 @@ def estimate_fidelity(
     qae_uses = 2 * params.qae.M + 1
     return EstimationReport(
         n=n,
-        rank_rho=rho.rank,
-        rank_sigma=sigma.rank,
-        rank_r=rho.rank,
+        rank_rho=rank_rho,
+        rank_sigma=rank_sigma,
+        rank_r=rank_rho,
         swapped=swapped,
         sim_level_sigma=w.sim_level,
         sim_level_eta=level_eta,
@@ -307,7 +329,7 @@ def estimate_fidelity(
         abs_error=abs(estimate - exact),
         delta=delta,
         delta_from_estimate=qae_error_bound(x_tilde, qae.M),
-        analytic_bound=analytic_error_bound(params, x, rho.rank, delta),
+        analytic_bound=analytic_error_bound(params, x, rank_rho, delta),
         bound_constant=params.bound_constant,
         w_sigma_error=w.w_sigma_error,
         eta_block_error=eta.block_error,

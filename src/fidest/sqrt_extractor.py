@@ -22,6 +22,11 @@ Hamiltonian-simulation error; such unitaries mix branches, so those circuits
 run on the input state reshaped to one axis per register, and their outputs
 report the level ``circuit-pe-perturbed``.
 
+Where only the all-zeros probability of an unperturbed circuit is needed,
+``stage_gain`` gives each eigenbranch's all-zeros amplitude from the same
+window, phase and FFT step, without the output state: the probability is
+sum_lambda lambda stage_gain(lambda)^2 over the spectrum of A.
+
 An output is one array with axes [system, encoding, pe, flag, garbage]; the
 pe axis has length 1 at the ideal level.  The ancillas sit between system
 and garbage, so the array reshaped to [everything but garbage, garbage] is
@@ -104,21 +109,19 @@ def filter_f(lam, kappa: float):
     a sine ramp down to 0 on [1/(2 kappa), 1/kappa), 0 below, constant above 1.
 
     Values in [0, 1] for every real lambda; grid readings outside [0, 1] are
-    covered by the outer branches.
+    covered by the outer branches.  Each branch is evaluated on its own
+    entries only.
     """
     lam = np.asarray(lam, dtype=float)
     lo, hi = 1.0 / (2.0 * kappa), 1.0 / kappa
     c = 0.5 * kappa ** -0.25
-    with np.errstate(invalid="ignore"):
-        out = np.select(
-            [lam > 1.0, lam >= hi, lam >= lo],
-            [
-                c,
-                c * np.where(lam > 0, lam, 1.0) ** -0.25,
-                0.5 * np.sin(0.5 * np.pi * (lam - lo) / (hi - lo)),
-            ],
-            default=0.0,
-        )
+    out = np.zeros(lam.shape)
+    top = lam > 1.0
+    power = (lam >= hi) & ~top
+    ramp = (lam >= lo) & (lam < hi)
+    out[top] = c
+    out[power] = c * lam[power] ** -0.25
+    out[ramp] = 0.5 * np.sin(0.5 * np.pi * (lam[ramp] - lo) / (hi - lo))
     return out if out.ndim else float(out)
 
 
@@ -247,10 +250,15 @@ class SqrtOutput:
         """Probability that every ancilla reads zero, tr block() = ||M||^2,
         checked to lie in [0, 1] and clipped there."""
         m = self.zero_slice()
-        x = float(np.vdot(m, m).real)
-        if not -1e-12 <= x <= 1 + 1e-12:
-            raise OutOfRangeError(f"projection probability {x} outside [0, 1]")
-        return min(max(x, 0.0), 1.0)
+        return checked_probability(float(np.vdot(m, m).real))
+
+
+def checked_probability(x: float) -> float:
+    """A projection probability, checked to lie in [0, 1] within 1e-12 and
+    clipped there."""
+    if not -1e-12 <= x <= 1 + 1e-12:
+        raise OutOfRangeError(f"projection probability {x} outside [0, 1]")
+    return min(max(x, 0.0), 1.0)
 
 
 def scaled_block_error(block: np.ndarray, target_sqrt: np.ndarray, kappa: float) -> float:
@@ -285,6 +293,32 @@ def _prepared_spectrum(p: Purification, encoding_qubits: int) -> tuple[Hermitian
     m = p.factor.reshape(1 << n_sys, 1 << encoding_qubits, -1)[:, 0, :]
     eig = block_spectrum(m @ m.conj().T)
     return eig, (eig.vectors * np.sqrt(eig.values)) @ eig.vectors.conj().T
+
+
+def _phase_estimate(lam: np.ndarray, params: SqrtParams) -> tuple[np.ndarray, np.ndarray]:
+    """The forward phase estimation of eigenbranches lambda from |0>_pe: the
+    sine window, the controlled phases e^{i tau theta} with theta = (t/3T)
+    lambda + 2pi/3, and one ortho FFT over pe.  Returns the phases and the
+    amplitudes alpha_k(lambda) on grid point k, both with axes [branch, pe]
+    (the branches are lambda flattened)."""
+    theta = params.t / (3.0 * params.T) * lam + 2.0 * np.pi / 3.0
+    ph = np.exp(1j * np.outer(theta, np.arange(params.T)))
+    return ph, np.fft.fft(ph * sine_state(params.T), axis=1, norm="ortho")
+
+
+def stage_gain(lam, params: SqrtParams) -> np.ndarray:
+    """F~(lambda) = sum_k |alpha_k(lambda)|^2 f(lambda~_k), the all-zeros
+    amplitude of an unperturbed circuit's eigenbranch lambda.
+
+    The uncompute maps the flag-0 part alpha_k f(lambda~_k) back onto
+    |0>_pe with overlap sum_k conj(alpha_k) alpha_k f(lambda~_k), so the
+    circuit's all-zeros probability on a block of spectrum g is
+    sum_g g F~(g)^2; perfect phase estimation has f(lambda) in its place.
+    """
+    lam = np.asarray(lam, dtype=float)
+    _, alpha = _phase_estimate(lam, params)
+    f = filter_f(grid_eigenvalue(np.arange(params.T), params), params.kappa)
+    return ((alpha.real**2 + alpha.imag**2) @ f).reshape(lam.shape)
 
 
 def build_sqrt_unitary(
@@ -327,25 +361,25 @@ def build_sqrt_unitary(
         )
     eig, sqrt_a = _prepared_spectrum(p, n_enc)
 
-    # Controlled phases: on pe value tau apply exp(i tau ((t/3T) A + (2pi/3) I)).
-    theta = params.t / (3.0 * T) * eig.values + 2.0 * np.pi / 3.0
     dn, v = 1 << n_sys, eig.vectors
     f, s = h_vector(grid_eigenvalue(np.arange(T), params), params.kappa)
     rotations = np.array([[f, -s], [s, f]])  # [out flag, in flag, pe value]: rotation_gate
     window = sine_state(T)
     if not params.perturbation:
         # branch k of A runs alone on [pe, flag] from |0>|0>: a_k, axes [branch, pe, flag]
-        ph = np.exp(1j * np.outer(theta, np.arange(T)))
-        a = np.fft.fft(ph * window, axis=1, norm="ortho")[:, :, None] * rotations[:, 0].T
-        a = np.fft.ifft(a, axis=1, norm="ortho") * ph.conj()[:, :, None]
+        ph, alpha = _phase_estimate(eig.values, params)
+        a = np.fft.ifft(alpha[:, :, None] * rotations[:, 0].T, axis=1, norm="ortho")
+        a = a * ph.conj()[:, :, None]
         a = reflect(window, a, axis=1, adjoint=True)
         c = (v.conj().T @ p.factor.reshape(dn, -1)).reshape(dn, 1 << n_enc, 1 << b)
         x = np.einsum("ik,ktf,keg->ietfg", v, a, c)  # sum_k v_k (x) a_k (x) v_k^dagger psi
         return SqrtOutput(params=params, state=x, target_sqrt=sqrt_a)
+    # Controlled phases: on pe value tau apply exp(i tau ((t/3T) A + (2pi/3) I)).
+    ph, _ = _phase_estimate(eig.values, params)
     rng = np.random.default_rng(seed)
     phases = np.empty((T, dn, dn), dtype=complex)
     for tau in range(T):
-        w_tau = (v * np.exp(1j * tau * theta)) @ v.conj().T
+        w_tau = (v * ph[:, tau]) @ v.conj().T
         if tau:
             g = rng.standard_normal((dn, dn)) + 1j * rng.standard_normal((dn, dn))
             h_rand = (g + g.conj().T) / 2

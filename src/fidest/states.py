@@ -132,6 +132,13 @@ class Purification:
     def garbage_qubits(self) -> int:
         return self.factor.shape[1].bit_length() - 1
 
+    @property
+    def rank(self) -> int:
+        """Numerical rank of the prepared state M M^dagger at threshold 1e-9:
+        the singular values s of M with s^2 above it."""
+        s = np.linalg.svd(self.factor, compute_uv=False)
+        return int(np.sum(s * s > RANK_THRESHOLD))
+
     def traced_matrix(self) -> np.ndarray:
         return self.factor @ self.factor.conj().T
 

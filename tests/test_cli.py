@@ -229,6 +229,8 @@ def test_coeffs_table(capsys):
 def test_coeffs_inconsistent_grid_exits_3(capsys):
     code, _, err = run(capsys, "coeffs", "--lam", "0.3", "--t", "8", "--T", "16")
     assert code == 3 and "--t" in err
+    code, _, err = run(capsys, "coeffs", "--lam", "0.3", "--t", "3")
+    assert code == 3 and "argument --t: must be an integer >= 6, got 3" in err
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -283,7 +285,9 @@ EPS_FLAGS = {"--n": "1", "--rank-rho": "1", "--rank-sigma": "2", "--eps": "0.5",
 @pytest.mark.parametrize("flag, value", [
     ("--bogus", "1"), ("--mode", "bogus"), ("--sim-level", "bogus"), ("--n", "x"),
     ("--seed", "-1"), ("--n", "0"), ("--rank-rho", "0"), ("--rank-sigma", "3"),
-    ("--eps", "0"), ("--eps", "1"),
+    ("--eps", "0"), ("--eps", "1"), ("--kappa-sigma", "0.5"), ("--kappa", "0.5"),
+    ("--t-sigma", "3"), ("--t", "5"), ("--qae-m", "1"), ("--bound-constant", "-1"),
+    ("--perturbation", "-0.1"),
 ])
 def test_usage_errors_exit_3(tmp_path, capsys, source, flag, value):
     # the flag under test is left out of the base flags, so that a config
@@ -297,6 +301,18 @@ def test_usage_errors_exit_3(tmp_path, capsys, source, flag, value):
         flags += ["--config", str(cfg)]
     code, _, err = run(capsys, *flags)
     assert code == 3 and re.search(rf"\b{flag[2:]}\b", err) and "config error" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--kappa-sigma-list", "4,0.5"), ("--kappa-list", "0.5"), ("--t-sigma-list", "4096,5"),
+    ("--t-list", "5,65536"), ("--qae-m-list", "1024,1"), ("--bound-constant", "-1"),
+    ("--perturbation", "-0.1"),
+])
+def test_sweep_knob_out_of_range_exits_3_before_writing(tmp_path, capsys, flag, value):
+    out = tmp_path / "s.csv"
+    code, _, err = run(capsys, *SWEEP_FLAGS, "--output", str(out), flag, value)
+    assert code == 3 and f"config error: argument {flag}: must be" in err
+    assert not out.exists()
 
 
 def test_negative_seed_exits_3_on_sweep_and_verify(tmp_path, capsys):

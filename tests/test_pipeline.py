@@ -24,6 +24,7 @@ from fidest import (
     sqrtm_psd,
     unitarity_defect,
 )
+import fidest.pipeline as pipeline_module
 from fidest.errors import InfeasibleParamsError
 from fidest.pipeline import (
     CIRCUIT_T_CEILING,
@@ -372,3 +373,57 @@ def test_report_records_stage_levels(prep):
     assert rep.sim_level_sigma == "ideal-spectral"
     assert rep.sim_level_eta == "circuit-pe"
     assert rep.abs_error <= rep.analytic_bound
+
+
+def test_negative_bound_constant_raises():
+    with pytest.raises(ValueError, match="bound_constant"):
+        ideal_params(C=-1.0)
+    assert ideal_params(C=0.0).bound_constant == 0.0
+
+
+def _counting(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that records each call's arguments."""
+    calls, inner = [], getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("ancillas, rank_sigma, t_sigma, t, perturbation, sigma_circuits, level", [
+    (0, 1, 8, 1 << 16, 0.0, 1, "ideal-spectral"),  # circuit sigma stage; 10-qubit eta falls back
+    (1, 2, 1 << 20, 12, 0.0, 0, "circuit-pe"),  # ideal sigma stage, an 11-qubit eta circuit
+    (1, 2, 1 << 20, 12, 0.05, 0, "circuit-pe-perturbed"),
+])
+def test_estimate_builds_circuits_and_densities_only_where_needed(
+    monkeypatch, ancillas, rank_sigma, t_sigma, t, perturbation, sigma_circuits, level
+):
+    """The circuit-pe calls of the benchmark: an unperturbed estimate forms no
+    density operator and runs an extraction circuit only for a circuit-level
+    sigma stage; a perturbed eta stage still runs its circuit."""
+    rho_prep = purify(random_density(1, 1, seed=3), ancillas)
+    sigma_prep = purify(random_density(1, rank_sigma, seed=4), ancillas)
+    params = PipelineParams(
+        kappa_sigma=4.0, t_sigma=t_sigma, kappa=256.0, t=t, qae=QaeParams(M=1024),
+        sim_level="circuit-pe", perturbation=perturbation,
+    )
+    densities = _counting(monkeypatch, DensityOperator, "__post_init__")
+    circuits = _counting(monkeypatch, pipeline_module, "build_sqrt_unitary")
+    rep = estimate_fidelity(rho_prep, sigma_prep, params, seed=1)
+    assert rep.sim_level_eta == level
+    assert len(densities) == 0
+    # the sigma stage encodes on no qubits, the eta stage on W's ancillas
+    assert [args[1] == 0 for args in circuits] == [True] * sigma_circuits + [False] * (
+        perturbation > 0
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_factor_rank_is_the_density_rank(n):
+    for rank in range(1, (1 << n) + 1):
+        rho = random_density(n, rank, seed=100 * n + rank)
+        for ancillas in sorted({math.ceil(math.log2(rank)), n}):
+            assert purify(rho, ancillas).rank == rho.rank == rank

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from fidest import (
     random_density,
     rotation_gate,
     sine_state,
+    stage_gain,
     unitarity_defect,
 )
 from fidest.errors import (
@@ -406,3 +408,64 @@ def test_query_count_grows_linearly_in_t():
     counts = [preparer_queries(SqrtParams(kappa=4.0, t=t)) for t in (64, 128, 256, 512)]
     ratios = np.array(counts[1:]) / np.array(counts[:-1])
     assert np.all((ratios > 1.6) & (ratios < 2.4))
+
+
+def _select_filter(lam, kappa):
+    """filter_f as one np.select over the four branches, each evaluated on
+    every entry: the reference for the branch-wise kernel."""
+    lam = np.asarray(lam, dtype=float)
+    lo, hi = 1.0 / (2.0 * kappa), 1.0 / kappa
+    c = 0.5 * kappa ** -0.25
+    with np.errstate(invalid="ignore"):
+        return np.select(
+            [lam > 1.0, lam >= hi, lam >= lo],
+            [c, c * np.where(lam > 0, lam, 1.0) ** -0.25,
+             0.5 * np.sin(0.5 * np.pi * (lam - lo) / (hi - lo))],
+            default=0.0,
+        )
+
+
+@pytest.mark.parametrize("kappa", [1.0, 4.0, 256.0, 2.0**30])
+def test_filter_is_bitwise_the_select_reference(kappa):
+    rng = np.random.default_rng(int(kappa) % 1000)
+    edges = [0.0, -0.0, 1.0, 1 / kappa, 1 / (2 * kappa), np.nan, np.inf, -np.inf]
+    for size in (0, 1, 2, 7, 64, 1000):
+        lam = np.concatenate([rng.uniform(-0.5, 1.5, size), rng.uniform(0, 2 / kappa, size), edges])
+        assert np.array_equal(filter_f(lam, kappa).view(np.uint64),
+                              _select_filter(lam, kappa).view(np.uint64))
+    grid = grid_eigenvalue(np.arange(1 << 12), SqrtParams(kappa=kappa, t=4000))
+    assert np.array_equal(filter_f(grid, kappa), _select_filter(grid, kappa))
+    for v in edges:
+        got = filter_f(v, kappa)
+        assert type(got) is float and np.array_equal(got, _select_filter(v, kappa))
+
+
+@pytest.mark.parametrize("t", [6, 12, 100, 1000])
+def test_stage_gain_gives_the_circuit_zero_probability(t):
+    """sum_lambda lambda F~(lambda)^2 over the encoded block's spectrum is the
+    all-zeros probability of the state-level circuit."""
+    rng = np.random.default_rng(t)
+    for n in (1, 2, 3):
+        for enc in (0, 1, 2):
+            garbage = int(rng.integers(0, 3))
+            shape = (1 << (n + enc), 1 << garbage)
+            g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            p = Purification(g / np.linalg.norm(g))
+            params = SqrtParams(kappa=4.0, t=t)
+            x = build_sqrt_unitary(p, enc, params, qubit_budget=20).zero_probability()
+            m = p.factor.reshape(1 << n, 1 << enc, -1)[:, 0, :]
+            lam = block_spectrum(m @ m.conj().T).values
+            assert math.isclose(np.sum(lam * stage_gain(lam, params) ** 2), x, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("t", [6, 12, 100])
+def test_stage_gain_is_the_pe_coefficient_sum(t):
+    params = SqrtParams(kappa=4.0, t=t)
+    lam = np.array([0.0, 0.05, 0.125, 0.25, 0.3, 0.5, 0.99, 1.0])
+    direct = [
+        sum(abs(pe_coefficient_direct(v, k, params)) ** 2
+            * filter_f(grid_eigenvalue(k, params), params.kappa) for k in range(params.T))
+        for v in lam
+    ]
+    assert np.max(np.abs(stage_gain(lam, params) - direct)) <= 1e-12
+    assert stage_gain(0.3, params).shape == ()
