@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=_NON_NEGATIVE)
         p.add_argument("--sim-level", default="ideal-spectral",
                        choices=["ideal-spectral", "circuit-pe", "circuit-pe-perturbed"])
-        p.add_argument("--qubit-budget", type=int, default=DEFAULT_QUBIT_BUDGET)
+        p.add_argument("--qubit-budget", type=_POSITIVE, default=DEFAULT_QUBIT_BUDGET)
         p.add_argument("--perturbation", type=_NON_NEGATIVE_FLOAT, default=0.0)
         p.add_argument("--output")
         p.add_argument("--config")

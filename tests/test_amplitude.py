@@ -9,6 +9,7 @@ from fidest import (
     qae_outcome_distribution,
     qae_error_bound,
 )
+from fidest import amplitude
 from fidest.errors import OutOfRangeError
 
 
@@ -110,16 +111,42 @@ def test_sample_draws_match_the_loop_law(M):
             assert got == float(np.sin(np.pi * y / M) ** 2), (x, seed)
 
 
+@pytest.mark.parametrize("M", [1 << 15, 1 << 17])
+def test_multi_block_draws_match_rng_choice(M):
+    """Draws whose law spans several blocks are the ones rng.choice draws
+    from the whole law: at the endpoints, next to them, on grid points with
+    k at block edges, and at random x."""
+    block = amplitude._BLOCK
+    edges = (1, block - 1, block, block + 1, 2 * block, 2 * block + 1, M // 2 - 1, M // 2)
+    xs = [0.0, 1.0, 0.5, 1e-9, 1 - 1e-9]
+    xs += [float(np.sin(np.pi * k / M) ** 2) for k in edges if k <= M // 2]
+    xs += [float(v) for v in np.random.default_rng(M).random(6)]
+    for x in xs:
+        law = qae_outcome_distribution(x, M)
+        for seed in range(25):
+            y = int(np.random.default_rng(seed).choice(M, p=law))
+            got = qae_estimate(x, QaeParams(M=M, mode="sample", seed=seed))
+            assert got == float(np.sin(np.pi * y / M) ** 2), (x, seed)
+
+
 def test_sampled_estimate_peak_memory():
-    """The law is built in place: one sampled estimate holds at most three
-    M-length float arrays at once, the law and rng.choice's cumulative sum
-    included."""
-    M = 1 << 20
+    """A sampled estimate holds a few blocks of the law at once, never an
+    M-length array: its peak does not grow with M."""
     qae_estimate(0.31, QaeParams(M=8, mode="sample"))  # first-call allocations
-    tracemalloc.start()
-    try:
-        qae_estimate(0.31, QaeParams(M=M, mode="sample", seed=1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * 8 * M
+    for M in (1 << 20, 1 << 22):
+        tracemalloc.start()
+        try:
+            qae_estimate(0.31, QaeParams(M=M, mode="sample", seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 << 20, M
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0, 0.0])
+def test_sampled_draw_rejects_a_bad_law(monkeypatch, value):
+    """The checks rng.choice made are kept: the law is finite and
+    non-negative, and its total is positive."""
+    monkeypatch.setattr(amplitude, "_kernel", lambda omega, M, k, lo: np.full_like(k, value))
+    with pytest.raises(ValueError):
+        qae_estimate(0.31, QaeParams(M=1 << 15, mode="sample"))

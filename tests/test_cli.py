@@ -40,8 +40,8 @@ def test_zero_flag_values_are_not_replaced_by_defaults(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["bound_constant"] == 0.0 and report["analytic_bound"] == 0.0
-    code, _, err = run(capsys, *ESTIMATE_FLAGS, "--qubit-budget", "0")
-    assert code == 1 and "budget is 0" in err
+    code, _, err = run(capsys, *ESTIMATE_FLAGS, "--qubit-budget", "0")  # the default would run
+    assert code == 3 and "argument --qubit-budget: must be >= 1, got 0" in err
 
 
 def test_estimate_eps_mode(capsys):
@@ -287,7 +287,7 @@ EPS_FLAGS = {"--n": "1", "--rank-rho": "1", "--rank-sigma": "2", "--eps": "0.5",
     ("--seed", "-1"), ("--n", "0"), ("--rank-rho", "0"), ("--rank-sigma", "3"),
     ("--eps", "0"), ("--eps", "1"), ("--kappa-sigma", "0.5"), ("--kappa", "0.5"),
     ("--t-sigma", "3"), ("--t", "5"), ("--qae-m", "1"), ("--bound-constant", "-1"),
-    ("--perturbation", "-0.1"),
+    ("--perturbation", "-0.1"), ("--qubit-budget", "-3"), ("--qubit-budget", "0"),
 ])
 def test_usage_errors_exit_3(tmp_path, capsys, source, flag, value):
     # the flag under test is left out of the base flags, so that a config

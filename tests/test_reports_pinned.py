@@ -3,14 +3,17 @@
 The calls cover both levels, perturbed circuits, equal-rank pairs and
 sampled amplitude estimation.  Strings, integers and booleans must match the
 file exactly; floats within 1e-12 relative or 1e-14 absolute.  When a change
-of reported numbers is intended, regenerate the file with
-``PYTHONPATH=src python tests/test_reports_pinned.py`` and name the fields
-that moved.
+of reported numbers is intended, rewrite the fields that moved with
+``PYTHONPATH=src python tests/test_reports_pinned.py FIELD [FIELD ...]``: it
+reruns every case but keeps the pinned value of every other field, since
+floats in the last digits drift between hosts.  With no field names it only
+adds the cases the file lacks.
 """
 
 import json
 import math
 import os
+import sys
 
 import pytest
 
@@ -83,6 +86,42 @@ def _matches(got, want) -> bool:
     return type(got) is type(want) and got == want
 
 
+def regenerate(pinned: dict, run, fields: list[str]) -> dict:
+    """Every case of CASES: a pinned one with the named fields taken from
+    ``run(name)``, a missing one whole from ``run(name)``."""
+    out = {}
+    for name in sorted(CASES):
+        want = pinned.get(name)
+        if want is None:
+            out[name] = run(name)
+            continue
+        unknown = [f for f in fields if f not in want]
+        if unknown:
+            raise ValueError(f"{name} has no field {', '.join(unknown)}")
+        got = run(name) if fields else {}
+        out[name] = {k: got[k] if k in fields else v for k, v in want.items()}
+    return out
+
+
+def test_regenerate_rewrites_only_named_fields():
+    pinned = {name: {"x": 1.0, "delta": 2.0, "level": "a"} for name in sorted(CASES)[1:]}
+    fresh = {"x": 1.5, "delta": 2.5, "level": "b"}
+    runs = []
+
+    def run(name):
+        runs.append(name)
+        return dict(fresh)
+
+    first = sorted(CASES)[0]
+    assert regenerate(pinned, run, []) == {first: fresh, **pinned}
+    assert runs == [first]
+    rewritten = regenerate(pinned, run, ["delta"])
+    assert rewritten[first] == fresh
+    assert all(rewritten[name] == {"x": 1.0, "delta": 2.5, "level": "a"} for name in pinned)
+    with pytest.raises(ValueError, match="no field bogus"):
+        regenerate(pinned, run, ["bogus"])
+
+
 @pytest.fixture(scope="module")
 def pinned():
     with open(PINNED, encoding="utf-8") as fh:
@@ -98,6 +137,11 @@ def test_report_matches_pinned(pinned, name):
 
 
 if __name__ == "__main__":
+    pinned = {}
+    if os.path.exists(PINNED):
+        with open(PINNED, encoding="utf-8") as fh:
+            pinned = json.load(fh)
+    merged = regenerate(pinned, run_case, sys.argv[1:])
     with open(PINNED, "w", encoding="utf-8") as fh:
-        json.dump({name: run_case(name) for name in sorted(CASES)}, fh, indent=1)
+        json.dump(merged, fh, indent=1)
         fh.write("\n")
