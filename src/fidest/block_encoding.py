@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import RegisterTooLargeError
-from .linalg import as_complex_matrix, operator_norm, reflect, unitarity_defect
+from .linalg import as_complex_matrix, operator_norm, reflection, unitarity_defect
 from .registers import DEFAULT_QUBIT_BUDGET
 from .states import NORM_TOL, DensityOperator, Purification
 
@@ -29,30 +29,29 @@ def purification_to_unitary_be(
     W = (I (x) U^dagger) SWAP(fresh, main) (I (x) U) is a (1, main+garbage
     qubits, 0)-block-encoding of the prepared state, acting on the fresh
     register.  Its block depends on U|0> = psi alone, so U is the reflection
-    R_psi, and W is applied to the 2^main ancilla-zero inputs |j, 0, 0>:
-    U|0> puts psi on [main, garbage], SWAP moves index j into main, and
-    R_psi^dagger acts on [main, garbage] for each value of fresh.  Returns
-    those columns, a 2^(2 main + garbage) x 2^main array on [system (the
-    fresh register), mirror, enc_garbage], checked orthonormal within
-    NORM_TOL, and the block (their rows j 2^(main + garbage)), checked equal
-    to the prepared density within BE_TOL; either failure raises ValueError.
+    R_psi = -phase (I - c v v^dagger) of ``linalg.reflection``.  On the input
+    |j, 0, 0>, U puts psi on [main, garbage], SWAP moves j into main and
+    R_psi^dagger acts on [main, garbage], so column j on rows [fresh f, main,
+    g] is s (delta_{main,j} psi[f, g] - c S[f, j] V[main, g]), with s =
+    -conj(phase), V = v on [main, garbage] and S = psi V^dagger.  The columns
+    (rows on [system, mirror, enc_garbage]) are checked orthonormal within
+    NORM_TOL and their block (rows j 2^(main + garbage)) equal to the prepared
+    density within BE_TOL; either failure raises ValueError.
     """
-    m = p.system_qubits
-    b = p.garbage_qubits
-    total = 2 * m + b
+    total = 2 * p.system_qubits + p.garbage_qubits
     if total > qubit_budget:
-        raise RegisterTooLargeError(
-            f"construction needs {total} qubits, budget is {qubit_budget}"
-        )
-    dm, db = 1 << m, 1 << b
-    swapped = np.zeros((dm, dm, dm, db), dtype=complex)  # [j, fresh, main, garbage]
-    swapped[np.arange(dm), :, np.arange(dm), :] = p.factor
-    columns = reflect(p.factor, swapped.reshape(dm * dm, dm * db), adjoint=True)
-    columns = columns.reshape(dm, -1).T
+        raise RegisterTooLargeError(f"construction needs {total} qubits, budget is {qubit_budget}")
+    dm = len(p.factor)
+    phase, v, c = reflection(p.factor)
+    s = -np.conj(phase)
+    v = v.reshape(dm, -1)
+    columns = (-s * c * (p.factor @ v.conj().T))[:, None, None, :] * v[:, :, None]
+    columns[:, np.arange(dm), :, np.arange(dm)] += s * p.factor
+    columns = columns.reshape(-1, dm)  # axes were [f, main, g, j]
     defect = unitarity_defect(columns)
     if defect > NORM_TOL:
         raise ValueError(f"W columns orthonormality defect {defect:.3e} > {NORM_TOL:.1e}")
-    block = columns[:: dm * db]
+    block = columns[:: v.size]
     err = operator_norm(block - p.traced_matrix())
     if err > BE_TOL:
         raise ValueError(f"W block differs from the prepared density by {err:.3e} > {BE_TOL:.1e}")
@@ -76,11 +75,8 @@ def density_with_block(a: np.ndarray, ancilla_qubits: int) -> DensityOperator:
         raise ValueError(f"block trace {tr} exceeds 1; not encodable in a state")
     da = 1 << ancilla_qubits
     d = n_dim * da
-    rest = d - n_dim
     m = np.zeros((d, d), dtype=complex)
     m[::da, ::da] = a
-    fill = max(1.0 - tr, 0.0) / rest
-    for x in range(d):
-        if x % da != 0:
-            m[x, x] += fill
+    off = np.flatnonzero(np.arange(d) % da)  # the nonzero-ancilla diagonal
+    m[off, off] = max(1.0 - tr, 0.0) / (d - n_dim)
     return DensityOperator(m)

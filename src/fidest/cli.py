@@ -140,9 +140,13 @@ def _knob_params(args, kappa_sigma: float, t_sigma: int, kappa: float, t: int,
 
 
 def _params_from_args(args, rank_r: int) -> PipelineParams:
-    explicit = [args.kappa_sigma, args.t_sigma, args.kappa, args.t, args.qae_m]
-    if all(v is not None for v in explicit):
-        return _knob_params(args, *explicit)
+    knobs = ("kappa_sigma", "t_sigma", "kappa", "t", "qae_m")
+    missing = [k for k in knobs if getattr(args, k) is None]
+    if not missing:
+        return _knob_params(args, *(getattr(args, k) for k in knobs))
+    if len(missing) < len(knobs):
+        raise ConfigError("the explicit knobs go all five together; missing: "
+                          + " ".join(f"--{k.replace('_', '-')}" for k in missing))
     sim_level, perturbation = _sim_level(args)
     if args.eps is None:
         raise ConfigError(
@@ -201,9 +205,11 @@ def _list_of(convert):
 
 _NON_NEGATIVE = _checked(int, lambda v: v >= 0, ">= 0")
 _POSITIVE = _checked(int, lambda v: v >= 1, ">= 1")
-_NON_NEGATIVE_FLOAT = _checked(float, lambda v: v >= 0, ">= 0")
+# a float flag is finite: inf and nan fail every range check below
+_NON_NEGATIVE_FLOAT = _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
+_FINITE = _checked(float, math.isfinite, "finite")
 # the knobs: SqrtParams' kappa >= 1 and t >= 6, QaeParams' M >= 2
-_KAPPA = _checked(float, lambda v: v >= 1, ">= 1")
+_KAPPA = _checked(float, lambda v: 1 <= v < math.inf, "finite and >= 1")
 _T = _checked(int, lambda v: v >= 6, "an integer >= 6")
 _QAE_M = _checked(int, lambda v: v >= 2, "an integer >= 2")
 
@@ -348,12 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run a bound-verification suite")
     ver.add_argument("--seed", type=_NON_NEGATIVE, default=0)
     ver.add_argument("--config")
-    ver.add_argument("suite", help=f"one of: {', '.join(list(SUITES) + ['all'])}")
+    ver.add_argument("suite", type=str.lower, choices=[*SUITES, "all"])
     ver.set_defaults(fn=cmd_verify)
 
     co = sub.add_parser("coeffs", help="phase-estimation coefficient table")
     co.add_argument("--config")
-    co.add_argument("--lam", type=float, help="eigenvalue lambda")
+    co.add_argument("--lam", type=_FINITE, help="eigenvalue lambda")
     co.add_argument("--T", type=int, help="grid size (must be 2^ceil(log2 t))")
     co.add_argument("--t", type=_T)
     co.set_defaults(fn=cmd_coeffs)

@@ -120,21 +120,25 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, "nuc")) if m.size else 0.0
 
 
-def reflect(psi: np.ndarray, x: np.ndarray, axis: int = -1, adjoint: bool = False) -> np.ndarray:
-    """Apply R_psi (or its adjoint) along ``axis`` of ``x``, O(d) per vector.
-
-    R_psi is a Householder reflection times the phase of psi_0, chosen so that
-    R_psi |0> = psi for a unit vector psi: a unitary whose first column is
-    psi.  With psi' = conj(phase) psi and v = |0> + psi', R_psi =
-    -phase (I - 2 v v^dagger / v^dagger v); v_0 >= 1 keeps it well conditioned.
+def reflection(psi: np.ndarray) -> tuple[complex, np.ndarray, float]:
+    """R_psi = -phase (I - c v v^dagger) as (phase, v, c): a Householder
+    reflection times the phase of psi_0 with R_psi |0> = psi for a unit vector
+    psi (flattened), so a unitary whose first column is psi.  v = |0> +
+    conj(phase) psi and c = 2 / v^dagger v; v_0 >= 1 keeps it well conditioned.
     """
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     phase = psi[0] / abs(psi[0]) if psi[0] != 0 else 1.0
     v = psi / phase
     v[0] += 1.0
+    return phase, v, 2.0 / np.vdot(v, v).real
+
+
+def reflect(psi: np.ndarray, x: np.ndarray, axis: int = -1, adjoint: bool = False) -> np.ndarray:
+    """Apply R_psi of ``reflection``, or its adjoint, along ``axis`` of x: O(d) per vector."""
+    phase, v, c = reflection(psi)
     scale = -(np.conj(phase) if adjoint else phase)
     xm = np.moveaxis(np.asarray(x, dtype=complex), axis, -1)
-    out = scale * (xm - (2.0 / np.vdot(v, v).real) * (xm @ v.conj())[..., None] * v)
+    out = scale * (xm - c * (xm @ v.conj())[..., None] * v)
     return np.moveaxis(out, -1, axis)
 
 

@@ -12,6 +12,8 @@ from fidest import (
     tensor,
     unitarity_defect,
 )
+from fidest import block_encoding
+from fidest.linalg import reflect
 from fidest.registers import layout, project_zero, zero_block_indices
 
 
@@ -38,6 +40,45 @@ def test_unitary_encoding_of_a_state_with_complex_first_entry():
     assert operator_norm(block - p.traced_matrix()) <= 1e-12
     assert unitarity_defect(columns) <= 1e-12
     np.testing.assert_allclose(block, p.traced_matrix(), atol=1e-12)
+
+
+def _dense_w(psi: np.ndarray) -> np.ndarray:
+    """W = (I (x) R_psi^dagger) SWAP(fresh, main) (I (x) R_psi) as a matrix on
+    [fresh, main, garbage], from R_psi's columns and a permutation matrix."""
+    dm, db = psi.shape
+    r = reflect(psi, np.eye(dm * db), axis=0)
+    f, j, g = np.indices((dm, dm, db)).reshape(3, -1)
+    swap = np.zeros((dm * dm * db,) * 2)
+    swap[(j * dm + f) * db + g, (f * dm + j) * db + g] = 1.0
+    return np.kron(np.eye(dm), r.conj().T) @ swap @ np.kron(np.eye(dm), r)
+
+
+@pytest.mark.parametrize("main,garbage", [(1, 0), (1, 1), (2, 0), (2, 2), (3, 1), (3, 2)])
+@pytest.mark.parametrize("psi0", ["complex", "zero"])
+def test_w_columns_match_the_dense_two_query_circuit(main, garbage, psi0):
+    rng = np.random.default_rng(10 * main + garbage)
+    dm, db = 1 << main, 1 << garbage
+    psi = rng.standard_normal((dm, db)) + 1j * rng.standard_normal((dm, db))
+    if psi0 == "zero":  # R_psi's phase is then 1
+        psi[0, 0] = 0.0
+    psi /= np.linalg.norm(psi)
+    columns, block = purification_to_unitary_be(Purification(psi))
+    expected = _dense_w(psi)[:, :: dm * db]  # the inputs |j, 0, 0>
+    assert np.max(np.abs(columns - expected)) <= 1e-13
+    assert np.max(np.abs(block - psi @ psi.conj().T)) <= 1e-13
+
+
+def test_w_columns_orthonormality_check_still_raises(monkeypatch):
+    # a reflection with the wrong c gives non-orthonormal columns
+    real = block_encoding.reflection
+
+    def wrong_c(psi):
+        phase, v, c = real(psi)
+        return phase, v, 0.9 * c
+
+    monkeypatch.setattr(block_encoding, "reflection", wrong_c)
+    with pytest.raises(ValueError, match="W columns"):
+        purification_to_unitary_be(purify(random_density(2, 2, seed=1), 1))
 
 
 def test_pure_state_encoding_block_is_projector():

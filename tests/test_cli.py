@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -67,6 +68,23 @@ def test_estimate_missing_params_exits_3(capsys):
     )
     assert code == 3
     assert "--eps" in err
+
+
+KNOBS = {"--kappa-sigma": "16", "--t-sigma": "256", "--kappa": "16", "--t": "256",
+         "--qae-m": "1024"}
+
+
+@pytest.mark.parametrize("with_eps", [False, True])
+def test_partial_knob_set_exits_3_naming_the_missing_knobs(capsys, with_eps):
+    # one to four knobs never fall back to the schedule, with or without --eps
+    base = ["estimate", "--n", "1", "--rank-rho", "1", "--rank-sigma", "2", "--seed", "1"]
+    base += ["--eps", "0.5"] if with_eps else []
+    for size in range(1, len(KNOBS)):
+        for given in itertools.combinations(KNOBS, size):
+            code, out, err = run(capsys, *base, *(s for f in given for s in (f, KNOBS[f])))
+            assert code == 3 and out == ""
+            named = set(re.findall(r"--[a-z-]+", err.split("missing:")[1]))
+            assert named == set(KNOBS) - set(given)
 
 
 def test_estimate_infeasible_exits_2(capsys):
@@ -202,8 +220,15 @@ def test_verify_suite_pass_and_unknown(capsys):
     assert code == 0
     assert "pass" in out and "checks passed" in out
     code, _, err = run(capsys, "verify", "not-a-suite")
-    assert code == 1
-    assert "sine-state" in err  # lists the available suites
+    assert code == 3
+    assert "argument suite: invalid choice" in err and "sine-state" in err  # lists the suites
+
+
+@pytest.mark.parametrize("suite", ["bogus", "al", ""])
+def test_verify_unknown_suite_is_a_usage_error(capsys, suite):
+    code, out, err = run(capsys, "verify", suite)
+    assert code == 3 and out == ""
+    assert f"config error: argument suite: invalid choice: '{suite}'" in err
 
 
 def test_verify_all(capsys):
@@ -312,6 +337,24 @@ def test_sweep_knob_out_of_range_exits_3_before_writing(tmp_path, capsys, flag, 
     out = tmp_path / "s.csv"
     code, _, err = run(capsys, *SWEEP_FLAGS, "--output", str(out), flag, value)
     assert code == 3 and f"config error: argument {flag}: must be" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("argv, flag", [
+    (ESTIMATE_FLAGS, "--kappa-sigma"), (ESTIMATE_FLAGS, "--kappa"),
+    (ESTIMATE_FLAGS, "--bound-constant"), (ESTIMATE_FLAGS, "--perturbation"),
+    (SWEEP_FLAGS, "--kappa-sigma-list"), (SWEEP_FLAGS, "--kappa-list"),
+    (["coeffs", "--t", "8"], "--lam"),
+])
+def test_non_finite_float_flags_exit_3(tmp_path, capsys, argv, flag, value):
+    out = tmp_path / "s.csv"
+    if flag.endswith("-list"):
+        value = f"4,{value}"
+    extra = ["--output", str(out)] if argv is SWEEP_FLAGS else []
+    code, stdout, err = run(capsys, *argv, *extra, f"{flag}={value}")
+    assert code == 3 and stdout == ""
+    assert f"config error: argument {flag}: must be finite" in err
     assert not out.exists()
 
 
