@@ -111,13 +111,13 @@ def expm_i(m: np.ndarray, s: float = 1.0, tol: float = HERMITIAN_TOL) -> np.ndar
 def operator_norm(m: np.ndarray) -> float:
     """Largest singular value."""
     m = as_complex_matrix(m)
-    return float(np.linalg.norm(m, 2)) if m.size else 0.0
+    return float(np.linalg.svd(m, compute_uv=False)[0]) if m.size else 0.0
 
 
 def trace_norm(m: np.ndarray) -> float:
     """Sum of singular values."""
     m = as_complex_matrix(m)
-    return float(np.linalg.norm(m, "nuc")) if m.size else 0.0
+    return float(np.linalg.svd(m, compute_uv=False).sum()) if m.size else 0.0
 
 
 def reflection(psi: np.ndarray) -> tuple[complex, np.ndarray, float]:

@@ -1,7 +1,9 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from blockwise_draw import BlockwiseDraw
 
 from fidest import (
     QaeParams,
@@ -115,9 +117,12 @@ def test_sample_draws_match_the_loop_law(M):
 def test_multi_block_draws_match_rng_choice(M):
     """Draws whose law spans several blocks are the ones rng.choice draws
     from the whole law: at the endpoints, next to them, on grid points with
-    k at block edges, and at random x."""
-    block = amplitude._BLOCK
+    k at block edges and at window edges (where the pole's window meets an
+    end window or leaves a gap of one window), and at random x."""
+    block, w, half = amplitude._BLOCK, amplitude._WINDOW, M // 2
     edges = (1, block - 1, block, block + 1, 2 * block, 2 * block + 1, M // 2 - 1, M // 2)
+    edges += (w, w + 1, w + 2, 3 * w + 1, 3 * w + 2, half - w - 1, half - w, half - 3 * w - 2,
+              half - 3 * w - 1)
     xs = [0.0, 1.0, 0.5, 1e-9, 1 - 1e-9]
     xs += [float(np.sin(np.pi * k / M) ** 2) for k in edges if k <= M // 2]
     xs += [float(v) for v in np.random.default_rng(M).random(6)]
@@ -146,7 +151,143 @@ def test_sampled_estimate_peak_memory():
 @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0, 0.0])
 def test_sampled_draw_rejects_a_bad_law(monkeypatch, value):
     """The checks rng.choice made are kept: the law is finite and
-    non-negative, and its total is positive."""
+    non-negative, and its total is positive, for the points computed one by
+    one and for the gaps summed in closed form."""
     monkeypatch.setattr(amplitude, "_kernel", lambda omega, M, k, lo: np.full_like(k, value))
+    monkeypatch.setattr(amplitude, "_gap_sum", lambda omega, M, lo, hi: value)
     with pytest.raises(ValueError):
         qae_estimate(0.31, QaeParams(M=1 << 15, mode="sample"))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+def test_sampled_draw_rejects_a_bad_gap_sum(monkeypatch, value):
+    """A gap sum is checked on its own: with the kernel values intact, a gap
+    sum that is not finite and non-negative raises."""
+    monkeypatch.setattr(amplitude, "_gap_sum", lambda omega, M, lo, hi: value)
+    with pytest.raises(ValueError):
+        qae_estimate(0.31, QaeParams(M=1 << 15, mode="sample"))
+
+
+def _omega(x):
+    return float(np.arcsin(np.sqrt(x)) / np.pi)
+
+
+def _gaps(omega, M):
+    """The gaps [lo, hi) between the windows a sampled draw computes point by
+    point."""
+    w = amplitude._windows(omega, M)
+    return [(a[1], b[0]) for a, b in zip(w, w[1:])]
+
+
+def test_windowed_draw_matches_blockwise_oracle():
+    """The windowed draw gives the blockwise draw's outcome for 2,016 random
+    (x, M, u), M from 2^3 to 2^26."""
+    rng = np.random.default_rng(14)
+    cases = 0
+    for e in range(3, 27):
+        M = 1 << e
+        for x in rng.random(4 if e <= 22 else 1):
+            omega = _omega(x)
+            oracle = BlockwiseDraw(omega, M)
+            for u in rng.random(24):
+                assert amplitude._sample_outcome(omega, M, u) == oracle(u), (x, M, u)
+                cases += 1
+    assert cases >= 2000
+
+
+def _edge_and_gap_outcomes(omega, M):
+    """Outcomes that force each path: both sides of every window edge, and
+    points inside every gap, with their mirror images."""
+    half, ys = M // 2, set()
+    for lo, hi in amplitude._windows(omega, M):
+        ys.update({lo - 1, lo, lo + 1, hi - 2, hi - 1, hi})
+    for lo, hi in _gaps(omega, M):
+        ys.update({lo + (hi - lo) // 3, hi - 1 - (hi - lo) // 5})
+    ys = {y for y in ys if 0 <= y <= half}
+    return sorted(ys | {M - y for y in ys if 0 < y < half})
+
+
+@pytest.mark.parametrize("M", [1 << 10, 1 << 13, 1 << 16, 1 << 19, 1 << 21])
+def test_gap_and_window_edge_draws_match_blockwise_oracle(M):
+    """A u chosen in the middle of one outcome's share of the blockwise law
+    draws that outcome from the windowed law too: outcomes in every gap and
+    mirror gap (the gap scan), on both sides of each window edge, at x = 0,
+    1, 1e-9, 1 - 1e-9, on grid points and at random x."""
+    xs = [0.0, 1.0, 1e-9, 1 - 1e-9, 0.5, float(np.sin(np.pi * 3 / M) ** 2)]
+    xs += [float(np.sin(np.pi * k / M) ** 2) for k in (M // 8, 3 * amplitude._WINDOW + 2)]
+    xs += [float(v) for v in np.random.default_rng(M).random(2)]
+    gap_draws = 0
+    for x in xs:
+        omega = _omega(x)
+        oracle = BlockwiseDraw(omega, M)
+        gaps = _gaps(omega, M)
+        for y in _edge_and_gap_outcomes(omega, M):
+            lo, hi = oracle.bounds(y)
+            if not hi > lo:
+                continue  # no u draws y: a zero-probability outcome
+            u = (lo + hi) / 2
+            assert oracle(u) == y
+            assert amplitude._sample_outcome(omega, M, u) == y, (x, y)
+            gap_draws += any(a <= min(y, M - y) < b for a, b in gaps)
+    assert gap_draws >= (4 if M > 8 * amplitude._WINDOW else 0)  # no gaps below
+
+
+def test_large_grid_gap_draws_agree_up_to_rounding():
+    """At M = 2^24 one outcome in a far gap holds about 1e-15 of the law,
+    which a float64 cumulative sum over 2^23 points does not resolve, so the
+    two draws may differ there by a grid point (where they differed, a
+    correctly rounded cumulative sum sided with the windowed draw in four of
+    four cases inspected).  The windowed outcome is the blockwise one for a
+    u within 4e-15 of the given one."""
+    M = 1 << 24
+    omega = _omega(0.31)
+    oracle = BlockwiseDraw(omega, M)
+    for lo, hi in _gaps(omega, M):
+        for y in ((lo + hi) // 2, M - (lo + hi) // 2):
+            a, b = oracle.bounds(y)
+            u = (a + b) / 2
+            a, b = oracle.bounds(amplitude._sample_outcome(omega, M, u))
+            assert a - 4e-15 <= u < b + 4e-15, y
+
+
+def _direct_gap_sum(omega, M, lo, hi):
+    """The doubled law over a gap, point by point, summed exactly (fsum) on
+    the same exact-near-the-pole angles as the closed form."""
+    y = np.arange(lo, hi, dtype=float)
+    terms = np.sin(np.pi * (omega - y / M)) ** -2
+    if 0.0 < omega < 0.5:
+        d = np.where(omega + y / M <= 0.5, omega + y / M, omega - (M - y) / M)
+        terms = np.concatenate([terms, np.sin(np.pi * d) ** -2])
+    else:
+        terms = 2.0 * terms
+    return float((np.sin(np.pi * M * omega) / M) ** 2) * math.fsum(terms.tolist())
+
+
+def test_gap_sum_matches_direct_sums():
+    rng = np.random.default_rng(3)
+    checked = 0
+    for e in range(10, 19):
+        M = 1 << e
+        for x in [1.0, 1e-9, 1 - 1e-9, *rng.random(6)]:
+            omega = _omega(x)
+            for lo, hi in _gaps(omega, M):
+                want = _direct_gap_sum(omega, M, lo, hi)
+                assert abs(amplitude._gap_sum(omega, M, lo, hi) - want) <= 1e-15 * want, (x, M, lo)
+                checked += 1
+    assert checked >= 100
+
+
+def test_gap_draw_peak_memory():
+    """A draw that falls in a gap scans it in blocks: its tracemalloc peak
+    stays under 2 MB at M = 2^22 (the gap spans about 10^6 points)."""
+    M, omega = 1 << 22, _omega(0.31)
+    lo, hi = max(_gaps(omega, M), key=lambda g: g[1] - g[0])
+    a, b = BlockwiseDraw(omega, M).bounds((lo + hi) // 2)
+    amplitude._sample_outcome(omega, M, (a + b) / 2)  # first-call allocations
+    tracemalloc.start()
+    try:
+        assert amplitude._sample_outcome(omega, M, (a + b) / 2) == (lo + hi) // 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import os
@@ -193,6 +194,20 @@ def test_single_cell_sweep_matches_estimate(tmp_path, capsys):
     assert float(cells["estimate"]) == report["estimate"]
     assert float(cells["x"]) == report["x"]
     assert int(cells["queries_o_sigma"]) == report["queries_o_sigma"]
+
+
+def test_outputs_unchanged_by_lean_report_dicts(tmp_path, capsys, monkeypatch):
+    """The estimate JSON and the sweep CSV are byte for byte what asdict's
+    report dicts gave."""
+    def outputs(tag):
+        code, est, _ = run(capsys, *ESTIMATE_FLAGS, "--output", str(tmp_path / f"{tag}.json"))
+        assert code == 0
+        assert run(capsys, *SWEEP_FLAGS, "--output", str(tmp_path / f"{tag}.csv"))[0] == 0
+        return est, *((tmp_path / f"{tag}{ext}").read_bytes() for ext in (".json", ".csv"))
+
+    lean = outputs("lean")
+    monkeypatch.setattr("fidest.pipeline.EstimationReport.to_dict", dataclasses.asdict)
+    assert outputs("asdict") == lean
 
 
 def _with_level(flags, level):

@@ -164,3 +164,14 @@ def test_unitarity_defect_of_an_isometry():
     skewed = q.copy()
     skewed[:, 2] *= 1.5
     assert abs(unitarity_defect(skewed) - (1.5**2 - 1)) <= 1e-12
+
+
+def test_norms_are_numpys_bit_for_bit():
+    """operator_norm and trace_norm read the singular values directly: the
+    same floats np.linalg.norm's 2 and nuclear norms give."""
+    rng = np.random.default_rng(5)
+    for shape in [(1, 1), (2, 2), (3, 5), (8, 8), (16, 4)]:
+        m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert operator_norm(m) == float(np.linalg.norm(m, 2))
+        assert trace_norm(m) == float(np.linalg.norm(m, "nuc"))
+    assert operator_norm(np.zeros((0, 3))) == trace_norm(np.zeros((0, 3))) == 0.0

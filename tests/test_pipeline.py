@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,6 +262,26 @@ def test_report_round_trips_through_json(prep):
     data = json.loads(rep.to_json())
     assert data["exact_fidelity"] == rep.exact_fidelity
     assert list(data) == list(rep.to_dict())
+
+
+def test_report_to_dict_is_a_lean_copy_of_asdict(prep):
+    """to_dict is asdict's result in field order, a copy of the report's
+    fields, and small: a report dict kept per call costs at most 400 bytes."""
+    rep = estimate_fidelity(prep(Z0), prep(HALF), ideal_params(), seed=0)
+    data = rep.to_dict()
+    assert data == dataclasses.asdict(rep)
+    assert list(data) == [f.name for f in dataclasses.fields(rep)]
+    data["estimate"] = -1.0
+    del data["x"]
+    assert rep.to_dict() == dataclasses.asdict(rep) and rep.estimate != -1.0
+    rep.to_dict()  # first-call allocations
+    tracemalloc.start()
+    try:
+        kept = [rep.to_dict() for _ in range(1000)]
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 1000 and size <= 400 * 1000
 
 
 @pytest.mark.parametrize("params", [

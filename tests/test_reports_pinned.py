@@ -1,4 +1,4 @@
-"""Reports of twelve small estimates, pinned to ``reports_pinned.json``.
+"""Reports of thirteen small estimates, pinned to ``reports_pinned.json``.
 
 The calls cover both levels, perturbed circuits, equal-rank pairs and
 sampled amplitude estimation.  Strings, integers and booleans must match the
@@ -56,6 +56,9 @@ CASES = {
     ),
     "ideal-n3-ranks-2-2-swapped": (
         3, 2, 2, 122, (4.0, 1 << 20, 512.0, 1 << 22, 1 << 15, IDEAL, "exact", 0.0)
+    ),
+    "ideal-n1-ranks-1-2-sampled-m22": (  # a sampled draw on a 2^22-point grid
+        1, 1, 2, 131, (4.0, 1 << 12, 256.0, 1 << 20, 1 << 22, IDEAL, "sample", 0.0)
     ),
 }
 
