@@ -10,10 +10,10 @@ returns the best grid point deterministically; ``sample`` mode draws from
 the phase-estimation outcome distribution of the Grover eigenphase.  The law
 is symmetric, p_y = p_{M-y}, and off its poles a smooth csc^2, so a draw
 computes it point by point only on ``_WINDOW`` points around each pole and
-sums the gaps between in closed form (Euler-Maclaurin); only a variate that
-falls in a gap, about 4 / (pi^2 _WINDOW) of draws, scans that gap in blocks
-of ``_BLOCK`` points.  A draw costs about 0.3 ms at any M up to 2^26 and no
-M-length array is built.
+sums the gaps between in closed form (Euler-Maclaurin); a variate that falls
+in a gap, about 4 / (pi^2 _WINDOW) of draws, halves that gap on closed-form
+sums until ``_WINDOW`` points are left.  A draw costs under a millisecond at
+any M up to 2^26 and no M-length array is built.
 """
 
 from __future__ import annotations
@@ -50,21 +50,24 @@ def qae_error_bound(x: float, M: int) -> float:
     return 2.0 * math.pi * math.sqrt(max(x * (1.0 - x), 0.0)) / M + math.pi**2 / (M * M)
 
 
-def _kernel(omega: float, M: int, k: np.ndarray, lo: int) -> np.ndarray:
-    """K(omega - y/M) for y = lo, lo + 1, ..., in place on k = -y/M: see
-    qae_outcome_distribution."""
-    k += omega
-    k *= np.pi
-    np.sin(k, out=k)
-    y0 = int(np.rint(M * omega)) - lo
-    peak = 0 <= y0 < len(k) and abs(k[y0]) < 1e-15
-    np.square(k, out=k)
-    if peak:
-        k[y0] = 1.0
-    np.divide((np.sin(np.pi * M * omega) / M) ** 2, k, out=k)
-    if peak:
-        k[y0] = 1.0
-    return k
+def _angles(omega: float, M: int, y: np.ndarray) -> np.ndarray:
+    """pi times the arguments of kernel A, omega - y/M (row 0), and kernel B,
+    omega + y/M or, past 1/2, omega - (M - y)/M (row 1), for 0 <= y <= M/2:
+    each is exact near its kernel's poles (A's at y = c = M omega, B's at -c
+    and M - c)."""
+    b = omega + y / M
+    return np.pi * np.array([omega - y / M, np.where(b <= 0.5, b, omega - (M - y) / M)])
+
+
+def _law(omega: float, M: int, y: np.ndarray) -> np.ndarray:
+    """The doubled law P(y) = K(omega - y/M) + K(omega + y/M) at outcomes
+    0 <= y <= M/2: see qae_outcome_distribution."""
+    s = np.sin(_angles(omega, M, y))
+    pole = np.abs(s) < 1e-15
+    s[pole] = 1.0
+    k = (np.sin(np.pi * M * omega) / M) ** 2 / np.square(s, out=s)
+    k[pole] = 1.0
+    return k[0] + k[1]
 
 
 def qae_outcome_distribution(x: float, M: int) -> np.ndarray:
@@ -73,26 +76,21 @@ def qae_outcome_distribution(x: float, M: int) -> np.ndarray:
     The state splits evenly over the Grover eigenphases +-omega, omega =
     arcsin(sqrt(x)) / pi turns, which both decode to sin^2(pi y / M).  Each
     puts K(d) = sin^2(pi M d) / (M sin(pi d))^2 on y at d = +-omega - y/M, and
-    K = 1 where |sin(pi d)| < 1e-15, which only y = rint(M omega) can meet.
-    The numerator is the scalar sin^2(pi M omega), and the -omega kernel at y
-    is the +omega one at (M - y) mod M, so the law is (k_y + k_{M-y}) / 2 for
-    k_y = K(omega - y/M): one sine pass.  Sampled estimates draw from the same
-    kernel values without building this array (qae_estimate).
+    K = 1 where |sin(pi d)| < 1e-15, which only a kernel's pole can meet.  The
+    numerator is the scalar sin^2(pi M omega), and K is even with period 1,
+    so the law is P(y) / 2 for the doubled law P(y) = K(omega - y/M) +
+    K(omega + y/M) = P(M - y): _law on 0..M//2, mirrored.  Sampled estimates
+    draw from the same _law without building this array (qae_estimate).
     """
     if not 0.0 <= x <= 1.0:
         raise OutOfRangeError(f"x={x} outside [0, 1]")
     omega = np.arcsin(np.sqrt(x)) / np.pi  # in [0, 1/2] turns
-    p = np.arange(M, dtype=float)
-    p /= -M
-    _kernel(omega, M, p, 0)
-    if 0.0 < omega < 0.5:
-        p[1:] += p[:0:-1]  # y = 0 maps to itself
-        p[1:] *= 0.5
+    p = _law(omega, M, np.arange(M // 2 + 1))
+    p = np.concatenate([p, p[(M + 1) // 2 - 1:0:-1]])
     p /= p.sum()
     return p
 
 
-_BLOCK = 1 << 13  # grid points per block of a gap scan: 64 KB of float64
 _WINDOW = 256  # grid points computed directly on each side of a kernel's pole
 
 # Euler-Maclaurin terms: B_2j / (2j)! and the (2j-1)-th derivative of csc^2 x
@@ -123,20 +121,13 @@ def _csc2_sum(xa: float, xb: float, h: float) -> float:
 
 
 def _gap_sum(omega: float, M: int, lo: int, hi: int) -> float:
-    """The doubled law's sum over y = lo..hi-1, a gap of 1..M/2-1 at least
+    """The doubled law's sum over y = lo..hi-1, a span of 1..M/2-1 at least
     _WINDOW points from each kernel's poles: the scalar numerator times the
-    csc^2 sums of kernel A at pi (omega - y/M) and kernel B, k(M - y), at
-    pi (omega + y/M), taken as pi (omega - (M - y)/M) past 1/2 so that the
-    angle is exact near either pole."""
+    csc^2 sums of kernel A and kernel B on _law's angles (_angles)."""
     h = math.pi / M
-    a = _csc2_sum(math.pi * (omega - lo / M), math.pi * (omega - (hi - 1) / M), -h)
-    if 0.0 < omega < 0.5:
-        xb = [math.pi * (omega + y / M if omega + y / M <= 0.5 else omega - (M - y) / M)
-              for y in (lo, hi - 1)]
-        a += _csc2_sum(xb[0], xb[1], h)
-    else:  # k(M - y) = k(y)
-        a *= 2.0
-    return float((np.sin(np.pi * M * omega) / M) ** 2) * a
+    (a0, a1), (b0, b1) = _angles(omega, M, np.array([lo, hi - 1]))
+    total = _csc2_sum(a0, a1, -h) + _csc2_sum(b0, b1, h)
+    return float((np.sin(np.pi * M * omega) / M) ** 2) * total
 
 
 def _windows(omega: float, M: int) -> list[list[int]]:
@@ -162,45 +153,33 @@ def _sample_outcome(omega: float, M: int, u: float) -> int:
 
     The law is symmetric, p_y = p_{M-y}.  Its pieces in y order are {0},
     pieces of 1..M/2-1, {M/2} (the lower ones), then the pieces' mirror
-    images M - y.  The law is doubled throughout, P(y) = k(y) + k(M - y),
-    which is exact and saves the halving.  Kernel A, k(y), has its pole at
-    c = M omega and kernel B, k(M - y), at -c and M - c, so off _WINDOW points
-    around c and at both ends of 1..M/2-1 both are smooth: those windows (a
-    gap shorter than a window joins them) are computed point by point, and
-    the gaps between them are summed in closed form (_gap_sum).  If u times
-    the total falls in a window, its cumulative sum is searched; if it falls
-    in a gap, the gap is scanned in blocks of _BLOCK points, keeping only the
-    block sums, and the one block where it falls is recomputed and searched.
+    images M - y, all on the doubled law P (_law).  Kernel A has its pole at
+    c = M omega and kernel B at -c and M - c, so off _WINDOW points around c
+    and at both ends of 1..M/2-1 both are smooth: those windows (a gap
+    shorter than a window joins them) are computed point by point, and the
+    gaps between them are summed in closed form (_gap_sum).  If u times the
+    total falls in a window, its cumulative sum is searched; if it falls in a
+    gap, the gap is halved on closed-form sums, in draw order, until at most
+    _WINDOW points are left, and their cumulative sum is searched.
     """
     half = M // 2
-    both = 0.0 < omega < 0.5
 
-    def law2(lo, hi):
-        p = _kernel(omega, M, np.arange(lo, hi, dtype=float) / -M, lo)
-        if 0 < lo < half and both:  # add k(M - y): M - y is another point
-            p += _kernel(omega, M, np.arange(M - hi + 1, M - lo + 1, dtype=float) / -M,
-                         M - hi + 1)[::-1]
-        else:
-            p *= 2.0
-        if not (math.isfinite(p.sum()) and p.min() >= 0.0):
+    def checked(total, law=None):
+        if not (0.0 <= total < math.inf and (law is None or law.min() >= 0.0)):
             raise ValueError(f"QAE outcome law at omega = {omega} is not finite and non-negative")
-        return p
+        return total
 
-    def pick(p, t, first, mirror):
-        if mirror:
-            p, first = p[::-1], M - first - len(p) + 1
-        return first + min(int(np.cumsum(p).searchsorted(t, side="right")), len(p) - 1)
-
-    pieces = [(0, 1, law2(0, 1))]  # (first y, end, law or None for a gap)
-    for lo, hi in _windows(omega, M):
-        if pieces[-1][1] < lo:
+    spans = [(0, 1), *_windows(omega, M), (half, half + 1)]
+    law = _law(omega, M, np.concatenate([np.arange(lo, hi) for lo, hi in spans]))
+    checked(law.sum(), law)
+    pieces = []  # (first y, end, law or None for a gap)
+    for lo, hi in spans:
+        if pieces and pieces[-1][1] < lo:
             pieces.append((pieces[-1][1], lo, None))
-        pieces.append((lo, hi, law2(lo, hi)))
-    pieces.append((half, half + 1, law2(half, half + 1)))
-    sums = np.array([_gap_sum(omega, M, lo, hi) if p is None else p.sum() for lo, hi, p in pieces])
-    if not (np.isfinite(sums).all() and sums.min() >= 0.0):
-        raise ValueError(f"QAE outcome law at omega = {omega} is not finite and non-negative")
-    cdf = np.cumsum(np.concatenate([sums, sums[-2:0:-1]]))
+        pieces.append((lo, hi, law[:hi - lo]))
+        law = law[hi - lo:]
+    sums = [checked(_gap_sum(omega, M, lo, hi)) if p is None else p.sum() for lo, hi, p in pieces]
+    cdf = np.cumsum(sums + sums[-2:0:-1])
     if not cdf[-1] > 0.0:
         raise ValueError(f"QAE outcome law at omega = {omega} sums to {cdf[-1]}")
     t = u * cdf[-1]
@@ -208,16 +187,17 @@ def _sample_outcome(omega: float, M: int, u: float) -> int:
     t -= cdf[j - 1] if j else 0.0
     mirror = j >= len(pieces)
     lo, hi, p = pieces[2 * len(pieces) - 2 - j if mirror else j]
-    if p is not None:
-        return pick(p, t, lo, mirror)
-    starts = np.arange(lo, hi, _BLOCK)  # scan the gap, in y order
+    if p is None:
+        while hi - lo > _WINDOW:
+            mid = (lo + hi) // 2
+            first, second = ((mid, hi), (lo, mid)) if mirror else ((lo, mid), (mid, hi))
+            s = checked(_gap_sum(omega, M, *first))
+            (lo, hi), t = (first, t) if t < s else (second, t - s)
+        p = _law(omega, M, np.arange(lo, hi))
+        checked(p.sum(), p)
     if mirror:
-        starts = starts[::-1]
-    blocks = np.cumsum([law2(a, min(a + _BLOCK, hi)).sum() for a in starts.tolist()])
-    k = min(int(blocks.searchsorted(t, side="right")), len(blocks) - 1)
-    t -= blocks[k - 1] if k else 0.0
-    a = int(starts[k])
-    return pick(law2(a, min(a + _BLOCK, hi)), t, a, mirror)
+        p, lo = p[::-1], M - hi + 1
+    return lo + min(int(np.cumsum(p).searchsorted(t, side="right")), len(p) - 1)
 
 
 def qae_estimate(x: float, params: QaeParams) -> float:
@@ -227,7 +207,8 @@ def qae_estimate(x: float, params: QaeParams) -> float:
     deterministic surrogate whose error always satisfies qae_error_bound.
     sample mode: one draw from qae_outcome_distribution, deterministic for a
     fixed seed: the outcome rng.choice draws with the same generator, found
-    from O(_WINDOW) kernel values and closed-form gap sums (_sample_outcome).
+    from O(_WINDOW) law values and closed-form gap sums, a gap halved on them
+    when the variate falls there (_sample_outcome).
     """
     if not -1e-12 <= x <= 1 + 1e-12:
         raise OutOfRangeError(f"x={x} outside [0, 1]")

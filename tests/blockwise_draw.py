@@ -7,14 +7,31 @@ outcome is the one rng.choice(M, p=qae_outcome_distribution(x, M)) draws for
 the variate u, up to rounding of the cumulative sums.  Pass 1 does not depend
 on u, so ``BlockwiseDraw`` runs it once per (omega, M) and then draws any
 number of u's; ``bounds`` gives the u-interval of one outcome, for choosing a
-u that lands on it.
+u that lands on it.  Its kernel is its own copy of the one the blockwise draw
+used, so the oracle does not change with the code it checks.
 """
 
 import numpy as np
 
-from fidest.amplitude import _kernel
-
 BLOCK = 1 << 13
+
+
+def _kernel(omega: float, M: int, k: np.ndarray, lo: int) -> np.ndarray:
+    """K(omega - y/M) = sin^2(pi M omega) / (M sin(pi (omega - y/M)))^2 for
+    y = lo, lo + 1, ..., in place on k = -y/M; K = 1 at y = rint(M omega) where
+    |sin| < 1e-15."""
+    k += omega
+    k *= np.pi
+    np.sin(k, out=k)
+    y0 = int(np.rint(M * omega)) - lo
+    peak = 0 <= y0 < len(k) and abs(k[y0]) < 1e-15
+    np.square(k, out=k)
+    if peak:
+        k[y0] = 1.0
+    np.divide((np.sin(np.pi * M * omega) / M) ** 2, k, out=k)
+    if peak:
+        k[y0] = 1.0
+    return k
 
 
 class BlockwiseDraw:

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from blockwise_draw import BlockwiseDraw
+from blockwise_draw import BLOCK, BlockwiseDraw
 
 from fidest import (
     QaeParams,
@@ -99,6 +99,46 @@ def test_outcome_distribution_matches_loop_reference(x, M):
         assert draws[0] == draws[1]
 
 
+@pytest.mark.parametrize("M", [24, 100, 101])
+def test_outcome_distribution_on_any_grid_size(M):
+    """For M not a power of two, even or odd, the law has M outcomes, is
+    symmetric bit for bit, sums to 1 and gives the loop law's rng.choice draws
+    (whose own values err by about 3e-13 at M = 101, so they are not compared
+    at 1e-15): at the endpoints, on a grid point and at random x."""
+    xs = [0.0, 1.0, 0.5, 1e-9, 1 - 1e-9, float(np.sin(np.pi * 3 / M) ** 2)]
+    xs += [float(v) for v in np.random.default_rng(M).random(4)]
+    for x in xs:
+        law, ref = qae_outcome_distribution(x, M), _loop_law(x, M)
+        assert len(law) == M
+        assert np.array_equal(law[1:], law[:0:-1]), x
+        assert abs(law.sum() - 1.0) <= 1e-15, x
+        for seed in range(200):
+            draws = [int(np.random.default_rng(seed).choice(M, p=p)) for p in (law, ref)]
+            assert draws[0] == draws[1], (x, seed)
+
+
+def _addition_formula_law(omega, M, y):
+    """The doubled law with kernel B's sine taken by the addition formula,
+    sin(pi (omega + y/M)) = sin(pi omega) cos(pi y/M) + cos(pi omega) sin(pi y/M),
+    a sum of two non-negative terms for small y: accurate to a few ulp
+    without any rule for the angle."""
+    num = (np.sin(np.pi * M * omega) / M) ** 2
+    a = np.sin(np.pi * (omega - y / M))
+    b = np.sin(np.pi * omega) * np.cos(np.pi * y / M) + np.cos(np.pi * omega) * np.sin(np.pi * y / M)
+    return num / a**2 + num / b**2
+
+
+@pytest.mark.parametrize("x", [1e-9, 4.904e-7, 1 - 1e-9])
+@pytest.mark.parametrize("M", [1 << 16, 1 << 17, 1 << 22])
+def test_law_near_y0_matches_addition_formula(x, M):
+    """Near y = 0 kernel B's angle must be taken as omega + y/M: as omega -
+    (M - y)/M, near -1, it carries an absolute rounding of 1e-16 against an
+    angle of order y/M, 6e-12 relative in the law at x = 1e-9, M = 2^22."""
+    omega, y = _omega(x), np.arange(256)
+    want = _addition_formula_law(omega, M, y)
+    assert np.max(np.abs(amplitude._law(omega, M, y) / want - 1.0)) <= 1e-15
+
+
 @pytest.mark.parametrize("M", [8, 64, 1024, 4096])
 def test_sample_draws_match_the_loop_law(M):
     """Each seed draws the outcome rng.choice draws from the loop law: at the
@@ -119,7 +159,7 @@ def test_multi_block_draws_match_rng_choice(M):
     from the whole law: at the endpoints, next to them, on grid points with
     k at block edges and at window edges (where the pole's window meets an
     end window or leaves a gap of one window), and at random x."""
-    block, w, half = amplitude._BLOCK, amplitude._WINDOW, M // 2
+    block, w, half = BLOCK, amplitude._WINDOW, M // 2
     edges = (1, block - 1, block, block + 1, 2 * block, 2 * block + 1, M // 2 - 1, M // 2)
     edges += (w, w + 1, w + 2, 3 * w + 1, 3 * w + 2, half - w - 1, half - w, half - 3 * w - 2,
               half - 3 * w - 1)
@@ -135,8 +175,8 @@ def test_multi_block_draws_match_rng_choice(M):
 
 
 def test_sampled_estimate_peak_memory():
-    """A sampled estimate holds a few blocks of the law at once, never an
-    M-length array: its peak does not grow with M."""
+    """A sampled estimate computes the law on windows of a few hundred
+    points, never an M-length array: its peak does not grow with M."""
     qae_estimate(0.31, QaeParams(M=8, mode="sample"))  # first-call allocations
     for M in (1 << 20, 1 << 22):
         tracemalloc.start()
@@ -153,7 +193,7 @@ def test_sampled_draw_rejects_a_bad_law(monkeypatch, value):
     """The checks rng.choice made are kept: the law is finite and
     non-negative, and its total is positive, for the points computed one by
     one and for the gaps summed in closed form."""
-    monkeypatch.setattr(amplitude, "_kernel", lambda omega, M, k, lo: np.full_like(k, value))
+    monkeypatch.setattr(amplitude, "_law", lambda omega, M, y: np.full(len(y), value))
     monkeypatch.setattr(amplitude, "_gap_sum", lambda omega, M, lo, hi: value)
     with pytest.raises(ValueError):
         qae_estimate(0.31, QaeParams(M=1 << 15, mode="sample"))
@@ -278,8 +318,9 @@ def test_gap_sum_matches_direct_sums():
 
 
 def test_gap_draw_peak_memory():
-    """A draw that falls in a gap scans it in blocks: its tracemalloc peak
-    stays under 2 MB at M = 2^22 (the gap spans about 10^6 points)."""
+    """A draw that falls in a gap halves it on closed-form sums: its
+    tracemalloc peak stays under 2 MB at M = 2^22 (the gap spans about 10^6
+    points)."""
     M, omega = 1 << 22, _omega(0.31)
     lo, hi = max(_gaps(omega, M), key=lambda g: g[1] - g[0])
     a, b = BlockwiseDraw(omega, M).bounds((lo + hi) // 2)
@@ -291,3 +332,31 @@ def test_gap_draw_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 2 << 20
+
+
+def _gap_middle_u(omega, M, lo, hi):
+    """The u at the middle of gap [lo, hi)'s share of the law: the doubled
+    law's mass below lo plus half the gap's, over its total of 2 (each kernel
+    sums to 1 over the M outcomes)."""
+    windows = amplitude._windows(omega, M)
+    below = amplitude._law(omega, M, np.arange(1)).sum()
+    below += sum(amplitude._law(omega, M, np.arange(a, b)).sum() for a, b in windows if b <= lo)
+    below += sum(amplitude._gap_sum(omega, M, a, b) for a, b in _gaps(omega, M) if b <= lo)
+    return (below + amplitude._gap_sum(omega, M, lo, hi) / 2) / 2.0
+
+
+def test_gap_draw_computes_few_law_points(monkeypatch):
+    """A draw that falls in the largest gap at M = 2^26 (about 2^24 points)
+    computes the law only on its windows and on the at most _WINDOW points
+    that halving the gap leaves: under 6 _WINDOW points, not O(M)."""
+    M, omega = 1 << 26, _omega(0.31)
+    lo, hi = max(_gaps(omega, M), key=lambda g: g[1] - g[0])
+    u, law, computed = _gap_middle_u(omega, M, lo, hi), amplitude._law, []
+
+    def counting_law(omega, M, y):
+        computed.append(len(y))
+        return law(omega, M, y)
+
+    monkeypatch.setattr(amplitude, "_law", counting_law)
+    assert lo <= amplitude._sample_outcome(omega, M, u) < hi
+    assert sum(computed) < 6 * amplitude._WINDOW

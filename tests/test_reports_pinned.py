@@ -1,4 +1,4 @@
-"""Reports of thirteen small estimates, pinned to ``reports_pinned.json``.
+"""Reports of fourteen small estimates, pinned to ``reports_pinned.json``.
 
 The calls cover both levels, perturbed circuits, equal-rank pairs and
 sampled amplitude estimation.  Strings, integers and booleans must match the
@@ -59,6 +59,9 @@ CASES = {
     ),
     "ideal-n1-ranks-1-2-sampled-m22": (  # a sampled draw on a 2^22-point grid
         1, 1, 2, 131, (4.0, 1 << 12, 256.0, 1 << 20, 1 << 22, IDEAL, "sample", 0.0)
+    ),
+    "ideal-n1-ranks-1-2-sampled-gap-m20": (  # a sampled draw that falls in a (mirror) gap
+        1, 1, 2, 1074, (4.0, 1 << 12, 256.0, 1 << 20, 1 << 20, IDEAL, "sample", 0.0)
     ),
 }
 
