@@ -131,6 +131,11 @@ def _knob_params(args, kappa_sigma: float, t_sigma: int, kappa: float, t: int,
                  qae_m: int) -> PipelineParams:
     """PipelineParams from an explicit knob set and the run options."""
     sim_level, perturbation = _sim_level(args)
+    if args.qae_mode == "sample" and qae_m & (qae_m - 1):  # M is the phase register's size
+        flag = "--qae-m-list" if args.command == "sweep" else "--qae-m"
+        raise ConfigError(
+            f"option {flag} must be a power of two with --qae-mode sample, got {qae_m}"
+        )
     return PipelineParams(
         kappa_sigma=kappa_sigma, t_sigma=t_sigma, kappa=kappa, t=t,
         qae=QaeParams(M=qae_m, mode=args.qae_mode),

@@ -189,7 +189,6 @@ def build_w_sigma(
 
 @dataclass(frozen=True)
 class EtaResult:
-    purification: Purification
     block: np.ndarray  # <0|eta|0> over W's ancillas, ~ sqrt(s) rho sqrt(s) / (16 k_s)
     block_error: float  # distance of the block from its target
 
@@ -202,12 +201,13 @@ def build_eta(
     """Apply the sqrt(sigma) encoding, held as W's columns on its
     ancilla-zero inputs, to rho's purification.
 
-    Returns eta's purification and the w_anc-zero block of its traced state,
-    which approximates sqrt(sigma) rho sqrt(sigma) / (16 kappa_sigma).  Eta's
-    factor, on [system, w_anc] x garbage, is W's columns on the system inputs
-    times rho's factor; the block is M M^dagger for M its w_anc-zero rows, and
-    its reference is T T^dagger / (16 kappa_sigma) for T = sqrt(sigma) times
-    rho's factor, so neither eta's density nor rho's is formed.
+    Returns the w_anc-zero block of eta's traced state, which approximates
+    sqrt(sigma) rho sqrt(sigma) / (16 kappa_sigma).  Eta's factor, on
+    [system, w_anc] x garbage, is W's columns on the system inputs times rho's
+    factor; its w_anc-zero rows M are W's block times rho's factor, and the
+    block is M M^dagger.  Its reference is T T^dagger / (16 kappa_sigma) for
+    T = sqrt(sigma) times rho's factor, so no density and no whole factor of
+    eta is formed (a perturbed eta circuit forms the factor itself).
     """
     n = rho_prep.system_qubits
     if w.columns.shape[1] != 1 << n:
@@ -221,13 +221,12 @@ def build_eta(
         raise RegisterTooLargeError(
             f"eta register needs {total} qubits, budget is {qubit_budget}"
         )
-    factor = w.columns @ rho_prep.factor
-    m = factor[:: 1 << a_w]
+    m = w.block @ rho_prep.factor
     block = m @ m.conj().T
     t = w.target_sqrt @ rho_prep.factor
     ref = t @ t.conj().T / (16.0 * w.kappa_sigma)
     block_error = operator_norm(block - ref)
-    return EtaResult(purification=Purification(factor), block=block, block_error=block_error)
+    return EtaResult(block=block, block_error=block_error)
 
 
 def analytic_error_bound(
@@ -282,14 +281,15 @@ def estimate_fidelity(
 
     w = build_w_sigma(sigma_prep, params, seed=seed)
     eta = build_eta(rho_prep, w, qubit_budget=params.qubit_budget)
-    a_w = eta.purification.system_qubits - n
+    a_w = (w.columns.shape[0] >> n).bit_length() - 1
 
     ep = params.eta_params()
     eta_circuit_qubits = n + a_w + rho_prep.garbage_qubits + ep.l + 1
     circuit = ep.sim_level == "circuit-pe" and eta_circuit_qubits <= params.qubit_budget
     if circuit and ep.perturbation:
+        eta_prep = Purification(w.columns @ rho_prep.factor)  # eta's whole factor
         out = build_sqrt_unitary(
-            eta.purification, a_w, ep, qubit_budget=params.qubit_budget, seed=seed + 1
+            eta_prep, a_w, ep, qubit_budget=params.qubit_budget, seed=seed + 1
         )
         x = out.zero_probability()
         level_eta = out.sim_level

@@ -3,7 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from blockwise_draw import BLOCK, BlockwiseDraw
 
 from fidest import (
     QaeParams,
@@ -139,44 +138,104 @@ def test_law_near_y0_matches_addition_formula(x, M):
     assert np.max(np.abs(amplitude._law(omega, M, y) / want - 1.0)) <= 1e-15
 
 
-@pytest.mark.parametrize("M", [8, 64, 1024, 4096])
+
+
+def _omega(x):
+    return float(np.arcsin(np.sqrt(x)) / np.pi)
+
+
+def _chi2_sf(stat, dof):
+    """P(chi^2 with dof degrees of freedom >= stat): the regularised upper
+    gamma function Q(dof/2, stat/2), from Q(1/2, z) = erfc(sqrt z) or
+    Q(1, z) = exp(-z) by Q(a + 1, z) = Q(a, z) + z^a exp(-z) / Gamma(a + 1)."""
+    z, a = stat / 2.0, 0.5 if dof % 2 else 1.0
+    q = math.erfc(math.sqrt(z)) if dof % 2 else math.exp(-z)
+    term = math.exp(a * math.log(z) - z - math.lgamma(a + 1.0)) if z > 0 else 0.0
+    while a < dof / 2:
+        q, a = q + term, a + 1.0
+        term *= z / a
+    return q
+
+
+def _chi2_p(draws, law):
+    """Pearson's chi^2 p-value of the draws' outcome counts against the law:
+    each outcome expected 5 or more times is a bin, the rest pool into one,
+    folded into the smallest bin when it is expected fewer than 5 times."""
+    counts, expected = np.bincount(draws, minlength=len(law)), len(draws) * law
+    big = expected >= 5
+    obs = [*counts[big], counts[~big].sum()]
+    exp = [*expected[big], expected[~big].sum()]
+    if exp[-1] < 5:
+        k = int(np.argmin(exp[:-1]))
+        obs[k], exp[k] = obs[k] + obs.pop(), exp[k] + exp.pop()
+    if len(exp) == 1:
+        return 1.0  # one bin holds the whole law: nothing to compare
+    obs, exp = np.array(obs), np.array(exp)
+    return _chi2_sf(float(np.sum((obs - exp) ** 2 / exp)), len(exp) - 1)
+
+
+def test_chi2_sf_matches_known_quantiles():
+    """chi^2 upper quantiles at 1e-3 (odd and even dof) and the exact tails
+    at dof 1 and 2."""
+    for dof, q in ((1, 10.828), (2, 13.816), (7, 24.322), (30, 59.703)):
+        assert abs(_chi2_sf(q, dof) / 1e-3 - 1.0) <= 1e-3, dof
+    assert abs(_chi2_sf(3.0, 1) - math.erfc(math.sqrt(1.5))) <= 1e-15
+    assert abs(_chi2_sf(3.0, 2) - math.exp(-1.5)) <= 1e-15
+
+
+@pytest.mark.parametrize("M", [2, 8, 64, 1024, 4096])
 def test_sample_draws_match_the_loop_law(M):
-    """Each seed draws the outcome rng.choice draws from the loop law: at the
-    endpoints, on grid points (a zero kernel denominator) and at random x."""
-    xs = [0.0, 1.0, 0.5, 1e-9] + [float(np.sin(np.pi * k / M) ** 2) for k in (1, 3, M // 4 - 1)]
-    xs += [float(v) for v in np.random.default_rng(M).random(8)]
-    for x in xs:
-        ref = _loop_law(x, M)
-        for seed in range(30):
-            y = int(np.random.default_rng(seed).choice(M, p=ref))
-            got = qae_estimate(x, QaeParams(M=M, mode="sample", seed=seed))
-            assert got == float(np.sin(np.pi * y / M) ** 2), (x, seed)
+    """20,000 draws at each x, from the endpoints to 1e-6 of them, follow
+    the loop law: none falls on an outcome of probability below 1e-12, and
+    Pearson's chi^2 p >= 1e-3 over outcomes pooled to an expected count of 5.  A sampler without the -omega branch, one that
+    proposes floor(c) on both sides, and one that keeps offsets outside
+    (-M/2, M/2] each fail it, by chi^2 or by the envelope check."""
+    rng = np.random.default_rng(M)
+    for x in (0.0, 1e-6, 1e-3, 0.31, 0.5, 1 - 1e-6, 1.0):
+        draws, law = amplitude._outcomes(_omega(x), M, rng, 20_000), _loop_law(x, M)
+        assert len(draws) == 20_000
+        assert law[draws].min() >= 1e-12, x  # none where the law is nil
+        assert _chi2_p(draws, law) >= 1e-3, x
 
 
-@pytest.mark.parametrize("M", [1 << 15, 1 << 17])
-def test_multi_block_draws_match_rng_choice(M):
-    """Draws whose law spans several blocks are the ones rng.choice draws
-    from the whole law: at the endpoints, next to them, on grid points with
-    k at block edges and at window edges (where the pole's window meets an
-    end window or leaves a gap of one window), and at random x."""
-    block, w, half = BLOCK, amplitude._WINDOW, M // 2
-    edges = (1, block - 1, block, block + 1, 2 * block, 2 * block + 1, M // 2 - 1, M // 2)
-    edges += (w, w + 1, w + 2, 3 * w + 1, 3 * w + 2, half - w - 1, half - w, half - 3 * w - 2,
-              half - 3 * w - 1)
-    xs = [0.0, 1.0, 0.5, 1e-9, 1 - 1e-9]
-    xs += [float(np.sin(np.pi * k / M) ** 2) for k in edges if k <= M // 2]
-    xs += [float(v) for v in np.random.default_rng(M).random(6)]
-    for x in xs:
-        law = qae_outcome_distribution(x, M)
-        for seed in range(25):
-            y = int(np.random.default_rng(seed).choice(M, p=law))
-            got = qae_estimate(x, QaeParams(M=M, mode="sample", seed=seed))
-            assert got == float(np.sin(np.pi * y / M) ** 2), (x, seed)
+@pytest.mark.parametrize("M", [2, 8, 1 << 12, 1 << 26])
+def test_kernel_stays_under_its_envelope(M):
+    """K(d) <= 1 / max(1, j (j + 1)) for the offsets d = f + j and f - 1 - j
+    with |d| <= M/2 (d = +-M/2 included): j up to 2,000, then log-spaced and
+    the last three before M/2, for fractional parts f of the poles +-M omega
+    at x = 0, 1e-9, 1 - 1e-9 and 1, of d -> 0 (f = 0, 1e-200, 1e-12) and
+    dense in [0, 1)."""
+    j = np.unique(np.concatenate([np.arange(2001), np.geomspace(1, M, 200).astype(int),
+                                  M // 2 - np.arange(3)]))
+    poles = [s * M * _omega(x) % 1.0 for x in (0.0, 1e-9, 1 - 1e-9, 1.0) for s in (1, -1)]
+    for f in poles + [0.0, 1e-200, 1e-12, 1 - 2**-53, *np.linspace(0, 1, 200, endpoint=False)]:
+        for d in (f + j, f - 1.0 - j):
+            keep = np.abs(d) <= M / 2
+            ratio = amplitude._fejer(d[keep], M) * np.maximum(j[keep] * (j[keep] + 1.0), 1.0)
+            assert np.all(ratio <= 1.0 + 1e-12), (f, d[keep][np.argmax(ratio)])
+
+
+@pytest.mark.parametrize("value,raises", [(1 + 1e-13, False), (1 + 1e-9, True), (2.0, True),
+                                          (np.inf, True), (np.nan, True)])
+def test_sampled_draw_rejects_a_kernel_above_its_envelope(monkeypatch, value, raises):
+    """The draw is exact only while K <= envelope: a kernel more than 1e-12
+    relative above it, or not a number, raises; one within 1e-12 draws."""
+    def kernel(d, M):
+        j = np.where(d >= 0, np.floor(d), np.ceil(-d) - 1.0)  # the proposal's j
+        return value / np.maximum(j * (j + 1.0), 1.0)
+
+    monkeypatch.setattr(amplitude, "_fejer", kernel)
+    qp = QaeParams(M=1 << 15, mode="sample")
+    if raises:
+        with pytest.raises(ValueError):
+            qae_estimate(0.31, qp)
+    else:
+        qae_estimate(0.31, qp)
 
 
 def test_sampled_estimate_peak_memory():
-    """A sampled estimate computes the law on windows of a few hundred
-    points, never an M-length array: its peak does not grow with M."""
+    """A sampled estimate proposes a few dozen offsets, never an M-length
+    array: its peak does not grow with M."""
     qae_estimate(0.31, QaeParams(M=8, mode="sample"))  # first-call allocations
     for M in (1 << 20, 1 << 22):
         tracemalloc.start()
@@ -186,177 +245,3 @@ def test_sampled_estimate_peak_memory():
         finally:
             tracemalloc.stop()
         assert peak <= 2 << 20, M
-
-
-@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0, 0.0])
-def test_sampled_draw_rejects_a_bad_law(monkeypatch, value):
-    """The checks rng.choice made are kept: the law is finite and
-    non-negative, and its total is positive, for the points computed one by
-    one and for the gaps summed in closed form."""
-    monkeypatch.setattr(amplitude, "_law", lambda omega, M, y: np.full(len(y), value))
-    monkeypatch.setattr(amplitude, "_gap_sum", lambda omega, M, lo, hi: value)
-    with pytest.raises(ValueError):
-        qae_estimate(0.31, QaeParams(M=1 << 15, mode="sample"))
-
-
-@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
-def test_sampled_draw_rejects_a_bad_gap_sum(monkeypatch, value):
-    """A gap sum is checked on its own: with the kernel values intact, a gap
-    sum that is not finite and non-negative raises."""
-    monkeypatch.setattr(amplitude, "_gap_sum", lambda omega, M, lo, hi: value)
-    with pytest.raises(ValueError):
-        qae_estimate(0.31, QaeParams(M=1 << 15, mode="sample"))
-
-
-def _omega(x):
-    return float(np.arcsin(np.sqrt(x)) / np.pi)
-
-
-def _gaps(omega, M):
-    """The gaps [lo, hi) between the windows a sampled draw computes point by
-    point."""
-    w = amplitude._windows(omega, M)
-    return [(a[1], b[0]) for a, b in zip(w, w[1:])]
-
-
-def test_windowed_draw_matches_blockwise_oracle():
-    """The windowed draw gives the blockwise draw's outcome for 2,016 random
-    (x, M, u), M from 2^3 to 2^26."""
-    rng = np.random.default_rng(14)
-    cases = 0
-    for e in range(3, 27):
-        M = 1 << e
-        for x in rng.random(4 if e <= 22 else 1):
-            omega = _omega(x)
-            oracle = BlockwiseDraw(omega, M)
-            for u in rng.random(24):
-                assert amplitude._sample_outcome(omega, M, u) == oracle(u), (x, M, u)
-                cases += 1
-    assert cases >= 2000
-
-
-def _edge_and_gap_outcomes(omega, M):
-    """Outcomes that force each path: both sides of every window edge, and
-    points inside every gap, with their mirror images."""
-    half, ys = M // 2, set()
-    for lo, hi in amplitude._windows(omega, M):
-        ys.update({lo - 1, lo, lo + 1, hi - 2, hi - 1, hi})
-    for lo, hi in _gaps(omega, M):
-        ys.update({lo + (hi - lo) // 3, hi - 1 - (hi - lo) // 5})
-    ys = {y for y in ys if 0 <= y <= half}
-    return sorted(ys | {M - y for y in ys if 0 < y < half})
-
-
-@pytest.mark.parametrize("M", [1 << 10, 1 << 13, 1 << 16, 1 << 19, 1 << 21])
-def test_gap_and_window_edge_draws_match_blockwise_oracle(M):
-    """A u chosen in the middle of one outcome's share of the blockwise law
-    draws that outcome from the windowed law too: outcomes in every gap and
-    mirror gap (the gap scan), on both sides of each window edge, at x = 0,
-    1, 1e-9, 1 - 1e-9, on grid points and at random x."""
-    xs = [0.0, 1.0, 1e-9, 1 - 1e-9, 0.5, float(np.sin(np.pi * 3 / M) ** 2)]
-    xs += [float(np.sin(np.pi * k / M) ** 2) for k in (M // 8, 3 * amplitude._WINDOW + 2)]
-    xs += [float(v) for v in np.random.default_rng(M).random(2)]
-    gap_draws = 0
-    for x in xs:
-        omega = _omega(x)
-        oracle = BlockwiseDraw(omega, M)
-        gaps = _gaps(omega, M)
-        for y in _edge_and_gap_outcomes(omega, M):
-            lo, hi = oracle.bounds(y)
-            if not hi > lo:
-                continue  # no u draws y: a zero-probability outcome
-            u = (lo + hi) / 2
-            assert oracle(u) == y
-            assert amplitude._sample_outcome(omega, M, u) == y, (x, y)
-            gap_draws += any(a <= min(y, M - y) < b for a, b in gaps)
-    assert gap_draws >= (4 if M > 8 * amplitude._WINDOW else 0)  # no gaps below
-
-
-def test_large_grid_gap_draws_agree_up_to_rounding():
-    """At M = 2^24 one outcome in a far gap holds about 1e-15 of the law,
-    which a float64 cumulative sum over 2^23 points does not resolve, so the
-    two draws may differ there by a grid point (where they differed, a
-    correctly rounded cumulative sum sided with the windowed draw in four of
-    four cases inspected).  The windowed outcome is the blockwise one for a
-    u within 4e-15 of the given one."""
-    M = 1 << 24
-    omega = _omega(0.31)
-    oracle = BlockwiseDraw(omega, M)
-    for lo, hi in _gaps(omega, M):
-        for y in ((lo + hi) // 2, M - (lo + hi) // 2):
-            a, b = oracle.bounds(y)
-            u = (a + b) / 2
-            a, b = oracle.bounds(amplitude._sample_outcome(omega, M, u))
-            assert a - 4e-15 <= u < b + 4e-15, y
-
-
-def _direct_gap_sum(omega, M, lo, hi):
-    """The doubled law over a gap, point by point, summed exactly (fsum) on
-    the same exact-near-the-pole angles as the closed form."""
-    y = np.arange(lo, hi, dtype=float)
-    terms = np.sin(np.pi * (omega - y / M)) ** -2
-    if 0.0 < omega < 0.5:
-        d = np.where(omega + y / M <= 0.5, omega + y / M, omega - (M - y) / M)
-        terms = np.concatenate([terms, np.sin(np.pi * d) ** -2])
-    else:
-        terms = 2.0 * terms
-    return float((np.sin(np.pi * M * omega) / M) ** 2) * math.fsum(terms.tolist())
-
-
-def test_gap_sum_matches_direct_sums():
-    rng = np.random.default_rng(3)
-    checked = 0
-    for e in range(10, 19):
-        M = 1 << e
-        for x in [1.0, 1e-9, 1 - 1e-9, *rng.random(6)]:
-            omega = _omega(x)
-            for lo, hi in _gaps(omega, M):
-                want = _direct_gap_sum(omega, M, lo, hi)
-                assert abs(amplitude._gap_sum(omega, M, lo, hi) - want) <= 1e-15 * want, (x, M, lo)
-                checked += 1
-    assert checked >= 100
-
-
-def test_gap_draw_peak_memory():
-    """A draw that falls in a gap halves it on closed-form sums: its
-    tracemalloc peak stays under 2 MB at M = 2^22 (the gap spans about 10^6
-    points)."""
-    M, omega = 1 << 22, _omega(0.31)
-    lo, hi = max(_gaps(omega, M), key=lambda g: g[1] - g[0])
-    a, b = BlockwiseDraw(omega, M).bounds((lo + hi) // 2)
-    amplitude._sample_outcome(omega, M, (a + b) / 2)  # first-call allocations
-    tracemalloc.start()
-    try:
-        assert amplitude._sample_outcome(omega, M, (a + b) / 2) == (lo + hi) // 2
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 << 20
-
-
-def _gap_middle_u(omega, M, lo, hi):
-    """The u at the middle of gap [lo, hi)'s share of the law: the doubled
-    law's mass below lo plus half the gap's, over its total of 2 (each kernel
-    sums to 1 over the M outcomes)."""
-    windows = amplitude._windows(omega, M)
-    below = amplitude._law(omega, M, np.arange(1)).sum()
-    below += sum(amplitude._law(omega, M, np.arange(a, b)).sum() for a, b in windows if b <= lo)
-    below += sum(amplitude._gap_sum(omega, M, a, b) for a, b in _gaps(omega, M) if b <= lo)
-    return (below + amplitude._gap_sum(omega, M, lo, hi) / 2) / 2.0
-
-
-def test_gap_draw_computes_few_law_points(monkeypatch):
-    """A draw that falls in the largest gap at M = 2^26 (about 2^24 points)
-    computes the law only on its windows and on the at most _WINDOW points
-    that halving the gap leaves: under 6 _WINDOW points, not O(M)."""
-    M, omega = 1 << 26, _omega(0.31)
-    lo, hi = max(_gaps(omega, M), key=lambda g: g[1] - g[0])
-    u, law, computed = _gap_middle_u(omega, M, lo, hi), amplitude._law, []
-
-    def counting_law(omega, M, y):
-        computed.append(len(y))
-        return law(omega, M, y)
-
-    monkeypatch.setattr(amplitude, "_law", counting_law)
-    assert lo <= amplitude._sample_outcome(omega, M, u) < hi
-    assert sum(computed) < 6 * amplitude._WINDOW

@@ -355,6 +355,19 @@ def test_sweep_knob_out_of_range_exits_3_before_writing(tmp_path, capsys, flag, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (ESTIMATE_FLAGS, "--qae-m", "24"), (SWEEP_FLAGS, "--qae-m-list", "16,24"),
+])
+def test_sampled_qae_m_not_a_power_of_two_exits_3(tmp_path, capsys, argv, flag, value):
+    """M is the size of the phase register: with --qae-mode sample a grid
+    size that is no power of two is a usage error naming the flag, and a
+    sweep stops before it writes its header."""
+    out = tmp_path / "s.csv"
+    code, _, err = run(capsys, *argv, "--output", str(out), flag, value, "--qae-mode", "sample")
+    assert code == 3 and f"config error: option {flag} must be a power of two" in err
+    assert "got 24" in err and not out.exists()
+
+
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
 @pytest.mark.parametrize("argv, flag", [
     (ESTIMATE_FLAGS, "--kappa-sigma"), (ESTIMATE_FLAGS, "--kappa"),

@@ -135,7 +135,9 @@ def test_eta_equal_pure_states(prep):
     ref = Z0.matrix / (16 * 16.0)
     bound = 16.0**-1.5 + 16.0**0.5 / 256 + 16.0**2 / 256**2
     assert operator_norm(eta.block - ref) <= bound
-    assert abs(np.trace(eta.purification.traced_matrix()).real - 1) <= 1e-9
+    # eta's whole factor, W's columns times rho's factor, is a unit-trace state
+    eta_prep = Purification(w.columns @ prep(Z0).factor)
+    assert abs(np.trace(eta_prep.traced_matrix()).real - 1) <= 1e-9
 
 
 def test_eta_orthogonal_pure_states(prep):
@@ -424,7 +426,8 @@ def test_estimate_builds_circuits_and_densities_only_where_needed(
 ):
     """The circuit-pe calls of the benchmark: an unperturbed estimate forms no
     density operator and runs an extraction circuit only for a circuit-level
-    sigma stage; a perturbed eta stage still runs its circuit."""
+    sigma stage; a perturbed eta stage still runs its circuit, and only it
+    forms eta's whole factor as a purification."""
     rho_prep = purify(random_density(1, 1, seed=3), ancillas)
     sigma_prep = purify(random_density(1, rank_sigma, seed=4), ancillas)
     params = PipelineParams(
@@ -433,6 +436,7 @@ def test_estimate_builds_circuits_and_densities_only_where_needed(
     )
     densities = _counting(monkeypatch, DensityOperator, "__post_init__")
     circuits = _counting(monkeypatch, pipeline_module, "build_sqrt_unitary")
+    purifications = _counting(monkeypatch, Purification, "__post_init__")
     rep = estimate_fidelity(rho_prep, sigma_prep, params, seed=1)
     assert rep.sim_level_eta == level
     assert len(densities) == 0
@@ -440,6 +444,8 @@ def test_estimate_builds_circuits_and_densities_only_where_needed(
     assert [args[1] == 0 for args in circuits] == [True] * sigma_circuits + [False] * (
         perturbation > 0
     )
+    # the sigma stage's output state, then eta's factor for a perturbed eta circuit
+    assert len(purifications) == 1 + (perturbation > 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
