@@ -76,7 +76,7 @@ def qae_outcome_distribution(x: float, M: int) -> np.ndarray:
     numerator is the scalar sin^2(pi M omega), and K is even with period 1,
     so the law is P(y) / 2 for the doubled law P(y) = K(omega - y/M) +
     K(omega + y/M) = P(M - y): _law on 0..M//2, mirrored.  Sampled estimates
-    draw from the same _law without building this array (qae_estimate).
+    draw from this law by _outcomes' rejection from _fejer, without the array.
     """
     if not 0.0 <= x <= 1.0:
         raise OutOfRangeError(f"x={x} outside [0, 1]")

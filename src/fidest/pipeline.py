@@ -8,21 +8,22 @@ all-zeros amplitude x by amplitude estimation; report 16 sqrt(kappa
 kappa_sigma) x~ against the exact-oracle fidelity together with an analytic
 error bound and measured query counts.
 
-Each stage runs at the circuit or the ideal-spectral level: the circuit
-level is used when the qubit budget allows, otherwise the stage falls back to
-ideal-spectral, and the report records the level actually used
-(circuit-pe-perturbed for a circuit run with perturbation > 0).  Both levels
-work on arrays: each purification is its factor, W is a plain array of its
-columns on the ancilla-zero inputs, eta's factor is those columns times
-rho's, each block is M M^dagger of a slice M, and each block error is one
-operator norm.  The eta stage needs only the all-zeros probability x of its
-output, so unperturbed it reads x = sum_g g G(g)^2 off the block's spectrum:
-G is the circuit's per-eigenvalue gain (``stage_gain``) or, at the ideal
-level, the filter; only a perturbed eta circuit runs on the state.  The
-roles and ranks come from the factors, so no density operator is formed.
-The reported exact fidelity is Uhlmann's || M_rho^dagger M_sigma ||_1 on
-the two factors the estimate was given.  This module holds the estimate
-path and the parameter schedules; the bound checks live in ``verify``.
+Each stage's level is chosen and labelled here: circuit-pe when every
+register it commits the estimate to fits the qubit budget (for W, that is
+eta's register: W's plus rho's garbage), else ideal-spectral, and the report
+records the level used (circuit-pe-perturbed for a circuit run with
+perturbation > 0).  Both levels work on arrays: each purification is its
+factor, W is a plain array of its columns on the ancilla-zero inputs, eta's
+factor is those columns times rho's, each block is M M^dagger of a slice M,
+and each block error is one operator norm.  The eta stage needs only the
+all-zeros probability x of its output, so unperturbed it reads
+x = sum_g g G(g)^2 off the block's spectrum: G is the circuit's
+per-eigenvalue gain (``stage_gain``) or, at the ideal level, the filter;
+only a perturbed eta circuit runs on the state.  The roles and ranks come
+from the factors, so no density operator is formed.  The reported exact
+fidelity is Uhlmann's || M_rho^dagger M_sigma ||_1 on the two factors the
+estimate was given.  This module holds the estimate path and the parameter
+schedules; the bound checks live in ``verify``.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .states import Purification, uhlmann_fidelity
 
 CIRCUIT_T_CEILING = 1 << 20
 IDEAL_T_CEILING = 1 << 30
+SIM_LEVELS = ("ideal-spectral", "circuit-pe")
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,8 @@ class PipelineParams:
     perturbation: float = 0.0
 
     def __post_init__(self):
+        if self.sim_level not in SIM_LEVELS:
+            raise ValueError(f"sim_level {self.sim_level!r} not in {SIM_LEVELS}")
         if not self.bound_constant >= 0:
             raise ValueError(f"bound_constant must be >= 0, got {self.bound_constant}")
 
@@ -79,7 +83,6 @@ class PipelineParams:
         return SqrtParams(
             kappa=self.kappa_sigma,
             t=self.t_sigma,
-            sim_level=self.sim_level,
             perturbation=self.perturbation,
         )
 
@@ -87,7 +90,6 @@ class PipelineParams:
         return SqrtParams(
             kappa=self.kappa,
             t=self.t,
-            sim_level=self.sim_level,
             perturbation=self.perturbation,
         )
 
@@ -149,24 +151,34 @@ class WSigmaResult:
     o_sigma_queries_per_use: int  # one W use = two extraction-circuit uses
 
 
+def _stage_level(circuit: bool, perturbation: float) -> str:
+    """The level a stage reports, from the routine it ran and the perturbation."""
+    if not circuit:
+        return "ideal-spectral"
+    return "circuit-pe-perturbed" if perturbation > 0 else "circuit-pe"
+
+
 def build_w_sigma(
     sigma_prep: Purification,
     params: PipelineParams,
     seed: int = 0,
+    rho_garbage_qubits: int = 0,
 ) -> WSigmaResult:
     """Unitary block-encoding of sqrt(sigma) with scale 4 sqrt(kappa_sigma).
 
     The extraction runs on sigma's purification, as a circuit or (at the
-    ideal level, or as the fallback when the circuit exceeds the qubit
-    budget) as perfect phase estimation, which is small regardless of
-    t_sigma.  Its output state then goes through the two-query
-    purified-state-to-unitary construction.
+    ideal level, or as the fallback when eta's register on a circuit W, that
+    is W's plus ``rho_garbage_qubits``, exceeds the qubit budget) as perfect
+    phase estimation, which is small regardless of t_sigma.  Its output state
+    then goes through the two-query purified-state-to-unitary construction.
     """
     n = sigma_prep.system_qubits
     sp = params.sigma_params()
     # the circuit itself (n + n_sigma + l + 1 qubits) is always smaller than W
     w_qubits = 2 * (n + sp.l + 1) + sigma_prep.garbage_qubits
-    if sp.sim_level == "circuit-pe" and w_qubits <= params.qubit_budget:
+    eta_qubits = w_qubits + rho_garbage_qubits  # eta's register on a circuit W
+    circuit = params.sim_level == "circuit-pe" and eta_qubits <= params.qubit_budget
+    if circuit:
         out = build_sqrt_unitary(sigma_prep, 0, sp, qubit_budget=params.qubit_budget, seed=seed)
     else:
         out = ideal_sqrt_state(sigma_prep, 0, sp)
@@ -182,7 +194,7 @@ def build_w_sigma(
         target_sqrt=out.target_sqrt,
         kappa_sigma=params.kappa_sigma,
         w_sigma_error=scaled_block_error(block, out.target_sqrt, params.kappa_sigma),
-        sim_level=out.sim_level,
+        sim_level=_stage_level(circuit, params.perturbation),
         o_sigma_queries_per_use=2 * out.preparer_queries,
     )
 
@@ -279,27 +291,25 @@ def estimate_fidelity(
     rho_prep, sigma_prep, rank_rho, rank_sigma, swapped = _role_order(rho_prep, sigma_prep)
     n = rho_prep.system_qubits
 
-    w = build_w_sigma(sigma_prep, params, seed=seed)
+    w = build_w_sigma(sigma_prep, params, seed=seed, rho_garbage_qubits=rho_prep.garbage_qubits)
     eta = build_eta(rho_prep, w, qubit_budget=params.qubit_budget)
     a_w = (w.columns.shape[0] >> n).bit_length() - 1
 
     ep = params.eta_params()
     eta_circuit_qubits = n + a_w + rho_prep.garbage_qubits + ep.l + 1
-    circuit = ep.sim_level == "circuit-pe" and eta_circuit_qubits <= params.qubit_budget
+    circuit = params.sim_level == "circuit-pe" and eta_circuit_qubits <= params.qubit_budget
     if circuit and ep.perturbation:
         eta_prep = Purification(w.columns @ rho_prep.factor)  # eta's whole factor
         out = build_sqrt_unitary(
             eta_prep, a_w, ep, qubit_budget=params.qubit_budget, seed=seed + 1
         )
         x = out.zero_probability()
-        level_eta = out.sim_level
     else:
         # eigenbranch g of the block reads all-zeros with amplitude G(g): the
         # circuit's stage gain, or the filter under perfect phase estimation
         g = block_spectrum(eta.block).values
         gain = stage_gain(g, ep) if circuit else filter_f(g, params.kappa)
         x = checked_probability(float(np.sum(g * gain**2)))
-        level_eta = "circuit-pe" if circuit else "ideal-spectral"
 
     qae = QaeParams(M=params.qae.M, mode=params.qae.mode, seed=seed)
     x_tilde = qae_estimate(x, qae)
@@ -317,7 +327,7 @@ def estimate_fidelity(
         rank_r=rank_rho,
         swapped=swapped,
         sim_level_sigma=w.sim_level,
-        sim_level_eta=level_eta,
+        sim_level_eta=_stage_level(circuit, params.perturbation),
         kappa_sigma=params.kappa_sigma,
         t_sigma=params.t_sigma,
         kappa=params.kappa,

@@ -10,17 +10,17 @@ output state block-encodes sqrt(A) with scale 4*sqrt(kappa):
   4. rotate a flag qubit by a filter of the estimated eigenvalue,
   5. uncompute steps 3 and 2.
 
-Two simulation levels are exposed: ``ideal-spectral`` applies the filter
-directly on the exact spectrum (perfect phase estimation, no phase register
-blowup), and ``circuit-pe`` applies the circuit's gates, with exact
-controlled exponentials; no 2^q x 2^q unitary is formed.  Each gate is a
-function of A, so each eigenbranch of A runs alone on [pe, flag] from
-|0>|0>: the circuit is simulated on a branches x T x 2 array.  A
+Two routines build the output state: ``ideal_sqrt_state`` applies the
+filter directly on the exact spectrum (perfect phase estimation, no phase
+register blowup), and ``build_sqrt_unitary`` applies the circuit's gates,
+with exact controlled exponentials; no 2^q x 2^q unitary is formed.  Each
+gate is a function of A, so each eigenbranch of A runs alone on [pe, flag]
+from |0>|0>: the circuit is simulated on a branches x T x 2 array.  A
 ``perturbation`` > 0 multiplies each controlled exponential by a random
 unitary within that operator distance of identity to model
 Hamiltonian-simulation error; such unitaries mix branches, so those circuits
-run on the input state reshaped to one axis per register, and their outputs
-report the level ``circuit-pe-perturbed``.
+run on the input state reshaped to one axis per register.  Which routine a
+stage runs, and the level it reports, is the pipeline's choice.
 
 Where only the all-zeros probability of an unperturbed circuit is needed,
 ``stage_gain`` gives each eigenbranch's all-zeros amplitude from the same
@@ -54,8 +54,6 @@ from .linalg import HermitianEigen, eig_hermitian, operator_norm, reflect
 from .registers import DEFAULT_QUBIT_BUDGET
 from .states import Purification
 
-SIM_LEVELS = ("ideal-spectral", "circuit-pe")
-
 SPECTRUM_TOL = 1e-9
 
 
@@ -70,7 +68,6 @@ class SqrtParams:
 
     kappa: float
     t: int
-    sim_level: str = "circuit-pe"
     perturbation: float = 0.0
 
     def __post_init__(self):
@@ -79,8 +76,6 @@ class SqrtParams:
         if int(self.t) != self.t or self.t < 6:
             raise ValueError(f"t must be an integer >= 6, got {self.t}")
         object.__setattr__(self, "t", int(self.t))
-        if self.sim_level not in SIM_LEVELS:
-            raise ValueError(f"sim_level {self.sim_level!r} not in {SIM_LEVELS}")
         if self.perturbation < 0:
             raise ValueError(f"perturbation must be >= 0, got {self.perturbation}")
 
@@ -224,13 +219,6 @@ class SqrtOutput:
     params: SqrtParams
     state: np.ndarray
     target_sqrt: np.ndarray  # sqrt(A), from the decomposition the output was built on
-
-    @property
-    def sim_level(self) -> str:
-        """The level a stage built on this output reports."""
-        if self.state.shape[2] == 1:
-            return "ideal-spectral"
-        return "circuit-pe-perturbed" if self.params.perturbation > 0 else "circuit-pe"
 
     @property
     def preparer_queries(self) -> int:

@@ -103,7 +103,7 @@ def ideal_bound_grid(seed: int = 0, trials: int = 24) -> float:
         a = float(rng.uniform(0.2, 1.0)) * base.matrix
         p = purify(density_with_block(a, 1), n + 1)
         for kappa in (1.0, 4.0, 16.0, 64.0):
-            out = ideal_sqrt_state(p, 1, SqrtParams(kappa=kappa, t=64, sim_level="ideal-spectral"))
+            out = ideal_sqrt_state(p, 1, SqrtParams(kappa=kappa, t=64))
             err = scaled_block_error(out.block(), out.target_sqrt, kappa)
             worst = max(worst, err / (4.0 * math.sqrt(kappa)) * 4 * kappa)
     return worst

@@ -97,6 +97,18 @@ def test_estimate_infeasible_exits_2(capsys):
     assert "infeasible" in err.lower()
 
 
+def test_circuit_w_leaves_room_for_eta(capsys):
+    # a 14-qubit circuit W would leave eta's register (W's plus rho's garbage
+    # qubit) at 15, over the default budget: W runs ideal, as at budget 13
+    flags = ["estimate", "--n", "2", "--rank-rho", "1", "--rank-sigma", "3", "--seed", "0",
+             "--kappa-sigma", "4", "--t-sigma", "8", "--kappa", "4", "--t", "8",
+             "--qae-m", "16", "--sim-level", "circuit-pe"]
+    code, out, err = run(capsys, *flags)
+    assert code == 0, err
+    assert json.loads(out)["sim_level_sigma"] == "ideal-spectral"
+    assert run(capsys, *flags, "--qubit-budget", "13") == (0, out, "")
+
+
 def _limited_cli(*argv):
     """``fidest`` in a child process whose address space, and only its own,
     is capped at 3 GiB: an oversized array fails the command, not the run."""

@@ -112,7 +112,7 @@ def test_w_sigma_block_is_its_extraction_block(prep, level, perturbation, label)
     else:
         out = ideal_sqrt_state(sigma_prep, 0, params.sigma_params())
     w = build_w_sigma(sigma_prep, params, seed=0)
-    assert w.sim_level == out.sim_level == label
+    assert w.sim_level == label
     np.testing.assert_allclose(w.block, out.block(), rtol=0, atol=1e-12)  # shapes too
     factor = out.state.reshape(-1, out.state.shape[-1])  # [system and ancillas, garbage]
     columns, _ = purification_to_unitary_be(Purification(factor))
@@ -402,6 +402,12 @@ def test_negative_bound_constant_raises():
     with pytest.raises(ValueError, match="bound_constant"):
         ideal_params(C=-1.0)
     assert ideal_params(C=0.0).bound_constant == 0.0
+
+
+def test_unknown_sim_level_raises_at_construction():
+    # the level is validated where it is set, not when a stage reads it
+    with pytest.raises(ValueError, match="sim_level 'bogus'"):
+        dataclasses.replace(ideal_params(), sim_level="bogus")
 
 
 def _counting(monkeypatch, owner, name):

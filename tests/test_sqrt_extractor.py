@@ -95,8 +95,6 @@ def test_params_validation():
         SqrtParams(kappa=0.5, t=64)
     with pytest.raises(ValueError):
         SqrtParams(kappa=2.0, t=5)
-    with pytest.raises(ValueError):
-        SqrtParams(kappa=2.0, t=64, sim_level="bogus")
     p = SqrtParams(kappa=2.0, t=6)
     assert p.l == 3 and p.T == 8  # T >= 8 for every allowed t
 
