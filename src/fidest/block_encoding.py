@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import RegisterTooLargeError
 from .linalg import as_complex_matrix, operator_norm, reflection, unitarity_defect
-from .registers import DEFAULT_QUBIT_BUDGET
+from .registers import DEFAULT_QUBIT_BUDGET, check_budget, w_qubits
 from .states import NORM_TOL, DensityOperator, Purification
 
 BE_TOL = 1e-9
@@ -38,9 +37,7 @@ def purification_to_unitary_be(
     NORM_TOL and their block (rows j 2^(main + garbage)) equal to the prepared
     density within BE_TOL; either failure raises ValueError.
     """
-    total = 2 * p.system_qubits + p.garbage_qubits
-    if total > qubit_budget:
-        raise RegisterTooLargeError(f"construction needs {total} qubits, budget is {qubit_budget}")
+    check_budget("construction", w_qubits(p.system_qubits, p.garbage_qubits), qubit_budget)
     dm = len(p.factor)
     phase, v, c = reflection(p.factor)
     s = -np.conj(phase)

@@ -36,9 +36,9 @@ import numpy as np
 
 from .amplitude import QaeParams, qae_estimate, qae_error_bound
 from .block_encoding import purification_to_unitary_be
-from .errors import InfeasibleParamsError, RegisterTooLargeError
+from .errors import InfeasibleParamsError
 from .linalg import operator_norm
-from .registers import DEFAULT_QUBIT_BUDGET
+from .registers import DEFAULT_QUBIT_BUDGET, check_budget, circuit_qubits, eta_qubits, w_qubits
 from .sqrt_extractor import (
     SqrtParams,
     block_spectrum,
@@ -61,7 +61,8 @@ SIM_LEVELS = ("ideal-spectral", "circuit-pe")
 class PipelineParams:
     """Stage parameters: (kappa_sigma, t_sigma) for the sqrt(sigma) stage,
     (kappa, t) for the sqrt-of-eta-block stage, the amplitude-estimation
-    settings, and the calibrated constant multiplying every Theta bound."""
+    settings, and the calibrated constant multiplying every Theta bound.
+    Every knob is checked at construction, kappa, t and perturbation by SqrtParams."""
 
     kappa_sigma: float
     t_sigma: int
@@ -78,20 +79,16 @@ class PipelineParams:
             raise ValueError(f"sim_level {self.sim_level!r} not in {SIM_LEVELS}")
         if not self.bound_constant >= 0:
             raise ValueError(f"bound_constant must be >= 0, got {self.bound_constant}")
+        if self.qubit_budget < 1:
+            raise ValueError(f"qubit_budget must be >= 1, got {self.qubit_budget}")
+        self.sigma_params()
+        self.eta_params()
 
     def sigma_params(self) -> SqrtParams:
-        return SqrtParams(
-            kappa=self.kappa_sigma,
-            t=self.t_sigma,
-            perturbation=self.perturbation,
-        )
+        return SqrtParams(kappa=self.kappa_sigma, t=self.t_sigma, perturbation=self.perturbation)
 
     def eta_params(self) -> SqrtParams:
-        return SqrtParams(
-            kappa=self.kappa,
-            t=self.t,
-            perturbation=self.perturbation,
-        )
+        return SqrtParams(kappa=self.kappa, t=self.t, perturbation=self.perturbation)
 
 
 @dataclass(frozen=True)
@@ -142,13 +139,14 @@ class WSigmaResult:
     sqrt(sigma); w_anc is W's register beyond the system, in order the
     extraction ancillas, mirror and enc_garbage."""
 
-    columns: np.ndarray  # 2^(n + a_w) x 2^n
+    columns: np.ndarray  # 2^qubits x 2^n
     block: np.ndarray  # <0|W|0> over w_anc, ~ sqrt(sigma) / (4 sqrt(kappa_sigma))
     target_sqrt: np.ndarray  # sqrt(sigma)
     kappa_sigma: float  # W's block encodes sqrt(sigma) at scale 4 sqrt(kappa_sigma)
     w_sigma_error: float  # || 4 sqrt(kappa_sigma) block - sqrt(sigma) ||
     sim_level: str
     o_sigma_queries_per_use: int  # one W use = two extraction-circuit uses
+    qubits: int  # W's register: system and w_anc
 
 
 def _stage_level(circuit: bool, perturbation: float) -> str:
@@ -174,10 +172,10 @@ def build_w_sigma(
     """
     n = sigma_prep.system_qubits
     sp = params.sigma_params()
-    # the circuit itself (n + n_sigma + l + 1 qubits) is always smaller than W
-    w_qubits = 2 * (n + sp.l + 1) + sigma_prep.garbage_qubits
-    eta_qubits = w_qubits + rho_garbage_qubits  # eta's register on a circuit W
-    circuit = params.sim_level == "circuit-pe" and eta_qubits <= params.qubit_budget
+    # a circuit's output is [system, pe, flag] over sigma's garbage; the circuit is smaller than W
+    w_circuit = w_qubits(circuit_qubits(n, 0, sp.l), sigma_prep.garbage_qubits)
+    circuit = (params.sim_level == "circuit-pe"
+               and eta_qubits(w_circuit, rho_garbage_qubits) <= params.qubit_budget)
     if circuit:
         out = build_sqrt_unitary(sigma_prep, 0, sp, qubit_budget=params.qubit_budget, seed=seed)
     else:
@@ -196,6 +194,7 @@ def build_w_sigma(
         w_sigma_error=scaled_block_error(block, out.target_sqrt, params.kappa_sigma),
         sim_level=_stage_level(circuit, params.perturbation),
         o_sigma_queries_per_use=2 * out.preparer_queries,
+        qubits=w_qubits(prepared.system_qubits, prepared.garbage_qubits),
     )
 
 
@@ -226,13 +225,7 @@ def build_eta(
         raise ValueError(
             f"rho prepares {n} qubits, W encodes on {w.columns.shape[1].bit_length() - 1}"
         )
-    a_w = (w.columns.shape[0] >> n).bit_length() - 1
-    n_rho = rho_prep.garbage_qubits
-    total = n + a_w + n_rho
-    if total > qubit_budget:
-        raise RegisterTooLargeError(
-            f"eta register needs {total} qubits, budget is {qubit_budget}"
-        )
+    check_budget("eta register", eta_qubits(w.qubits, rho_prep.garbage_qubits), qubit_budget)
     m = w.block @ rho_prep.factor
     block = m @ m.conj().T
     t = w.target_sqrt @ rho_prep.factor
@@ -293,15 +286,14 @@ def estimate_fidelity(
 
     w = build_w_sigma(sigma_prep, params, seed=seed, rho_garbage_qubits=rho_prep.garbage_qubits)
     eta = build_eta(rho_prep, w, qubit_budget=params.qubit_budget)
-    a_w = (w.columns.shape[0] >> n).bit_length() - 1
 
     ep = params.eta_params()
-    eta_circuit_qubits = n + a_w + rho_prep.garbage_qubits + ep.l + 1
-    circuit = params.sim_level == "circuit-pe" and eta_circuit_qubits <= params.qubit_budget
+    eta_circuit = circuit_qubits(w.qubits, rho_prep.garbage_qubits, ep.l)
+    circuit = params.sim_level == "circuit-pe" and eta_circuit <= params.qubit_budget
     if circuit and ep.perturbation:
         eta_prep = Purification(w.columns @ rho_prep.factor)  # eta's whole factor
         out = build_sqrt_unitary(
-            eta_prep, a_w, ep, qubit_budget=params.qubit_budget, seed=seed + 1
+            eta_prep, w.qubits - n, ep, qubit_budget=params.qubit_budget, seed=seed + 1
         )
         x = out.zero_probability()
     else:
@@ -372,15 +364,18 @@ def select_params(
     beyond the ceiling for the requested level raise InfeasibleParamsError
     instead of running.
 
-    practical mode: a geometric (powers-of-two) search that grows each knob
-    until its a-priori stage-error term (with constant 1 and the estimator
-    scale 16 sqrt(kappa kappa_sigma) made explicit) falls below eps/3, capped
-    at the ceiling: kappa_sigma = (3 sqrt(2) r / eps)^4 handles the sigma
-    stage with t_sigma = kappa_sigma^2; kappa = kappa_sigma (12 r / eps)^2
-    keeps the filter-cutoff loss below eps/3; t and M cover the remaining
-    phase-grid and amplitude-grid terms.  When the caps bind (small eps or
-    large r) the returned parameters are the feasible maximum and the
-    reported analytic bound widens accordingly.
+    practical mode: no search.  Each knob is a closed form that puts its
+    a-priori stage-error term (constant 1, estimator scale 16 sqrt(kappa
+    kappa_sigma) explicit) below eps/3, rounded up to a power of two and
+    capped (kappa_sigma, t_sigma, kappa and t at the level's ceiling, M at
+    2^26): kappa_sigma = (3 sqrt(2) r / eps)^4 handles the sigma stage with
+    t_sigma = kappa_sigma^2; kappa = kappa_sigma (12 r / eps)^2 keeps the
+    filter-cutoff loss below eps/3; t and M cover the remaining phase-grid
+    and amplitude-grid terms.  When the caps bind (small eps or large r) the
+    schedule does not deliver eps, and only the analytic bound shows it: at
+    eps 0.1 and r = 2, kappa is capped at 2^30 = 16 kappa_sigma, every
+    eigenvalue of eta's block can fall below the filter cutoff, and the
+    estimate is then exactly 0 (the CLI's n = 1, seed 0 pair: 0 for F = 0.993).
     """
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0, 1), got {eps}")

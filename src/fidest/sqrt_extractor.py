@@ -47,11 +47,10 @@ from .errors import (
     IndexOutOfRangeError,
     NotPowerOfTwoError,
     OutOfRangeError,
-    RegisterTooLargeError,
     SpectrumOutOfRangeError,
 )
 from .linalg import HermitianEigen, eig_hermitian, operator_norm, reflect
-from .registers import DEFAULT_QUBIT_BUDGET
+from .registers import DEFAULT_QUBIT_BUDGET, check_budget, circuit_qubits
 from .states import Purification
 
 SPECTRUM_TOL = 1e-9
@@ -340,13 +339,9 @@ def build_sqrt_unitary(
     n_enc = encoding_qubits
     n_sys = p.system_qubits - n_enc
     b = p.garbage_qubits
-    l, T = params.l, params.T
-    total = n_sys + n_enc + b + l + 1
-    if total > qubit_budget:
-        raise RegisterTooLargeError(
-            f"circuit needs {total} qubits, budget is {qubit_budget}; "
-            "use the ideal-spectral level instead"
-        )
+    T = params.T
+    check_budget("circuit", circuit_qubits(p.system_qubits, b, params.l), qubit_budget,
+                 "; use the ideal-spectral level instead")
     eig, sqrt_a = _prepared_spectrum(p, n_enc)
 
     dn, v = 1 << n_sys, eig.vectors

@@ -25,7 +25,7 @@ from fidest import (
     trace_distance,
 )
 from fidest.cli import main as cli_main
-from fidest.registers import layout, partial_trace
+from register_oracles import layout, partial_trace
 from fidest.verify import (
     ideal_bound_grid,
     pe_coefficient_deviations,

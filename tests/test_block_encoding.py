@@ -14,7 +14,7 @@ from fidest import (
 )
 from fidest import block_encoding
 from fidest.linalg import reflect
-from fidest.registers import layout, project_zero, zero_block_indices
+from register_oracles import layout, project_zero, zero_block_indices
 
 
 @pytest.mark.parametrize("qubits,rank", [(1, 1), (1, 2), (2, 2), (2, 4)])

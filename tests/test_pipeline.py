@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -26,7 +27,7 @@ from fidest import (
     unitarity_defect,
 )
 import fidest.pipeline as pipeline_module
-from fidest.errors import InfeasibleParamsError
+from fidest.errors import InfeasibleParamsError, RegisterTooLargeError
 from fidest.pipeline import (
     CIRCUIT_T_CEILING,
     IDEAL_T_CEILING,
@@ -408,6 +409,31 @@ def test_unknown_sim_level_raises_at_construction():
     # the level is validated where it is set, not when a stage reads it
     with pytest.raises(ValueError, match="sim_level 'bogus'"):
         dataclasses.replace(ideal_params(), sim_level="bogus")
+
+
+@pytest.mark.parametrize("knob, value, message", [
+    ("kappa_sigma", 0.5, "kappa must be >= 1, got 0.5"),
+    ("t_sigma", 5, "t must be an integer >= 6, got 5"),
+    ("kappa", 0.1, "kappa must be >= 1, got 0.1"),
+    ("t", 3, "t must be an integer >= 6, got 3"),
+    ("perturbation", -0.1, "perturbation must be >= 0, got -0.1"),
+    ("qubit_budget", 0, "qubit_budget must be >= 1, got 0"),
+])
+def test_bad_knob_raises_at_construction(knob, value, message):
+    # each knob is validated where it is set, not when a stage reads it
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dataclasses.replace(ideal_params(), **{knob: value})
+
+
+def test_eta_over_budget_names_its_register(prep):
+    # an ideal W on one system and one garbage qubit: 2 (1 + 1) + 1 = 5 qubits,
+    # and rho's garbage qubit makes eta's register 6
+    w = build_w_sigma(prep(random_density(1, 2, seed=3)), ideal_params())
+    rho_prep = prep(random_density(1, 2, seed=4))
+    build_eta(rho_prep, w, qubit_budget=6)
+    with pytest.raises(RegisterTooLargeError) as exc:
+        build_eta(rho_prep, w, qubit_budget=5)
+    assert str(exc.value) == "eta register needs 6 qubits, budget is 5"
 
 
 def _counting(monkeypatch, owner, name):

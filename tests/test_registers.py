@@ -1,9 +1,20 @@
 import numpy as np
 import pytest
 
-from fidest import random_density, tensor
+from fidest import (
+    PipelineParams,
+    Purification,
+    QaeParams,
+    build_sqrt_unitary,
+    build_w_sigma,
+    ideal_sqrt_state,
+    purify,
+    random_density,
+    tensor,
+)
 from fidest.errors import DimensionMismatchError, UnknownSegmentError
-from fidest.registers import layout, partial_trace, project_zero, zero_block_indices
+from fidest.registers import circuit_qubits, eta_qubits, w_qubits
+from register_oracles import layout, partial_trace, project_zero, zero_block_indices
 
 
 def test_layout_rejects_duplicate_names():
@@ -81,3 +92,38 @@ def test_zero_qubit_segments_are_transparent():
     m = random_density(1, 2, seed=5).matrix
     np.testing.assert_allclose(project_zero(m, lay, ["anc"]), m, atol=0)
     np.testing.assert_allclose(partial_trace(m, lay, ["sys"]), m, atol=1e-15)
+
+
+@pytest.mark.parametrize("level, perturbation, label", [
+    ("ideal-spectral", 0.0, "ideal-spectral"),
+    ("circuit-pe", 0.0, "circuit-pe"),
+    ("circuit-pe", 0.05, "circuit-pe-perturbed"),
+])
+def test_register_rule_counts_the_arrays_built(level, perturbation, label):
+    """The rule that sizes W, eta and each extraction circuit equals the
+    qubit counts of the arrays the stages build."""
+    rho_prep = purify(random_density(1, 2, seed=1), 1)
+    sigma_prep = purify(random_density(1, 2, seed=2), 1)
+    params = PipelineParams(
+        kappa_sigma=4.0, t_sigma=8, kappa=4.0, t=8, qae=QaeParams(M=16),
+        sim_level=level, perturbation=perturbation,
+    )
+    n, g_sigma, g_rho = 1, sigma_prep.garbage_qubits, rho_prep.garbage_qubits
+    sp, ep = params.sigma_params(), params.eta_params()
+    w = build_w_sigma(sigma_prep, params, seed=1, rho_garbage_qubits=g_rho)
+    assert w.sim_level == label
+    assert 1 << w.qubits == w.columns.shape[0]
+    # the sigma stage's output: a circuit's, or one with a length-1 pe axis
+    if level == "circuit-pe":
+        out = build_sqrt_unitary(sigma_prep, 0, sp, seed=1)
+        assert out.state.size == 1 << circuit_qubits(n, g_sigma, sp.l)
+        assert w.qubits == w_qubits(circuit_qubits(n, 0, sp.l), g_sigma)
+    else:
+        out = ideal_sqrt_state(sigma_prep, 0, sp)
+        assert out.state.size == 1 << circuit_qubits(n, g_sigma, 0)
+        assert w.qubits == w_qubits(circuit_qubits(n, 0, 0), g_sigma)
+    # eta's whole factor, and the eta-stage circuit on it
+    eta_prep = Purification(w.columns @ rho_prep.factor)
+    assert eta_prep.factor.size == 1 << eta_qubits(w.qubits, g_rho)
+    eta_out = build_sqrt_unitary(eta_prep, w.qubits - n, ep, qubit_budget=20, seed=2)
+    assert eta_out.state.size == 1 << circuit_qubits(w.qubits, g_rho, ep.l)

@@ -37,7 +37,7 @@ from fidest.errors import (
     SpectrumOutOfRangeError,
 )
 from fidest.linalg import reflect
-from fidest.registers import layout, partial_trace, project_zero
+from register_oracles import layout, partial_trace, project_zero
 from fidest.sqrt_extractor import SqrtOutput, block_spectrum, scaled_block_error
 from fidest.verify import ideal_bound_grid
 
@@ -252,6 +252,15 @@ def test_zero_probability_is_the_all_ancillas_zero_weight():
 def test_build_unitary_register_budget():
     with pytest.raises(RegisterTooLargeError):
         build_sqrt_unitary(pure_prep(), 0, SqrtParams(kappa=4.0, t=1 << 12), qubit_budget=14)
+
+
+def test_circuit_over_budget_names_its_register():
+    # 1 system, 12 pe, 1 flag and 1 garbage qubit
+    with pytest.raises(RegisterTooLargeError) as exc:
+        build_sqrt_unitary(pure_prep(), 0, SqrtParams(kappa=4.0, t=1 << 12), qubit_budget=14)
+    assert str(exc.value) == (
+        "circuit needs 15 qubits, budget is 14; use the ideal-spectral level instead"
+    )
 
 
 def test_spectrum_guard():
