@@ -22,8 +22,9 @@ def main():
     bound = qae_error_bound(x, M)
     hits = 0
     values = []
+    sample = QaeParams(M=M, mode="sample")
     for s in range(trials):
-        xt = qae_estimate(x, QaeParams(M=M, mode="sample", seed=s))
+        xt = qae_estimate(x, sample, s)
         values.append(xt)
         hits += abs(xt - x) <= bound
     print(f"\nsample mode at M={M}: {trials} trials, "

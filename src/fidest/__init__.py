@@ -10,11 +10,8 @@ from .amplitude import (
 from .block_encoding import density_with_block, purification_to_unitary_be
 from .linalg import (
     eig_hermitian,
-    expm_i,
-    matrix_func,
     operator_norm,
     sqrtm_psd,
-    tensor,
     trace_norm,
     unitarity_defect,
 )
@@ -37,7 +34,6 @@ from .sqrt_extractor import (
     pe_phase_offset,
     pe_tail_bound,
     preparer_queries,
-    rotation_gate,
     sine_state,
     stage_gain,
 )
@@ -65,13 +61,11 @@ __all__ = [
     "density_with_block",
     "eig_hermitian",
     "estimate_fidelity",
-    "expm_i",
     "fidelity_exact",
     "filter_f",
     "grid_eigenvalue",
     "h_vector",
     "ideal_sqrt_state",
-    "matrix_func",
     "operator_norm",
     "pe_coefficient",
     "pe_coefficient_direct",
@@ -84,12 +78,10 @@ __all__ = [
     "qae_estimate",
     "qae_outcome_distribution",
     "random_density",
-    "rotation_gate",
     "select_params",
     "sine_state",
     "sqrtm_psd",
     "stage_gain",
-    "tensor",
     "trace_distance",
     "trace_norm",
     "uhlmann_fidelity",

@@ -26,11 +26,10 @@ QAE_MODES = ("exact", "sample")
 
 @dataclass(frozen=True)
 class QaeParams:
-    """Grid size M (the query count scale), outcome mode, and sampling seed."""
+    """Grid size M (the query count scale) and outcome mode."""
 
     M: int
     mode: str = "exact"
-    seed: int = 0
 
     def __post_init__(self):
         if self.mode not in QAE_MODES:
@@ -39,6 +38,14 @@ class QaeParams:
             raise ValueError(f"M must be >= 2, got {self.M}")
         if self.mode == "sample" and self.M & (self.M - 1):
             raise ValueError(f"sample mode needs M a power of two, got {self.M}")
+
+
+def checked_probability(x: float) -> float:
+    """A projection probability, checked to lie in [0, 1] within 1e-12 and
+    clipped there."""
+    if not -1e-12 <= x <= 1 + 1e-12:
+        raise OutOfRangeError(f"projection probability {x} outside [0, 1]")
+    return min(max(x, 0.0), 1.0)
 
 
 def qae_error_bound(x: float, M: int) -> float:
@@ -120,7 +127,7 @@ def _outcomes(omega: float, M: int, rng: np.random.Generator, n: int) -> np.ndar
     return np.concatenate(draws).astype(np.int64) % M
 
 
-def qae_estimate(x: float, params: QaeParams) -> float:
+def qae_estimate(x: float, params: QaeParams, seed: int = 0) -> float:
     """Amplitude estimate on the grid {sin^2(pi y / M)}.
 
     exact mode: the grid point nearest to theta = arcsin(sqrt(x)), a
@@ -128,13 +135,11 @@ def qae_estimate(x: float, params: QaeParams) -> float:
     sample mode: one draw from qae_outcome_distribution, deterministic for a
     fixed seed, by exact rejection from the law's two kernels (_outcomes).
     """
-    if not -1e-12 <= x <= 1 + 1e-12:
-        raise OutOfRangeError(f"x={x} outside [0, 1]")
-    x = min(max(x, 0.0), 1.0)
+    x = checked_probability(x)
     M = params.M
     if params.mode == "exact":
         y = int(np.rint(M * np.arcsin(np.sqrt(x)) / np.pi))
     else:
         omega = np.arcsin(np.sqrt(x)) / np.pi
-        y = int(_outcomes(omega, M, np.random.default_rng(params.seed), 1)[0])
+        y = int(_outcomes(omega, M, np.random.default_rng(seed), 1)[0])
     return float(np.sin(np.pi * y / M) ** 2)

@@ -53,9 +53,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def config_args(path: str, known: dict) -> list[str]:
+def config_args(path: str, command: argparse.ArgumentParser) -> list[str]:
     """A flat key = value file ('#' starts a comment) as ``--key=value``
-    tokens; each key names an option of the subcommand, with '-' or '_'."""
+    tokens; each key names a flag of the ``command`` subparser other than
+    --config and --help, with '-' or '_'."""
+    known = {f for a in command._actions if a.dest not in ("config", "help")
+             for f in a.option_strings}
     tokens = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -66,7 +69,7 @@ def config_args(path: str, known: dict) -> list[str]:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
             key, value = (s.strip() for s in line.split("=", 1))
             flag = key.replace("_", "-")
-            if key.replace("-", "_") not in known:
+            if f"--{flag}" not in known:
                 raise ConfigError(f"unknown config key: {flag}")
             tokens.append(f"--{flag}={value}")
     return tokens
@@ -313,6 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         "via block-encoded operator square roots.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # subcommand name: its parser
 
     def add_run_options(p):
         """The options of the subcommands that run estimations."""
@@ -378,7 +382,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             # the file's values go before the command line's, which win
-            args = parser.parse_args(argv[:1] + config_args(args.config, vars(args)) + argv[1:])
+            config = config_args(args.config, parser.commands[args.command])
+            args = parser.parse_args(argv[:1] + config + argv[1:])
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

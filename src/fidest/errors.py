@@ -17,10 +17,6 @@ class DimensionMismatchError(FidestError):
     """Operands act on incompatible spaces."""
 
 
-class UnknownSegmentError(FidestError):
-    """A named register segment does not exist in the layout."""
-
-
 class RankOutOfRangeError(FidestError):
     """Requested rank is outside [1, dimension]."""
 

@@ -1,6 +1,6 @@
-"""Complex linear algebra: tensor products, Hermitian eigendecomposition,
-matrix functions, exact unitary exponentials, the norms used everywhere else,
-and the reflection that loads a state as a gate applied to vectors.
+"""Complex linear algebra: Hermitian eigendecomposition, the PSD square root,
+the norms used everywhere else, and the reflection that loads a state as a
+gate applied to vectors.
 
 All operators are plain ``numpy.ndarray`` matrices in row-major order; square
 operators on qubit registers have power-of-two dimension.  Every function is
@@ -10,14 +10,12 @@ pure and never mutates its arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import NegativeEigenvalueError, NotHermitianError
 
 HERMITIAN_TOL = 1e-9
-EIG_RECONSTRUCTION_TOL = 1e-10
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -44,27 +42,16 @@ def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     return m
 
 
-def tensor(a: np.ndarray, b: np.ndarray, *more: np.ndarray) -> np.ndarray:
-    """Kronecker product; the left factor owns the most significant qubits."""
-    out = np.kron(as_complex_matrix(a), as_complex_matrix(b))
-    for m in more:
-        out = np.kron(out, as_complex_matrix(m))
-    return out
-
-
 @dataclass(frozen=True)
 class HermitianEigen:
     """Spectral decomposition with eigenvalues sorted descending.
 
     Column j of ``vectors`` pairs with ``values[j]``; reconstruction
-    V diag(values) V^dagger matches the input to EIG_RECONSTRUCTION_TOL.
+    V diag(values) V^dagger matches the input to 1e-10.
     """
 
     values: np.ndarray
     vectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.conj().T
 
 
 def eig_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> HermitianEigen:
@@ -77,35 +64,17 @@ def eig_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> HermitianEigen:
     return HermitianEigen(values=w, vectors=v)
 
 
-def matrix_func(
-    m: np.ndarray | HermitianEigen,
-    f: Callable[[np.ndarray], np.ndarray],
-    clamp_negative: bool = False,
-    tol: float = HERMITIAN_TOL,
-) -> np.ndarray:
-    """Apply a real function to the spectrum: V diag(f(lambda)) V^dagger.
+def sqrtm_psd(m: np.ndarray | HermitianEigen, tol: float = HERMITIAN_TOL) -> np.ndarray:
+    """Principal square root of a PSD Hermitian matrix: V diag(sqrt(lambda)) V^dagger.
 
-    ``m`` is a matrix or its ``HermitianEigen``.  With ``clamp_negative`` set,
-    eigenvalues in [-tol, 0) count as 0; below -tol raise NegativeEigenvalueError.
+    ``m`` is a matrix or its ``HermitianEigen``.  Eigenvalues in [-tol, 0)
+    count as 0; below -tol raise NegativeEigenvalueError.
     """
     eig = m if isinstance(m, HermitianEigen) else eig_hermitian(m, tol)
     w = eig.values
-    if clamp_negative and np.min(w) < -tol:
+    if np.min(w) < -tol:
         raise NegativeEigenvalueError(f"eigenvalue {np.min(w):.3e} below -{tol:.1e}")
-    fw = np.asarray(f(np.maximum(w, 0.0) if clamp_negative else w), dtype=float)
-    return (eig.vectors * fw) @ eig.vectors.conj().T
-
-
-def sqrtm_psd(m: np.ndarray | HermitianEigen, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Principal square root of a PSD Hermitian matrix (negatives clamped)."""
-    return matrix_func(m, np.sqrt, clamp_negative=True, tol=tol)
-
-
-def expm_i(m: np.ndarray, s: float = 1.0, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Exact unitary e^{i s m} for Hermitian m, via eigendecomposition."""
-    eig = eig_hermitian(m, tol)
-    phases = np.exp(1j * s * eig.values)
-    return (eig.vectors * phases) @ eig.vectors.conj().T
+    return (eig.vectors * np.sqrt(np.maximum(w, 0.0))) @ eig.vectors.conj().T
 
 
 def operator_norm(m: np.ndarray) -> float:

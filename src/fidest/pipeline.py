@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitude import QaeParams, qae_estimate, qae_error_bound
+from .amplitude import QaeParams, checked_probability, qae_estimate, qae_error_bound
 from .block_encoding import purification_to_unitary_be
 from .errors import InfeasibleParamsError
 from .linalg import operator_norm
@@ -43,7 +43,6 @@ from .sqrt_extractor import (
     SqrtParams,
     block_spectrum,
     build_sqrt_unitary,
-    checked_probability,
     filter_f,
     ideal_sqrt_state,
     preparer_queries,
@@ -159,7 +158,7 @@ def _stage_level(circuit: bool, perturbation: float) -> str:
 def build_w_sigma(
     sigma_prep: Purification,
     params: PipelineParams,
-    seed: int = 0,
+    seed: int | np.random.SeedSequence = 0,
     rho_garbage_qubits: int = 0,
 ) -> WSigmaResult:
     """Unitary block-encoding of sqrt(sigma) with scale 4 sqrt(kappa_sigma).
@@ -284,7 +283,9 @@ def estimate_fidelity(
     rho_prep, sigma_prep, rank_rho, rank_sigma, swapped = _role_order(rho_prep, sigma_prep)
     n = rho_prep.system_qubits
 
-    w = build_w_sigma(sigma_prep, params, seed=seed, rho_garbage_qubits=rho_prep.garbage_qubits)
+    # the perturbations draw from two children of the seed, the sampled QAE draw from the seed
+    w_seed, eta_seed = np.random.SeedSequence(seed).spawn(2) if params.perturbation else (0, 0)
+    w = build_w_sigma(sigma_prep, params, seed=w_seed, rho_garbage_qubits=rho_prep.garbage_qubits)
     eta = build_eta(rho_prep, w, qubit_budget=params.qubit_budget)
 
     ep = params.eta_params()
@@ -293,7 +294,7 @@ def estimate_fidelity(
     if circuit and ep.perturbation:
         eta_prep = Purification(w.columns @ rho_prep.factor)  # eta's whole factor
         out = build_sqrt_unitary(
-            eta_prep, w.qubits - n, ep, qubit_budget=params.qubit_budget, seed=seed + 1
+            eta_prep, w.qubits - n, ep, qubit_budget=params.qubit_budget, seed=eta_seed
         )
         x = out.zero_probability()
     else:
@@ -303,13 +304,12 @@ def estimate_fidelity(
         gain = stage_gain(g, ep) if circuit else filter_f(g, params.kappa)
         x = checked_probability(float(np.sum(g * gain**2)))
 
-    qae = QaeParams(M=params.qae.M, mode=params.qae.mode, seed=seed)
-    x_tilde = qae_estimate(x, qae)
+    x_tilde = qae_estimate(x, params.qae, seed)
     scale = 16.0 * math.sqrt(params.kappa * params.kappa_sigma)
     estimate = scale * x_tilde
 
     exact = uhlmann_fidelity(rho_prep, sigma_prep)
-    delta = qae_error_bound(x, qae.M)
+    delta = qae_error_bound(x, params.qae.M)
     q_eta = preparer_queries(ep)
     qae_uses = 2 * params.qae.M + 1
     return EstimationReport(
@@ -333,7 +333,7 @@ def estimate_fidelity(
         exact_fidelity=exact,
         abs_error=abs(estimate - exact),
         delta=delta,
-        delta_from_estimate=qae_error_bound(x_tilde, qae.M),
+        delta_from_estimate=qae_error_bound(x_tilde, params.qae.M),
         analytic_bound=analytic_error_bound(params, x, rank_rho, delta),
         bound_constant=params.bound_constant,
         w_sigma_error=w.w_sigma_error,

@@ -43,10 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .amplitude import checked_probability
 from .errors import (
     IndexOutOfRangeError,
     NotPowerOfTwoError,
-    OutOfRangeError,
     SpectrumOutOfRangeError,
 )
 from .linalg import HermitianEigen, eig_hermitian, operator_norm, reflect
@@ -129,14 +129,6 @@ def grid_eigenvalue(k: int, params: SqrtParams) -> float:
     """Eigenvalue reading lambda~_k = (3T/t) (2 pi k / T - 2 pi / 3)."""
     T = params.T
     return (3.0 * T / params.t) * (2.0 * np.pi * k / T - 2.0 * np.pi / 3.0)
-
-
-def rotation_gate(k: int, params: SqrtParams) -> np.ndarray:
-    """2x2 real rotation whose first column is h(lambda~_k)."""
-    if not 0 <= k < params.T:
-        raise IndexOutOfRangeError(f"k={k} outside [0, {params.T})")
-    f, s = h_vector(grid_eigenvalue(k, params), params.kappa)
-    return np.array([[f, -s], [s, f]], dtype=complex)
 
 
 def pe_phase_offset(lambda_j: float, k: int, params: SqrtParams) -> float:
@@ -240,14 +232,6 @@ class SqrtOutput:
         return checked_probability(float(np.vdot(m, m).real))
 
 
-def checked_probability(x: float) -> float:
-    """A projection probability, checked to lie in [0, 1] within 1e-12 and
-    clipped there."""
-    if not -1e-12 <= x <= 1 + 1e-12:
-        raise OutOfRangeError(f"projection probability {x} outside [0, 1]")
-    return min(max(x, 0.0), 1.0)
-
-
 def scaled_block_error(block: np.ndarray, target_sqrt: np.ndarray, kappa: float) -> float:
     """|| 4 sqrt(kappa) block - sqrt(A) ||, for a block encoding sqrt(A) at scale 4 sqrt(kappa)."""
     return operator_norm(4.0 * math.sqrt(kappa) * block - target_sqrt)
@@ -313,7 +297,7 @@ def build_sqrt_unitary(
     encoding_qubits: int,
     params: SqrtParams,
     qubit_budget: int = DEFAULT_QUBIT_BUDGET,
-    seed: int = 0,
+    seed: int | np.random.SeedSequence = 0,
 ) -> SqrtOutput:
     """Run the extraction circuit on the state ``p`` prepares.
 
@@ -346,7 +330,7 @@ def build_sqrt_unitary(
 
     dn, v = 1 << n_sys, eig.vectors
     f, s = h_vector(grid_eigenvalue(np.arange(T), params), params.kappa)
-    rotations = np.array([[f, -s], [s, f]])  # [out flag, in flag, pe value]: rotation_gate
+    rotations = np.array([[f, -s], [s, f]])  # [out flag, in flag, pe value], h in column 0
     window = sine_state(T)
     if not params.perturbation:
         # branch k of A runs alone on [pe, flag] from |0>|0>: a_k, axes [branch, pe, flag]

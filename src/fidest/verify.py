@@ -19,6 +19,7 @@ from .linalg import eig_hermitian, operator_norm
 from .sqrt_extractor import (
     SqrtParams,
     filter_f,
+    h_vector,
     ideal_sqrt_state,
     pe_coefficient,
     pe_coefficient_direct,
@@ -75,9 +76,7 @@ def suite_filter_lipschitz(seed: int = 0, pairs: int = 10_000) -> list[CheckResu
     for kappa in (2.0, 8.0, 32.0):
         l1 = rng.uniform(0, 1, pairs)
         l2 = rng.uniform(0, 1, pairs)
-        f1, f2 = filter_f(l1, kappa), filter_f(l2, kappa)
-        s1 = np.sqrt(np.clip(1 - f1 * f1, 0, None))
-        s2 = np.sqrt(np.clip(1 - f2 * f2, 0, None))
+        (f1, s1), (f2, s2) = h_vector(l1, kappa), h_vector(l2, kappa)
         dh = np.hypot(f1 - f2, s1 - s2)
         allowed = (np.pi / np.sqrt(3.0)) * kappa * np.abs(l1 - l2) * LIPSCHITZ_SLACK
         excess = float(np.max(dh - allowed))
@@ -235,22 +234,19 @@ def suite_weyl(seed: int = 0) -> list[CheckResult]:
 
 
 def qae_exact_worst_excess(grid: int = 10_000) -> float:
-    xs = np.linspace(0.0, 1.0, grid)
-    worst = -np.inf
+    worst = -math.inf
     for M in (8, 16, 32, 64, 128, 256, 512, 1024):
-        theta = np.arcsin(np.sqrt(xs))
-        y = np.rint(M * theta / np.pi)
-        est = np.sin(np.pi * y / M) ** 2
-        bound = 2 * np.pi * np.sqrt(xs * (1 - xs)) / M + np.pi**2 / M**2
-        worst = max(worst, float(np.max(np.abs(est - xs) - bound)))
+        params = QaeParams(M=M)
+        for x in np.linspace(0.0, 1.0, grid).tolist():
+            worst = max(worst, abs(qae_estimate(x, params) - x) - qae_error_bound(x, M))
     return worst
 
 
 def qae_sample_success(x: float = 0.5, M: int = 64, trials: int = 1000, seed: int = 0) -> float:
     bound = qae_error_bound(x, M)
+    params = QaeParams(M=M, mode="sample")
     hits = sum(
-        abs(qae_estimate(x, QaeParams(M=M, mode="sample", seed=seed * 100_000 + s)) - x) <= bound
-        for s in range(trials)
+        abs(qae_estimate(x, params, seed * 100_000 + s) - x) <= bound for s in range(trials)
     )
     return hits / trials
 

@@ -15,8 +15,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from fidest.errors import DimensionMismatchError, UnknownSegmentError
+from fidest.errors import DimensionMismatchError, FidestError
 from fidest.linalg import as_complex_matrix
+
+
+class UnknownSegmentError(FidestError):
+    """A named register segment does not exist in the layout."""
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from fidest import (
     SqrtParams,
     build_sqrt_unitary,
     estimate_fidelity,
-    expm_i,
     fidelity_exact,
     ideal_sqrt_state,
     operator_norm,
@@ -24,6 +23,7 @@ from fidest import (
     random_density,
     trace_distance,
 )
+from circuit_oracles import expm_i
 from fidest.cli import main as cli_main
 from register_oracles import layout, partial_trace
 from fidest.verify import (

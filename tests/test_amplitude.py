@@ -26,9 +26,9 @@ def test_params_validation():
 
 def test_qae_endpoints():
     for mode in ("exact", "sample"):
-        qp = QaeParams(M=64, mode=mode, seed=1)
-        assert qae_estimate(0.0, qp) == 0.0
-        assert qae_estimate(1.0, qp) == 1.0
+        qp = QaeParams(M=64, mode=mode)
+        assert qae_estimate(0.0, qp, seed=1) == 0.0
+        assert qae_estimate(1.0, qp, seed=1) == 1.0
     with pytest.raises(OutOfRangeError):
         qae_estimate(1.5, QaeParams(M=8))
 
@@ -45,13 +45,19 @@ def test_sample_estimates_lie_on_grid():
     M = 32
     grid = np.sin(np.pi * np.arange(M) / M) ** 2
     for seed in range(50):
-        xt = qae_estimate(0.37, QaeParams(M=M, mode="sample", seed=seed))
+        xt = qae_estimate(0.37, QaeParams(M=M, mode="sample"), seed)
         assert np.min(np.abs(grid - xt)) <= 1e-15
 
 
 def test_sample_mode_deterministic_per_seed():
-    qp = QaeParams(M=64, mode="sample", seed=11)
-    assert qae_estimate(0.3, qp) == qae_estimate(0.3, qp)
+    qp = QaeParams(M=64, mode="sample")
+    assert qae_estimate(0.3, qp, seed=11) == qae_estimate(0.3, qp, seed=11)
+
+
+@pytest.mark.parametrize("x", [-0.1, 1.5])
+def test_outcome_distribution_rejects_x_outside_unit_interval(x):
+    with pytest.raises(OutOfRangeError, match=f"x={x} outside"):
+        qae_outcome_distribution(x, 64)
 
 
 def test_outcome_distribution_normalized_and_peaked():
@@ -60,17 +66,15 @@ def test_outcome_distribution_normalized_and_peaked():
     # x = 0.5 sits exactly on the grid: the two eigenphase outcomes y=16, 48
     # split the mass and both decode to 0.5
     assert p[16] > 0.49 and p[48] > 0.49
-    assert abs(qae_estimate(0.5, QaeParams(M=64, mode="sample", seed=0)) - 0.5) <= 1e-12
+    assert abs(qae_estimate(0.5, QaeParams(M=64, mode="sample"), seed=0) - 0.5) <= 1e-12
 
 
 @pytest.mark.parametrize("x", [0.5, 0.31])
 def test_sample_success_probability(x):
     M, trials = 64, 600
     bound = qae_error_bound(x, M)
-    hits = sum(
-        abs(qae_estimate(x, QaeParams(M=M, mode="sample", seed=s)) - x) <= bound
-        for s in range(trials)
-    )
+    qp = QaeParams(M=M, mode="sample")
+    hits = sum(abs(qae_estimate(x, qp, s) - x) <= bound for s in range(trials))
     assert hits / trials >= 8 / np.pi**2 - 0.05
 
 
@@ -240,7 +244,7 @@ def test_sampled_estimate_peak_memory():
     for M in (1 << 20, 1 << 22):
         tracemalloc.start()
         try:
-            qae_estimate(0.31, QaeParams(M=M, mode="sample", seed=1))
+            qae_estimate(0.31, QaeParams(M=M, mode="sample"), seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

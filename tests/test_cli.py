@@ -14,6 +14,8 @@ import pytest
 import fidest
 from fidest import cli, random_density
 from fidest.cli import main
+from fidest.errors import UnknownSuiteError
+from fidest.verify import run_suite
 
 
 def run(capsys, *argv):
@@ -258,6 +260,11 @@ def test_verify_unknown_suite_is_a_usage_error(capsys, suite):
     assert f"config error: argument suite: invalid choice: '{suite}'" in err
 
 
+def test_run_suite_rejects_an_unknown_name():
+    with pytest.raises(UnknownSuiteError, match="unknown suite 'bogus'; available: sine-state"):
+        run_suite("bogus")
+
+
 def test_verify_all(capsys):
     code, out, _ = run(capsys, "verify", "all")
     assert code == 0
@@ -305,6 +312,40 @@ def test_config_unknown_key_exits_3(tmp_path, capsys):
     cfg.write_text("not-a-key = 1\n")
     code, _, err = run(capsys, "estimate", "--config", str(cfg))
     assert code == 3 and "not-a-key" in err
+
+
+def test_config_line_without_equals_exits_3_naming_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 3\n# comment line\nn 1\n")
+    code, _, err = run(capsys, "estimate", "--config", str(cfg))
+    assert code == 3 and f"config error: {cfg}:3: expected 'key = value', got 'n 1'" in err
+
+
+@pytest.mark.parametrize("key", ["config", "command", "fn"])
+def test_config_key_that_is_no_flag_of_the_subcommand_exits_3(tmp_path, capsys, key):
+    # the value names a file that does not exist: the key must not be read as a path
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {tmp_path / 'missing.cfg'}\n")
+    code, _, err = run(capsys, *ESTIMATE_FLAGS, "--config", str(cfg))
+    assert code == 3 and f"config error: unknown config key: {key}" in err
+
+
+def test_load_of_a_record_that_is_not_a_density_exits_1(tmp_path, capsys):
+    record = tmp_path / "state.json"
+    record.write_text(json.dumps(
+        {"kind": "purification", "qubits": 1, "entries": [[1, 0], [0, 0], [0, 0], [0, 0]]}
+    ))
+    code, out, err = run(capsys, "estimate", "--load-rho", str(record), "--load-sigma",
+                         str(record), "--eps", "0.5")
+    assert code == 1 and out == ""
+    assert "error: not a density-operator record: kind='purification'" in err
+
+
+def test_sweep_with_an_empty_knob_list_exits_3(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    code, _, err = run(capsys, *SWEEP_FLAGS, "--output", str(out), "--kappa-sigma-list", ",")
+    assert code == 3 and "config error: empty parameter grid" in err
+    assert not out.exists()
 
 
 def test_sweep_jobs_outside_cpu_count_exits_3(tmp_path, capsys, monkeypatch):

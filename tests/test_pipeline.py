@@ -399,6 +399,40 @@ def test_report_records_stage_levels(prep):
     assert rep.abs_error <= rep.analytic_bound
 
 
+def test_perturbed_sampled_estimates_share_no_random_stream(prep, monkeypatch):
+    """Every generator an estimate seeds, named by its seed's entropy and
+    spawn key: W's perturbation, eta's perturbation and the sampled QAE draw
+    each get their own stream, and consecutive seeds (a sweep's trials)
+    share none."""
+    params = PipelineParams(
+        kappa_sigma=2.0, t_sigma=8, kappa=64.0, t=12, qae=QaeParams(M=256, mode="sample"),
+        sim_level="circuit-pe", qubit_budget=17, perturbation=0.05,
+    )
+    rho, sigma = prep(random_density(1, 1, seed=3)), prep(random_density(1, 2, seed=4))
+    default_rng, streams = np.random.default_rng, []
+
+    def recording_rng(seed=None):
+        s = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        streams.append((s.entropy, s.spawn_key))
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    seeded = {}
+    for seed in (5, 6):
+        rep = estimate_fidelity(rho, sigma, params, seed=seed)
+        assert rep.sim_level_sigma == rep.sim_level_eta == "circuit-pe-perturbed"
+        seeded[seed], streams[:] = list(streams), []
+    assert [len(set(s)) for s in seeded.values()] == [3, 3]
+    assert not set(seeded[5]) & set(seeded[6])
+    assert (5, ()) in seeded[5] and (6, ()) in seeded[6]  # the QAE draw: default_rng(seed)
+
+
+def test_eta_rejects_a_w_for_another_system_size(prep):
+    w = build_w_sigma(prep(random_density(1, 2, seed=3)), ideal_params())
+    with pytest.raises(ValueError, match="rho prepares 2 qubits, W encodes on 1"):
+        build_eta(prep(random_density(2, 2, seed=4)), w)
+
+
 def test_negative_bound_constant_raises():
     with pytest.raises(ValueError, match="bound_constant"):
         ideal_params(C=-1.0)

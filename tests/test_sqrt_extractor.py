@@ -10,7 +10,6 @@ from fidest import (
     SqrtParams,
     build_sqrt_unitary,
     density_with_block,
-    expm_i,
     filter_f,
     grid_eigenvalue,
     h_vector,
@@ -24,7 +23,6 @@ from fidest import (
     purification_to_unitary_be,
     purify,
     random_density,
-    rotation_gate,
     sine_state,
     stage_gain,
     unitarity_defect,
@@ -37,6 +35,7 @@ from fidest.errors import (
     SpectrumOutOfRangeError,
 )
 from fidest.linalg import reflect
+from circuit_oracles import expm_i, rotation_gate
 from register_oracles import layout, partial_trace, project_zero
 from fidest.sqrt_extractor import SqrtOutput, block_spectrum, scaled_block_error
 from fidest.verify import ideal_bound_grid
@@ -112,6 +111,14 @@ def test_sine_state_shape_t8():
     s = sine_state(8)
     assert np.all(np.diff(s[:4]) > 0) and np.all(np.diff(s[4:]) < 0)
     np.testing.assert_allclose(s, s[::-1], atol=1e-15)
+
+
+def test_extraction_needs_a_system_qubit():
+    # every prepared qubit taken as encoding leaves no system to encode on
+    p, params = purify(random_density(1, 2, seed=3), 1), SqrtParams(kappa=4.0, t=8)
+    for extract in (build_sqrt_unitary, ideal_sqrt_state):
+        with pytest.raises(ValueError, match="1 encoding qubits leave no system in 1 prepared"):
+            extract(p, 1, params)
 
 
 def test_sine_state_rejects_non_power():

@@ -16,6 +16,7 @@ from fidest import (
 from fidest.errors import (
     DimensionMismatchError,
     InsufficientAncillaError,
+    NegativeEigenvalueError,
     NotHermitianError,
     RankOutOfRangeError,
 )
@@ -30,6 +31,13 @@ def test_density_validation():
         DensityOperator(np.array([[0.5, 0.5], [0.0, 0.5]]))
     with pytest.raises(ValueError):
         DensityOperator(np.diag([0.9, 0.9]))
+
+
+def test_density_rejects_a_non_square_or_negative_matrix():
+    with pytest.raises(DimensionMismatchError, match=r"not a square power-of-two matrix: \(2, 4\)"):
+        DensityOperator(np.eye(2, 4) / 2)
+    with pytest.raises(NegativeEigenvalueError, match="eigenvalue -1.000e-06 below -1.0e-09"):
+        DensityOperator(np.diag([1.0 + 1e-6, -1e-6]))
 
 
 def test_random_density_rank_and_trace():
@@ -140,6 +148,11 @@ def test_uhlmann_fidelity_agrees_with_the_density_oracle(seed):
     assert abs(uhlmann_fidelity(pa, pb) - uhlmann_fidelity(pb, pa)) <= 1e-14
     with pytest.raises(DimensionMismatchError):
         uhlmann_fidelity(pa, purify(random_density(n + 1, 1, seed=0), 1))
+
+
+def test_trace_distance_needs_equal_qubit_counts():
+    with pytest.raises(DimensionMismatchError, match="1 vs 2 qubits"):
+        trace_distance(Z0, random_density(2, 1, seed=1))
 
 
 def test_trace_distance_examples():
