@@ -8,13 +8,12 @@ shrinks as the parameters double; the practical parameter schedule picks such
 values automatically for a requested accuracy.
 """
 
-import math
-
 import numpy as np
 
 from fidest import (
     PipelineParams,
     QaeParams,
+    ancilla_qubits_for,
     estimate_fidelity,
     purify,
     random_density,
@@ -23,7 +22,7 @@ from fidest import (
 
 
 def prep(rho):
-    return purify(rho, max(1, math.ceil(math.log2(max(rho.rank, 2)))))
+    return purify(rho, ancilla_qubits_for(rho.rank))
 
 
 def main():

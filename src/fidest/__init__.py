@@ -40,6 +40,7 @@ from .sqrt_extractor import (
 from .states import (
     DensityOperator,
     Purification,
+    ancilla_qubits_for,
     fidelity_exact,
     purify,
     random_density,
@@ -55,6 +56,7 @@ __all__ = [
     "Purification",
     "QaeParams",
     "SqrtParams",
+    "ancilla_qubits_for",
     "build_eta",
     "build_sqrt_unitary",
     "build_w_sigma",

@@ -19,25 +19,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRangeError
+from .errors import OutOfRangeError, Range, check_ranges
 
 QAE_MODES = ("exact", "sample")
 
 
 @dataclass(frozen=True)
 class QaeParams:
-    """Grid size M (the query count scale) and outcome mode."""
+    """Grid size M (the query count scale) and outcome mode, checked at
+    construction against ``RANGES`` and, sampled, ``SAMPLED_M``."""
 
     M: int
     mode: str = "exact"
 
+    RANGES = {"M": Range(int, lambda v: v >= 2, "an integer >= 2")}
+    # a sampled outcome is read off a phase register of log2 M qubits
+    SAMPLED_M = Range(int, lambda v: not v & (v - 1), "a power of two in sample mode")
+
     def __post_init__(self):
         if self.mode not in QAE_MODES:
             raise ValueError(f"mode {self.mode!r} not in {QAE_MODES}")
-        if self.M < 2:
-            raise ValueError(f"M must be >= 2, got {self.M}")
-        if self.mode == "sample" and self.M & (self.M - 1):
-            raise ValueError(f"sample mode needs M a power of two, got {self.M}")
+        check_ranges(self)
+        if self.mode == "sample":
+            self.SAMPLED_M.check("M", self.M)
 
 
 def checked_probability(x: float) -> float:

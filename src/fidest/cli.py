@@ -20,9 +20,17 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .amplitude import QaeParams
-from .errors import FidestError, InfeasibleParamsError
-from .pipeline import EstimationReport, PipelineParams, estimate_fidelity, select_params
+from .amplitude import QAE_MODES, QaeParams
+from .errors import FidestError, InfeasibleParamsError, Range
+from .pipeline import (
+    SCHEDULE_MODES,
+    SCHEDULE_RANGES,
+    SIM_LEVELS,
+    EstimationReport,
+    PipelineParams,
+    estimate_fidelity,
+    select_params,
+)
 from .registers import DEFAULT_QUBIT_BUDGET
 from .sqrt_extractor import (
     SqrtParams,
@@ -31,7 +39,7 @@ from .sqrt_extractor import (
     pe_phase_offset,
     pe_tail_bound,
 )
-from .states import DensityOperator, purify, random_density
+from .states import DensityOperator, ancilla_qubits_for, purify, random_density
 from .verify import SUITES, run_suite
 
 SIGMA_SEED_OFFSET = 1_000_003
@@ -110,41 +118,36 @@ def _instance(args) -> tuple:
     return rho, sigma
 
 
-def _ancillas(rank: int) -> int:
-    return max(1, math.ceil(math.log2(max(rank, 2))))
-
-
 def _estimate(rho: DensityOperator, sigma: DensityOperator, params: PipelineParams,
               seed: int) -> EstimationReport:
     return estimate_fidelity(
-        purify(rho, _ancillas(rho.rank)), purify(sigma, _ancillas(sigma.rank)), params, seed=seed
+        purify(rho, ancilla_qubits_for(rho.rank)), purify(sigma, ancilla_qubits_for(sigma.rank)),
+        params, seed=seed,
     )
 
 
-def _sim_level(args) -> tuple[str, float]:
-    """(sim_level, perturbation) for PipelineParams: the circuit-pe-perturbed
-    level is circuit-pe with --perturbation > 0, and needs it."""
+def _run_options(args) -> dict:
+    """PipelineParams' fields other than the knobs and QAE, from the run
+    options: the circuit-pe-perturbed level is circuit-pe with
+    --perturbation > 0, and needs it."""
     if (args.sim_level == "circuit-pe-perturbed") != (args.perturbation > 0):
         raise ConfigError("--perturbation > 0 goes with --sim-level circuit-pe-perturbed "
                           f"and only with it; got {args.sim_level}, {args.perturbation:g}")
-    return ("circuit-pe" if args.perturbation > 0 else args.sim_level), args.perturbation
+    return {"sim_level": "circuit-pe" if args.perturbation > 0 else args.sim_level,
+            "bound_constant": args.bound_constant, "qubit_budget": args.qubit_budget,
+            "perturbation": args.perturbation}
 
 
 def _knob_params(args, kappa_sigma: float, t_sigma: int, kappa: float, t: int,
                  qae_m: int) -> PipelineParams:
     """PipelineParams from an explicit knob set and the run options."""
-    sim_level, perturbation = _sim_level(args)
-    if args.qae_mode == "sample" and qae_m & (qae_m - 1):  # M is the phase register's size
+    options = _run_options(args)
+    if args.qae_mode == "sample" and not QaeParams.SAMPLED_M.ok(qae_m):
         flag = "--qae-m-list" if args.command == "sweep" else "--qae-m"
-        raise ConfigError(
-            f"option {flag} must be a power of two with --qae-mode sample, got {qae_m}"
-        )
-    return PipelineParams(
-        kappa_sigma=kappa_sigma, t_sigma=t_sigma, kappa=kappa, t=t,
-        qae=QaeParams(M=qae_m, mode=args.qae_mode),
-        sim_level=sim_level, bound_constant=args.bound_constant,
-        qubit_budget=args.qubit_budget, perturbation=perturbation,
-    )
+        raise ConfigError(f"option {flag} must be a power of two with --qae-mode sample, "
+                          f"got {qae_m}")
+    return PipelineParams(kappa_sigma=kappa_sigma, t_sigma=t_sigma, kappa=kappa, t=t,
+                          qae=QaeParams(M=qae_m, mode=args.qae_mode), **options)
 
 
 def _params_from_args(args, rank_r: int) -> PipelineParams:
@@ -155,22 +158,15 @@ def _params_from_args(args, rank_r: int) -> PipelineParams:
     if len(missing) < len(knobs):
         raise ConfigError("the explicit knobs go all five together; missing: "
                           + " ".join(f"--{k.replace('_', '-')}" for k in missing))
-    sim_level, perturbation = _sim_level(args)
+    options = _run_options(args)
     if args.eps is None:
         raise ConfigError(
             "missing required option: --eps (or the explicit set "
             "--kappa-sigma --t-sigma --kappa --t --qae-m)"
         )
-    params = select_params(
-        r=rank_r,
-        eps=args.eps,
-        mode=args.mode,
-        sim_level=sim_level,
-        bound_constant=args.bound_constant,
-        qae_mode=args.qae_mode,
-        qubit_budget=args.qubit_budget,
-    )
-    return dataclasses.replace(params, perturbation=perturbation)
+    params = select_params(r=rank_r, eps=args.eps, mode=args.mode,
+                           sim_level=options["sim_level"], qae_mode=args.qae_mode)
+    return dataclasses.replace(params, **options)
 
 
 def cmd_estimate(args) -> int:
@@ -192,15 +188,15 @@ def _sweep_task(item: tuple) -> dict:
     return _estimate(rho, sigma, params, seed).to_dict()
 
 
-def _checked(kind: type, ok, expected: str):
-    """An argparse type: ``kind`` of the text, a value that ``ok`` accepts."""
-    def convert(text: str):
-        value = kind(text)
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {expected}, got {text}")
+def _flag(field_range: Range):
+    """An argparse type: a value of the range's kind that passes its test."""
+    def read(text: str):
+        value = field_range.kind(text)
+        if not field_range.ok(value):
+            raise argparse.ArgumentTypeError(f"must be {field_range.expected}, got {text}")
         return value
-    convert.__name__ = kind.__name__  # named in argparse's 'invalid int value' message
-    return convert
+    read.__name__ = field_range.kind.__name__  # named in argparse's 'invalid int value' message
+    return read
 
 
 def _list_of(convert):
@@ -211,15 +207,12 @@ def _list_of(convert):
     return read
 
 
-_NON_NEGATIVE = _checked(int, lambda v: v >= 0, ">= 0")
-_POSITIVE = _checked(int, lambda v: v >= 1, ">= 1")
-# a float flag is finite: inf and nan fail every range check below
-_NON_NEGATIVE_FLOAT = _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
-_FINITE = _checked(float, math.isfinite, "finite")
-# the knobs: SqrtParams' kappa >= 1 and t >= 6, QaeParams' M >= 2
-_KAPPA = _checked(float, lambda v: 1 <= v < math.inf, "finite and >= 1")
-_T = _checked(int, lambda v: v >= 6, "an integer >= 6")
-_QAE_M = _checked(int, lambda v: v >= 2, "an integer >= 2")
+# the flags that set no knob; each knob flag reads its record's range
+_NON_NEGATIVE = _flag(Range(int, lambda v: v >= 0, ">= 0"))
+_POSITIVE = _flag(Range(int, lambda v: v >= 1, ">= 1"))
+_FINITE = _flag(Range(float, math.isfinite, "finite"))
+_KNOBS = {knob: _flag(field_range) for knob, field_range in
+          {**PipelineParams.RANGES, **QaeParams.RANGES, "eps": SCHEDULE_RANGES["eps"]}.items()}
 
 
 def cmd_sweep(args) -> int:
@@ -322,26 +315,24 @@ def build_parser() -> argparse.ArgumentParser:
         """The options of the subcommands that run estimations."""
         p.add_argument("--seed", type=_NON_NEGATIVE)
         p.add_argument("--sim-level", default="ideal-spectral",
-                       choices=["ideal-spectral", "circuit-pe", "circuit-pe-perturbed"])
-        p.add_argument("--qubit-budget", type=_POSITIVE, default=DEFAULT_QUBIT_BUDGET)
-        p.add_argument("--perturbation", type=_NON_NEGATIVE_FLOAT, default=0.0)
+                       choices=[*SIM_LEVELS, "circuit-pe-perturbed"])
+        p.add_argument("--qubit-budget", type=_KNOBS["qubit_budget"], default=DEFAULT_QUBIT_BUDGET)
+        p.add_argument("--perturbation", type=_KNOBS["perturbation"], default=0.0)
         p.add_argument("--output")
         p.add_argument("--config")
         p.add_argument("--n", type=_POSITIVE)
         p.add_argument("--rank-rho", type=_POSITIVE)
         p.add_argument("--rank-sigma", type=_POSITIVE)
-        p.add_argument("--qae-mode", default="exact", choices=["exact", "sample"])
-        p.add_argument("--bound-constant", type=_NON_NEGATIVE_FLOAT, default=1.0)
+        p.add_argument("--qae-mode", default="exact", choices=QAE_MODES)
+        p.add_argument("--bound-constant", type=_KNOBS["bound_constant"], default=1.0)
 
     est = sub.add_parser("estimate", help="run one estimation and print the report")
     add_run_options(est)
-    est.add_argument("--eps", type=_checked(float, lambda v: 0 < v < 1, "in (0, 1)"))
-    est.add_argument("--mode", default="practical", choices=["paper", "practical"])
-    est.add_argument("--kappa-sigma", type=_KAPPA)
-    est.add_argument("--t-sigma", type=_T)
-    est.add_argument("--kappa", type=_KAPPA)
-    est.add_argument("--t", type=_T)
-    est.add_argument("--qae-m", type=_QAE_M)
+    est.add_argument("--eps", type=_KNOBS["eps"])
+    est.add_argument("--mode", default="practical", choices=SCHEDULE_MODES)
+    for knob in ("kappa_sigma", "t_sigma", "kappa", "t"):
+        est.add_argument(f"--{knob.replace('_', '-')}", type=_KNOBS[knob])
+    est.add_argument("--qae-m", type=_KNOBS["M"])
     est.add_argument("--load-rho")
     est.add_argument("--load-sigma")
     est.add_argument("--dump-rho")
@@ -353,11 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--jobs", type=int, default=1,
                     help="worker processes, 1 to the usable CPU count")
     sw.add_argument("--trials", type=_POSITIVE, default=1)
-    sw.add_argument("--kappa-sigma-list", type=_list_of(_KAPPA))
-    sw.add_argument("--t-sigma-list", type=_list_of(_T))
-    sw.add_argument("--kappa-list", type=_list_of(_KAPPA))
-    sw.add_argument("--t-list", type=_list_of(_T))
-    sw.add_argument("--qae-m-list", type=_list_of(_QAE_M))
+    for knob in ("kappa_sigma", "t_sigma", "kappa", "t"):
+        sw.add_argument(f"--{knob.replace('_', '-')}-list", type=_list_of(_KNOBS[knob]))
+    sw.add_argument("--qae-m-list", type=_list_of(_KNOBS["M"]))
     sw.set_defaults(fn=cmd_sweep)
 
     ver = sub.add_parser("verify", help="run a bound-verification suite")
@@ -370,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     co.add_argument("--config")
     co.add_argument("--lam", type=_FINITE, help="eigenvalue lambda")
     co.add_argument("--T", type=int, help="grid size (must be 2^ceil(log2 t))")
-    co.add_argument("--t", type=_T)
+    co.add_argument("--t", type=_KNOBS["t"])
     co.set_defaults(fn=cmd_coeffs)
     return parser
 

@@ -111,6 +111,16 @@ def reflect(psi: np.ndarray, x: np.ndarray, axis: int = -1, adjoint: bool = Fals
     return np.moveaxis(out, -1, axis)
 
 
+def random_near_identity(dim: int, distance: float, rng: np.random.Generator) -> np.ndarray:
+    """exp(i distance h) for a Gaussian Hermitian h scaled to ||h|| = 1, by
+    eigh(h): a random unitary within operator distance ``distance`` of I."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    h = (g + g.conj().T) / 2
+    h /= np.linalg.norm(h, 2)
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * distance * w)) @ v.conj().T
+
+
 def unitarity_defect(u: np.ndarray) -> float:
     """Operator-norm distance of U^dagger U from the identity; for a d x k
     matrix, how far its k columns are from orthonormal."""

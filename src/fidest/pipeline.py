@@ -36,7 +36,7 @@ import numpy as np
 
 from .amplitude import QaeParams, checked_probability, qae_estimate, qae_error_bound
 from .block_encoding import purification_to_unitary_be
-from .errors import InfeasibleParamsError
+from .errors import InfeasibleParamsError, Range, check_ranges
 from .linalg import operator_norm
 from .registers import DEFAULT_QUBIT_BUDGET, check_budget, circuit_qubits, eta_qubits, w_qubits
 from .sqrt_extractor import (
@@ -54,6 +54,11 @@ from .states import Purification, uhlmann_fidelity
 CIRCUIT_T_CEILING = 1 << 20
 IDEAL_T_CEILING = 1 << 30
 SIM_LEVELS = ("ideal-spectral", "circuit-pe")
+SCHEDULE_MODES = ("paper", "practical")
+SCHEDULE_RANGES = {
+    "eps": Range(float, lambda v: 0 < v < 1, "in (0, 1)"),
+    "r": Range(int, lambda v: v >= 1, ">= 1"),
+}
 
 
 @dataclass(frozen=True)
@@ -61,7 +66,8 @@ class PipelineParams:
     """Stage parameters: (kappa_sigma, t_sigma) for the sqrt(sigma) stage,
     (kappa, t) for the sqrt-of-eta-block stage, the amplitude-estimation
     settings, and the calibrated constant multiplying every Theta bound.
-    Every knob is checked at construction, kappa, t and perturbation by SqrtParams."""
+    Every knob is checked at construction against its entry in ``RANGES``,
+    each stage's kappa and t against SqrtParams' range."""
 
     kappa_sigma: float
     t_sigma: int
@@ -73,15 +79,18 @@ class PipelineParams:
     qubit_budget: int = DEFAULT_QUBIT_BUDGET
     perturbation: float = 0.0
 
+    RANGES = {
+        "kappa_sigma": SqrtParams.RANGES["kappa"],
+        "t_sigma": SqrtParams.RANGES["t"],
+        **SqrtParams.RANGES,  # the eta stage's kappa and t, and both stages' perturbation
+        "bound_constant": Range(float, lambda v: 0 <= v < math.inf, "finite and >= 0"),
+        "qubit_budget": Range(int, lambda v: v >= 1, ">= 1"),
+    }
+
     def __post_init__(self):
         if self.sim_level not in SIM_LEVELS:
             raise ValueError(f"sim_level {self.sim_level!r} not in {SIM_LEVELS}")
-        if not self.bound_constant >= 0:
-            raise ValueError(f"bound_constant must be >= 0, got {self.bound_constant}")
-        if self.qubit_budget < 1:
-            raise ValueError(f"qubit_budget must be >= 1, got {self.qubit_budget}")
-        self.sigma_params()
-        self.eta_params()
+        check_ranges(self)
 
     def sigma_params(self) -> SqrtParams:
         return SqrtParams(kappa=self.kappa_sigma, t=self.t_sigma, perturbation=self.perturbation)
@@ -352,9 +361,7 @@ def select_params(
     eps: float,
     mode: str = "practical",
     sim_level: str = "ideal-spectral",
-    bound_constant: float = 1.0,
     qae_mode: str = "exact",
-    qubit_budget: int = DEFAULT_QUBIT_BUDGET,
 ) -> PipelineParams:
     """Parameter schedules for a target additive error.
 
@@ -377,10 +384,10 @@ def select_params(
     eigenvalue of eta's block can fall below the filter cutoff, and the
     estimate is then exactly 0 (the CLI's n = 1, seed 0 pair: 0 for F = 0.993).
     """
-    if not 0 < eps < 1:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+    SCHEDULE_RANGES["eps"].check("eps", eps)
+    SCHEDULE_RANGES["r"].check("r", r)
+    if mode not in SCHEDULE_MODES:
+        raise ValueError(f"mode {mode!r} not in {SCHEDULE_MODES}")
     ceiling = IDEAL_T_CEILING if sim_level == "ideal-spectral" else CIRCUIT_T_CEILING
     if mode == "paper":
         kappa_sigma = r**4 / eps**4
@@ -393,7 +400,7 @@ def select_params(
                 f"paper-mode t={t}, t_sigma={t_sigma} exceed the "
                 f"{sim_level} ceiling {ceiling}"
             )
-    elif mode == "practical":
+    else:
         kappa_sigma = min(float(_next_pow2((3 * math.sqrt(2) * r / eps) ** 4)), float(ceiling))
         t_sigma = min(_next_pow2(kappa_sigma**2), ceiling)
         kappa = min(float(_next_pow2(kappa_sigma * (12 * r / eps) ** 2)), float(ceiling))
@@ -407,8 +414,6 @@ def select_params(
             ),
             1 << 26,
         )
-    else:
-        raise ValueError(f"mode must be 'paper' or 'practical', got {mode!r}")
     return PipelineParams(
         kappa_sigma=float(kappa_sigma),
         t_sigma=int(t_sigma),
@@ -416,6 +421,4 @@ def select_params(
         t=int(t),
         qae=QaeParams(M=int(m), mode=qae_mode),
         sim_level=sim_level,
-        bound_constant=bound_constant,
-        qubit_budget=qubit_budget,
     )

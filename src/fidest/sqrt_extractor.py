@@ -47,9 +47,11 @@ from .amplitude import checked_probability
 from .errors import (
     IndexOutOfRangeError,
     NotPowerOfTwoError,
+    Range,
     SpectrumOutOfRangeError,
+    check_ranges,
 )
-from .linalg import HermitianEigen, eig_hermitian, operator_norm, reflect
+from .linalg import HermitianEigen, eig_hermitian, operator_norm, random_near_identity, reflect
 from .registers import DEFAULT_QUBIT_BUDGET, check_budget, circuit_qubits
 from .states import Purification
 
@@ -63,20 +65,21 @@ class SqrtParams:
     The phase register has l = ceil(log2 t) qubits and T = 2^l grid points;
     t >= 6 guarantees T >= 8.  ``perturbation`` is the operator distance from
     identity of the noise on each controlled exponential of the circuit.
+    Each field is checked at construction against its entry in ``RANGES``.
     """
 
     kappa: float
     t: int
     perturbation: float = 0.0
 
+    RANGES = {
+        "kappa": Range(float, lambda v: 1 <= v < math.inf, "finite and >= 1"),
+        "t": Range(int, lambda v: v >= 6, "an integer >= 6"),
+        "perturbation": Range(float, lambda v: 0 <= v < math.inf, "finite and >= 0"),
+    }
+
     def __post_init__(self):
-        if self.kappa < 1:
-            raise ValueError(f"kappa must be >= 1, got {self.kappa}")
-        if int(self.t) != self.t or self.t < 6:
-            raise ValueError(f"t must be an integer >= 6, got {self.t}")
-        object.__setattr__(self, "t", int(self.t))
-        if self.perturbation < 0:
-            raise ValueError(f"perturbation must be >= 0, got {self.perturbation}")
+        check_ranges(self)
 
     @property
     def l(self) -> int:
@@ -348,11 +351,7 @@ def build_sqrt_unitary(
     for tau in range(T):
         w_tau = (v * ph[:, tau]) @ v.conj().T
         if tau:
-            g = rng.standard_normal((dn, dn)) + 1j * rng.standard_normal((dn, dn))
-            h_rand = (g + g.conj().T) / 2
-            h_rand /= np.linalg.norm(h_rand, 2)
-            ew, evv = np.linalg.eigh(h_rand)
-            w_tau = w_tau @ ((evv * np.exp(1j * params.perturbation * ew)) @ evv.conj().T)
+            w_tau = w_tau @ random_near_identity(dn, params.perturbation, rng)
         phases[tau] = w_tau
 
     # state axes: i/j system, e encoding, t pe, f/a/b flag, g garbage

@@ -167,6 +167,12 @@ def random_density(qubits: int, rank: int, seed: int) -> DensityOperator:
     return DensityOperator((q * p) @ q.conj().T)
 
 
+def ancilla_qubits_for(rank: int) -> int:
+    """The ancilla qubits a rank-``rank`` state is purified with by the CLI
+    and the demos: ceil(log2 rank), and at least one."""
+    return max(1, (rank - 1).bit_length())
+
+
 def purify(rho: DensityOperator, ancilla_qubits: int) -> Purification:
     """Purify via the eigendecomposition: sum_j sqrt(p_j) |u_j>|j>, so the
     factor's column j is sqrt(p_j) u_j.

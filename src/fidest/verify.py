@@ -7,6 +7,7 @@ failure.  The acceptance tests reuse these functions at the same settings.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -15,7 +16,7 @@ import numpy as np
 from .amplitude import QaeParams, qae_estimate, qae_error_bound
 from .block_encoding import density_with_block
 from .errors import UnknownSuiteError
-from .linalg import eig_hermitian, operator_norm
+from .linalg import eig_hermitian, operator_norm, random_near_identity
 from .sqrt_extractor import (
     SqrtParams,
     filter_f,
@@ -112,8 +113,10 @@ def suite_ideal_bound(seed: int = 0) -> list[CheckResult]:
     return [_check("ideal-bound", "max-4kappa-block-error", ideal_bound_grid(seed), 1.0 + 1e-9)]
 
 
+@functools.lru_cache(maxsize=1)
 def pe_coefficient_deviations(seed: int = 0, lams_per_T: int = 100):
-    """(max closed-vs-direct deviation, max |sum |alpha|^2 - 1|, tail excess)."""
+    """(max closed-vs-direct deviation, max |sum |alpha|^2 - 1|, tail excess);
+    cached, as the pe-coefficients and tail-bound suites both read it."""
     rng = np.random.default_rng(seed)
     dev = unit = tail = 0.0
     for t in (8, 16, 32):
@@ -203,12 +206,7 @@ def random_low_rank_pair(dim: int, rank: int, scale: float, rng) -> tuple[np.nda
     q, _ = np.linalg.qr(g)
     spec = np.sort(rng.uniform(0.05, 1.0, rank))[::-1]
     target = (q[:, :rank] * spec) @ q[:, :rank].conj().T
-    h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    h = (h + h.conj().T) / 2
-    h /= np.linalg.norm(h, 2)
-    ew, ev = np.linalg.eigh(1j * scale * h)
-    rot = (ev * np.exp(ew)) @ ev.conj().T  # exp of the anti-Hermitian i*scale*h
-    q2 = rot @ q
+    q2 = random_near_identity(dim, scale, rng) @ q
     spec2 = np.clip(spec + rng.uniform(-scale, scale, rank), 0.0, None)
     perturbed = (q2[:, :rank] * spec2) @ q2[:, :rank].conj().T
     return target, perturbed

@@ -10,7 +10,7 @@ from fidest import (
     unitarity_defect,
 )
 from fidest.errors import NegativeEigenvalueError, NotHermitianError
-from fidest.linalg import reflect
+from fidest.linalg import random_near_identity, reflect
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -142,3 +142,16 @@ def test_norms_are_numpys_bit_for_bit():
         assert operator_norm(m) == float(np.linalg.norm(m, 2))
         assert trace_norm(m) == float(np.linalg.norm(m, "nuc"))
     assert operator_norm(np.zeros((0, 3))) == trace_norm(np.zeros((0, 3))) == 0.0
+
+
+@pytest.mark.parametrize("dim, distance", [(2, 0.3), (8, 0.05), (16, 1.0)])
+def test_random_near_identity_is_the_exponential_of_its_draw(dim, distance):
+    """exp(i distance h) for the normalised Gaussian Hermitian h the helper
+    draws: unitary, and within operator distance ``distance`` of I."""
+    u = random_near_identity(dim, distance, np.random.default_rng(dim))
+    rng = np.random.default_rng(dim)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    h = (g + g.conj().T) / 2
+    np.testing.assert_allclose(u, expm_i(h / np.linalg.norm(h, 2), distance), atol=1e-12)
+    assert unitarity_defect(u) <= 1e-12
+    assert operator_norm(u - np.eye(dim)) <= distance + 1e-12

@@ -446,11 +446,11 @@ def test_unknown_sim_level_raises_at_construction():
 
 
 @pytest.mark.parametrize("knob, value, message", [
-    ("kappa_sigma", 0.5, "kappa must be >= 1, got 0.5"),
-    ("t_sigma", 5, "t must be an integer >= 6, got 5"),
-    ("kappa", 0.1, "kappa must be >= 1, got 0.1"),
+    ("kappa_sigma", 0.5, "kappa_sigma must be finite and >= 1, got 0.5"),
+    ("t_sigma", 5, "t_sigma must be an integer >= 6, got 5"),
+    ("kappa", 0.1, "kappa must be finite and >= 1, got 0.1"),
     ("t", 3, "t must be an integer >= 6, got 3"),
-    ("perturbation", -0.1, "perturbation must be >= 0, got -0.1"),
+    ("perturbation", -0.1, "perturbation must be finite and >= 0, got -0.1"),
     ("qubit_budget", 0, "qubit_budget must be >= 1, got 0"),
 ])
 def test_bad_knob_raises_at_construction(knob, value, message):

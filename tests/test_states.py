@@ -6,6 +6,7 @@ import pytest
 from fidest import (
     DensityOperator,
     Purification,
+    ancilla_qubits_for,
     fidelity_exact,
     operator_norm,
     purify,
@@ -120,6 +121,13 @@ def test_purification_is_its_factor():
 def test_purify_insufficient_ancilla():
     with pytest.raises(InsufficientAncillaError):
         purify(random_density(2, 3, seed=1), 1)
+
+
+def test_ancilla_qubits_for_a_rank():
+    # ceil(log2 rank) qubits, and at least one
+    assert [ancilla_qubits_for(r) for r in range(1, 10)] == [1, 1, 2, 2, 3, 3, 3, 3, 4]
+    for rank in (1, 2, 3, 4):
+        purify(random_density(2, rank, seed=rank), ancilla_qubits_for(rank))
 
 
 def test_fidelity_closed_forms():
