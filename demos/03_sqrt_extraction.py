@@ -1,11 +1,13 @@
 """Square-root extraction: the filter function, the exact spectral bound, and
 circuit-vs-ideal convergence as the phase budget t grows.
 
-The traced output of the extraction circuit block-encodes sqrt(A) with scale
-4 sqrt(kappa); its block is M M^dagger for M the output state's ancilla-zero
-slice.  With perfect phase estimation the block error (unscaled) is at most
-1/(4 kappa) -- an exact constant, checked below -- and the circuit converges
-to the perfect-estimation output at rate ~ kappa/t.
+Both routines take M, a factor of A = M M^dagger: the ancilla-zero slice of
+a state that block-encodes A.  The traced output of the extraction circuit
+block-encodes sqrt(A) with scale 4 sqrt(kappa); its block is M' M'^dagger
+for M' the output state's ancilla-zero slice.  With perfect phase estimation
+the block error (unscaled) is at most 1/(4 kappa) -- an exact constant,
+checked below -- and the circuit converges to the perfect-estimation output
+at rate ~ kappa/t.
 
 === EXAMPLE OUTPUT ===
 filter at kappa=8: f(1)=0.297  f(1/kappa)=0.500  f(1/(2 kappa))=0.000
@@ -22,7 +24,6 @@ import numpy as np
 from fidest import (
     SqrtParams,
     build_sqrt_unitary,
-    density_with_block,
     filter_f,
     ideal_sqrt_state,
     purify,
@@ -38,21 +39,21 @@ def main():
           f"f(1/(2 kappa))={filter_f(1 / (2 * kappa), kappa):.3f}")
 
     print("ideal block error * 4 kappa (must be <= 1):")
-    a = 0.7 * random_density(2, 3, seed=1).matrix
-    p = purify(density_with_block(a, 1), 3)
+    # A = 0.7 rho for a rank-3 rho on 2 qubits: its factor is sqrt(0.7) times rho's
+    m = np.sqrt(0.7) * purify(random_density(2, 3, seed=1), 2).factor
     for k in (1.0, 4.0, 16.0, 64.0):
-        out = ideal_sqrt_state(p, 1, SqrtParams(kappa=k, t=64))
+        out = ideal_sqrt_state(m, SqrtParams(kappa=k, t=64))
         err = scaled_block_error(out.block(), out.target_sqrt, k) / (4 * np.sqrt(k))
         print(f"  kappa={k:4g}: {err * 4 * k:.3f}")
 
     print("circuit vs ideal (pure 1-qubit instance, kappa=8):")
-    p = purify(random_density(1, 1, seed=7), 1)
+    m = purify(random_density(1, 1, seed=7), 1).factor
     for t in (8, 16, 32, 64, 128):
         params = SqrtParams(kappa=kappa, t=t)
-        out = build_sqrt_unitary(p, 0, params)
+        out = build_sqrt_unitary(m, params)
         # the ideal output has a length-1 pe axis: on the circuit's, pe is exactly |0>
         ideal = np.zeros_like(out.state)
-        ideal[:, :, :1] = ideal_sqrt_state(p, 0, params).state
+        ideal[:, :1] = ideal_sqrt_state(m, params).state
         print(f"  t={t:4d}: ||circuit - ideal|| = {np.linalg.norm(out.state - ideal):.6f} "
               f"(preparer queries: {out.preparer_queries})")
 

@@ -7,7 +7,7 @@ from .amplitude import (
     qae_estimate,
     qae_outcome_distribution,
 )
-from .block_encoding import density_with_block, purification_to_unitary_be
+from .block_encoding import purification_to_unitary_be
 from .linalg import (
     eig_hermitian,
     operator_norm,
@@ -60,7 +60,6 @@ __all__ = [
     "build_eta",
     "build_sqrt_unitary",
     "build_w_sigma",
-    "density_with_block",
     "eig_hermitian",
     "estimate_fidelity",
     "fidelity_exact",

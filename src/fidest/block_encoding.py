@@ -1,19 +1,18 @@
-"""The purified-state-to-unitary construction (two queries to the preparer),
-and the smallest density operator with a given ancilla-zero block.
+"""The purified-state-to-unitary construction (two queries to the preparer).
 
 W is held as its columns on the ancilla-zero inputs, a plain array whose rows
 are ordered [system, mirror, enc_garbage] (system most significant), and its
 block <0|W|0> over mirror and enc_garbage: the rows with both segments zero.
-The full unitary is never formed.
+The full unitary is never formed, and the pipeline keeps only the block.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import as_complex_matrix, operator_norm, reflection, unitarity_defect
+from .linalg import operator_norm, reflection, unitarity_defect
 from .registers import DEFAULT_QUBIT_BUDGET, check_budget, w_qubits
-from .states import NORM_TOL, DensityOperator, Purification
+from .states import NORM_TOL, Purification
 
 BE_TOL = 1e-9
 
@@ -54,26 +53,3 @@ def purification_to_unitary_be(
         raise ValueError(f"W block differs from the prepared density by {err:.3e} > {BE_TOL:.1e}")
     return columns, block
 
-
-def density_with_block(a: np.ndarray, ancilla_qubits: int) -> DensityOperator:
-    """Smallest honest density operator whose ancilla-zero block equals ``a``.
-
-    Requires tr(a) <= 1 (forced for any block of a unit-trace PSD matrix);
-    the leftover weight is spread uniformly over the nonzero-ancilla diagonal.
-    """
-    a = as_complex_matrix(a)
-    n_dim = a.shape[0]
-    tr = float(np.trace(a).real)
-    if ancilla_qubits < 1:
-        if abs(tr - 1.0) > 1e-9:
-            raise ValueError(f"with no ancillas the block must have trace 1, got {tr}")
-        return DensityOperator(a)
-    if tr > 1 + 1e-12:
-        raise ValueError(f"block trace {tr} exceeds 1; not encodable in a state")
-    da = 1 << ancilla_qubits
-    d = n_dim * da
-    m = np.zeros((d, d), dtype=complex)
-    m[::da, ::da] = a
-    off = np.flatnonzero(np.arange(d) % da)  # the nonzero-ancilla diagonal
-    m[off, off] = max(1.0 - tr, 0.0) / (d - n_dim)
-    return DensityOperator(m)

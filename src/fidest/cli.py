@@ -11,7 +11,6 @@ Identical invocations (flags + seeds) produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import math
 import os
@@ -146,8 +145,11 @@ def _knob_params(args, kappa_sigma: float, t_sigma: int, kappa: float, t: int,
         flag = "--qae-m-list" if args.command == "sweep" else "--qae-m"
         raise ConfigError(f"option {flag} must be a power of two with --qae-mode sample, "
                           f"got {qae_m}")
-    return PipelineParams(kappa_sigma=kappa_sigma, t_sigma=t_sigma, kappa=kappa, t=t,
-                          qae=QaeParams(M=qae_m, mode=args.qae_mode), **options)
+    try:
+        return PipelineParams(kappa_sigma=kappa_sigma, t_sigma=t_sigma, kappa=kappa, t=t,
+                              qae=QaeParams(M=qae_m, mode=args.qae_mode), **options)
+    except ValueError as exc:  # each knob is in range, but the set overflows a float
+        raise ConfigError(str(exc)) from None
 
 
 def _params_from_args(args, rank_r: int) -> PipelineParams:
@@ -158,15 +160,16 @@ def _params_from_args(args, rank_r: int) -> PipelineParams:
     if len(missing) < len(knobs):
         raise ConfigError("the explicit knobs go all five together; missing: "
                           + " ".join(f"--{k.replace('_', '-')}" for k in missing))
-    options = _run_options(args)
+    sim_level = _run_options(args)["sim_level"]
     if args.eps is None:
         raise ConfigError(
             "missing required option: --eps (or the explicit set "
             "--kappa-sigma --t-sigma --kappa --t --qae-m)"
         )
-    params = select_params(r=rank_r, eps=args.eps, mode=args.mode,
-                           sim_level=options["sim_level"], qae_mode=args.qae_mode)
-    return dataclasses.replace(params, **options)
+    params = select_params(r=rank_r, eps=args.eps, mode=args.mode, sim_level=sim_level,
+                           qae_mode=args.qae_mode)
+    return _knob_params(args, params.kappa_sigma, params.t_sigma, params.kappa, params.t,
+                        params.qae.M)
 
 
 def cmd_estimate(args) -> int:

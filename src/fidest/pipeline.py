@@ -13,16 +13,19 @@ register it commits the estimate to fits the qubit budget (for W, that is
 eta's register: W's plus rho's garbage), else ideal-spectral, and the report
 records the level used (circuit-pe-perturbed for a circuit run with
 perturbation > 0).  Both levels work on arrays: each purification is its
-factor, W is a plain array of its columns on the ancilla-zero inputs, eta's
-factor is those columns times rho's, each block is M M^dagger of a slice M,
+factor, W is its block over its ancillas, eta's rows with W's ancillas zero
+are that block times rho's factor, each block is M M^dagger of a slice M,
 and each block error is one operator norm.  The eta stage needs only the
 all-zeros probability x of its output, so unperturbed it reads
 x = sum_g g G(g)^2 off the block's spectrum: G is the circuit's
 per-eigenvalue gain (``stage_gain``) or, at the ideal level, the filter;
-only a perturbed eta circuit runs on the state.  The roles and ranks come
-from the factors, so no density operator is formed.  The reported exact
-fidelity is Uhlmann's || M_rho^dagger M_sigma ||_1 on the two factors the
-estimate was given.  This module holds the estimate path and the parameter
+only a perturbed eta circuit runs on a state, and that state is eta's rows
+with W's ancillas zero: every gate of the circuit, the perturbations
+included, is the identity on W's ancillas, so the all-zeros output reads
+those rows alone.  Neither W's columns nor eta's whole factor is formed.
+The roles and ranks come from the factors, so no density operator is
+formed.  The reported exact fidelity is Uhlmann's || M_rho^dagger M_sigma ||_1
+on the two factors the estimate was given.  This module holds the estimate path and the parameter
 schedules; the bound checks live in ``verify``.
 """
 
@@ -67,7 +70,9 @@ class PipelineParams:
     (kappa, t) for the sqrt-of-eta-block stage, the amplitude-estimation
     settings, and the calibrated constant multiplying every Theta bound.
     Every knob is checked at construction against its entry in ``RANGES``,
-    each stage's kappa and t against SqrtParams' range."""
+    each stage's kappa and t against SqrtParams' range, and the knob set
+    against floats: the estimate's scale and the analytic bound (at rank 1
+    and the largest QAE term) must be finite."""
 
     kappa_sigma: float
     t_sigma: int
@@ -91,6 +96,14 @@ class PipelineParams:
         if self.sim_level not in SIM_LEVELS:
             raise ValueError(f"sim_level {self.sim_level!r} not in {SIM_LEVELS}")
         check_ranges(self)
+        if not (math.isfinite(self.scale) and math.isfinite(analytic_error_bound(self, 0.5, 1))):
+            raise ValueError(f"kappa_sigma={self.kappa_sigma:g}, kappa={self.kappa:g} and "
+                             f"bound_constant={self.bound_constant:g} overflow the scale or bound")
+
+    @property
+    def scale(self) -> float:
+        """The estimate's scale: the estimate is 16 sqrt(kappa kappa_sigma) x~."""
+        return 16.0 * math.sqrt(self.kappa * self.kappa_sigma)
 
     def sigma_params(self) -> SqrtParams:
         return SqrtParams(kappa=self.kappa_sigma, t=self.t_sigma, perturbation=self.perturbation)
@@ -143,11 +156,9 @@ class EstimationReport:
 
 @dataclass(frozen=True)
 class WSigmaResult:
-    """W's columns on the inputs |j, 0> of [system, w_anc], its block and
-    sqrt(sigma); w_anc is W's register beyond the system, in order the
-    extraction ancillas, mirror and enc_garbage."""
+    """W's block over w_anc and sqrt(sigma); w_anc is W's register beyond
+    the system, in order the extraction ancillas, mirror and enc_garbage."""
 
-    columns: np.ndarray  # 2^qubits x 2^n
     block: np.ndarray  # <0|W|0> over w_anc, ~ sqrt(sigma) / (4 sqrt(kappa_sigma))
     target_sqrt: np.ndarray  # sqrt(sigma)
     kappa_sigma: float  # W's block encodes sqrt(sigma) at scale 4 sqrt(kappa_sigma)
@@ -185,17 +196,17 @@ def build_w_sigma(
     circuit = (params.sim_level == "circuit-pe"
                and eta_qubits(w_circuit, rho_garbage_qubits) <= params.qubit_budget)
     if circuit:
-        out = build_sqrt_unitary(sigma_prep, 0, sp, qubit_budget=params.qubit_budget, seed=seed)
+        out = build_sqrt_unitary(sigma_prep.factor, sp, qubit_budget=params.qubit_budget,
+                                 seed=seed)
     else:
-        out = ideal_sqrt_state(sigma_prep, 0, sp)
+        out = ideal_sqrt_state(sigma_prep.factor, sp)
     # the output as a purification: its factor on [system and ancillas, garbage]
     prepared = Purification(out.state.reshape(-1, out.state.shape[-1]))
-    w_columns, w_block = purification_to_unitary_be(prepared, qubit_budget=params.qubit_budget)
-    # W's inputs and block rows with the output's ancillas zero, copied to free the rest
+    _, w_block = purification_to_unitary_be(prepared, qubit_budget=params.qubit_budget)
+    # W's block rows with the output's ancillas zero, copied to free W's columns
     keep = slice(None, None, prepared.factor.shape[0] >> n)
     block = np.array(w_block[keep, keep])
     return WSigmaResult(
-        columns=np.array(w_columns[:, keep]),
         block=block,
         target_sqrt=out.target_sqrt,
         kappa_sigma=params.kappa_sigma,
@@ -208,6 +219,7 @@ def build_w_sigma(
 
 @dataclass(frozen=True)
 class EtaResult:
+    m: np.ndarray  # eta's rows with W's ancillas zero, on [system, rho's garbage]
     block: np.ndarray  # <0|eta|0> over W's ancillas, ~ sqrt(s) rho sqrt(s) / (16 k_s)
     block_error: float  # distance of the block from its target
 
@@ -217,29 +229,27 @@ def build_eta(
     w: WSigmaResult,
     qubit_budget: int = DEFAULT_QUBIT_BUDGET,
 ) -> EtaResult:
-    """Apply the sqrt(sigma) encoding, held as W's columns on its
-    ancilla-zero inputs, to rho's purification.
+    """Apply the sqrt(sigma) encoding, held as W's block over its ancillas,
+    to rho's purification.
 
-    Returns the w_anc-zero block of eta's traced state, which approximates
-    sqrt(sigma) rho sqrt(sigma) / (16 kappa_sigma).  Eta's factor, on
-    [system, w_anc] x garbage, is W's columns on the system inputs times rho's
-    factor; its w_anc-zero rows M are W's block times rho's factor, and the
-    block is M M^dagger.  Its reference is T T^dagger / (16 kappa_sigma) for
-    T = sqrt(sigma) times rho's factor, so no density and no whole factor of
-    eta is formed (a perturbed eta circuit forms the factor itself).
+    Returns eta's rows with w_anc zero and the w_anc-zero block of eta's
+    traced state, which approximates sqrt(sigma) rho sqrt(sigma) /
+    (16 kappa_sigma).  Eta's factor, on [system, w_anc] x garbage, is W's
+    columns on the system inputs times rho's factor; its w_anc-zero rows M
+    are W's block times rho's factor, and the block is M M^dagger.  Its
+    reference is T T^dagger / (16 kappa_sigma) for T = sqrt(sigma) times
+    rho's factor, so no density and no whole factor of eta is formed.
     """
     n = rho_prep.system_qubits
-    if w.columns.shape[1] != 1 << n:
-        raise ValueError(
-            f"rho prepares {n} qubits, W encodes on {w.columns.shape[1].bit_length() - 1}"
-        )
+    if len(w.block) != 1 << n:
+        raise ValueError(f"rho prepares {n} qubits, W encodes on {len(w.block).bit_length() - 1}")
     check_budget("eta register", eta_qubits(w.qubits, rho_prep.garbage_qubits), qubit_budget)
     m = w.block @ rho_prep.factor
     block = m @ m.conj().T
     t = w.target_sqrt @ rho_prep.factor
     ref = t @ t.conj().T / (16.0 * w.kappa_sigma)
     block_error = operator_norm(block - ref)
-    return EtaResult(block=block, block_error=block_error)
+    return EtaResult(m=m, block=block, block_error=block_error)
 
 
 def analytic_error_bound(
@@ -252,7 +262,7 @@ def analytic_error_bound(
     ks, k = params.kappa_sigma, params.kappa
     return params.bound_constant * (
         math.sqrt(k * ks) * (delta + rank_r / k + k / params.t)
-        + rank_r * math.sqrt(ks**-0.5 + ks**1.5 / params.t_sigma)
+        + rank_r * math.sqrt(ks**-0.5 + ks * math.sqrt(ks) / params.t_sigma)
     )
 
 
@@ -290,6 +300,8 @@ def estimate_fidelity(
 ) -> EstimationReport:
     """Run the full pipeline and report the estimate against the oracle."""
     rho_prep, sigma_prep, rank_rho, rank_sigma, swapped = _role_order(rho_prep, sigma_prep)
+    if not math.isfinite(analytic_error_bound(params, 0.5, rank_rho)):  # params checked rank 1
+        raise ValueError(f"the analytic bound overflows a float at rank {rank_rho}")
     n = rho_prep.system_qubits
 
     # the perturbations draw from two children of the seed, the sampled QAE draw from the seed
@@ -301,10 +313,8 @@ def estimate_fidelity(
     eta_circuit = circuit_qubits(w.qubits, rho_prep.garbage_qubits, ep.l)
     circuit = params.sim_level == "circuit-pe" and eta_circuit <= params.qubit_budget
     if circuit and ep.perturbation:
-        eta_prep = Purification(w.columns @ rho_prep.factor)  # eta's whole factor
-        out = build_sqrt_unitary(
-            eta_prep, w.qubits - n, ep, qubit_budget=params.qubit_budget, seed=eta_seed
-        )
+        # every gate is the identity on W's ancillas: the circuit runs on eta's rows with them zero
+        out = build_sqrt_unitary(eta.m, ep, qubit_budget=params.qubit_budget, seed=eta_seed)
         x = out.zero_probability()
     else:
         # eigenbranch g of the block reads all-zeros with amplitude G(g): the
@@ -314,8 +324,7 @@ def estimate_fidelity(
         x = checked_probability(float(np.sum(g * gain**2)))
 
     x_tilde = qae_estimate(x, params.qae, seed)
-    scale = 16.0 * math.sqrt(params.kappa * params.kappa_sigma)
-    estimate = scale * x_tilde
+    estimate = params.scale * x_tilde
 
     exact = uhlmann_fidelity(rho_prep, sigma_prep)
     delta = qae_error_bound(x, params.qae.M)
@@ -352,8 +361,17 @@ def estimate_fidelity(
     )
 
 
-def _next_pow2(x: float) -> int:
-    return 1 << max(1, math.ceil(math.log2(max(x, 2.0))))
+def _next_pow2(x: float, cap: float = math.inf) -> int:
+    """The least power of two >= max(x, 2), capped at the power of two ``cap``."""
+    return cap if x >= cap else 1 << max(1, math.ceil(math.log2(max(x, 2.0))))
+
+
+def _or_inf(law) -> float:
+    """law(), or inf where it overflows a float (or eps^12 underflows to 0)."""
+    try:
+        return law()
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
 
 
 def select_params(
@@ -390,27 +408,27 @@ def select_params(
         raise ValueError(f"mode {mode!r} not in {SCHEDULE_MODES}")
     ceiling = IDEAL_T_CEILING if sim_level == "ideal-spectral" else CIRCUIT_T_CEILING
     if mode == "paper":
-        kappa_sigma = r**4 / eps**4
-        t_sigma = max(6, math.ceil(r**8 / eps**8))
-        kappa = r**6 / eps**6
-        t = max(6, math.ceil(r**11 / eps**12))
-        m = _next_pow2(math.ceil(r**2.5 / eps**3.5))
+        # the depths first: an eps whose depths fit the ceiling keeps the other laws finite
+        t_sigma, t = _or_inf(lambda: r**8 / eps**8), _or_inf(lambda: r**11 / eps**12)
         if max(t, t_sigma) > ceiling:
             raise InfeasibleParamsError(
-                f"paper-mode t={t}, t_sigma={t_sigma} exceed the "
+                f"paper-mode t={t:.4g}, t_sigma={t_sigma:.4g} exceed the "
                 f"{sim_level} ceiling {ceiling}"
             )
+        kappa_sigma = r**4 / eps**4
+        t_sigma = max(6, math.ceil(t_sigma))
+        kappa = r**6 / eps**6
+        t = max(6, math.ceil(t))
+        m = _next_pow2(math.ceil(r**2.5 / eps**3.5))
     else:
-        kappa_sigma = min(float(_next_pow2((3 * math.sqrt(2) * r / eps) ** 4)), float(ceiling))
-        t_sigma = min(_next_pow2(kappa_sigma**2), ceiling)
-        kappa = min(float(_next_pow2(kappa_sigma * (12 * r / eps) ** 2)), float(ceiling))
-        t = min(_next_pow2(48 * kappa**1.5 * math.sqrt(kappa_sigma) / eps), ceiling)
-        m = min(
-            _next_pow2(
-                max(
-                    48 * math.pi * (kappa * kappa_sigma) ** 0.25 / eps,
-                    math.sqrt(96.0) * math.pi * (kappa * kappa_sigma) ** 0.25 / math.sqrt(eps),
-                )
+        kappa_sigma = float(_next_pow2(_or_inf(lambda: (3 * math.sqrt(2) * r / eps) ** 4), ceiling))
+        t_sigma = _next_pow2(kappa_sigma**2, ceiling)
+        kappa = float(_next_pow2(kappa_sigma * _or_inf(lambda: (12 * r / eps) ** 2), ceiling))
+        t = _next_pow2(48 * kappa**1.5 * math.sqrt(kappa_sigma) / eps, ceiling)
+        m = _next_pow2(
+            max(
+                48 * math.pi * (kappa * kappa_sigma) ** 0.25 / eps,
+                math.sqrt(96.0) * math.pi * (kappa * kappa_sigma) ** 0.25 / math.sqrt(eps),
             ),
             1 << 26,
         )

@@ -1,6 +1,8 @@
 """The qubit budget and the register rule: the qubits each construction
 commits, and the one check of a count against the budget.  A purification
-commits its main register (system and encoding) and its garbage."""
+commits its main register (system and encoding) and its garbage.  A level
+counts the register a stage commits, not the array it simulates: a perturbed
+eta circuit commits W's register but runs on eta's rows with W's ancillas zero."""
 
 from .errors import RegisterTooLargeError
 

@@ -1,14 +1,20 @@
 """Square-root extraction from a block-encoded PSD operator.
 
-Given a purification preparing a state whose ancilla-zero block is a PSD
-operator A with spectrum in [0, 1], this module builds the circuit whose
-output state block-encodes sqrt(A) with scale 4*sqrt(kappa):
+Given M, the 2^n x 2^b factor of a PSD operator A = M M^dagger with
+spectrum in [0, 1], this module builds the circuit whose output state
+block-encodes sqrt(A) with scale 4*sqrt(kappa):
 
   1. run the preparer,
   2. load the sine-window state on a phase register of T = 2^l points,
   3. phase-estimate exp(i * (t/(3T) A + (2pi/3) I)) onto that register,
   4. rotate a flag qubit by a filter of the estimated eigenvalue,
   5. uncompute steps 3 and 2.
+
+M is the encoding-zero slice of a preparer's state on [system, encoding,
+garbage], whose encoding-zero block is A.  Every gate after the preparer
+acts on [system, pe, flag] only, so the encoding qubits pass through
+untouched, and the output's all-zeros rows are the circuit run on M alone:
+neither routine takes the encoding register.
 
 Two routines build the output state: ``ideal_sqrt_state`` applies the
 filter directly on the exact spectrum (perfect phase estimation, no phase
@@ -19,21 +25,22 @@ from |0>|0>: the circuit is simulated on a branches x T x 2 array.  A
 ``perturbation`` > 0 multiplies each controlled exponential by a random
 unitary within that operator distance of identity to model
 Hamiltonian-simulation error; such unitaries mix branches, so those circuits
-run on the input state reshaped to one axis per register.  Which routine a
-stage runs, and the level it reports, is the pipeline's choice.
+run on M reshaped to one axis per register.  Which routine a stage runs,
+and the level it reports, is the pipeline's choice.
 
 Where only the all-zeros probability of an unperturbed circuit is needed,
 ``stage_gain`` gives each eigenbranch's all-zeros amplitude from the same
 window, phase and FFT step, without the output state: the probability is
 sum_lambda lambda stage_gain(lambda)^2 over the spectrum of A.
 
-An output is one array with axes [system, encoding, pe, flag, garbage]; the
-pe axis has length 1 at the ideal level.  The ancillas sit between system
-and garbage, so the array reshaped to [everything but garbage, garbage] is
-the factor of a purification (ready for the purified-state-to-unitary
-construction).  An output's block, the traced state's <0|.|0> over every
-ancilla, is M M^dagger for M the slice with every ancilla zero
-(``SqrtOutput.block``); no density of the output is formed.
+An output is one array with axes [system, pe, flag, garbage]; the pe axis
+has length 1 at the ideal level.  The ancillas sit between system and
+garbage, so the array reshaped to [everything but garbage, garbage] is the
+factor of a purification (ready for the purified-state-to-unitary
+construction) when M is a whole factor.  An output's block, the traced
+state's <0|.|0> over every ancilla, is M' M'^dagger for M' the slice with
+every ancilla zero (``SqrtOutput.block``); no density of the output is
+formed.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ from .errors import (
 )
 from .linalg import HermitianEigen, eig_hermitian, operator_norm, random_near_identity, reflect
 from .registers import DEFAULT_QUBIT_BUDGET, check_budget, circuit_qubits
-from .states import Purification
+from .states import check_factor_shape
 
 SPECTRUM_TOL = 1e-9
 
@@ -204,10 +211,10 @@ def preparer_queries(params: SqrtParams) -> int:
 
 @dataclass(frozen=True)
 class SqrtOutput:
-    """Result of one extraction: the output state with axes [system,
-    encoding, pe, flag, garbage].  The pe axis has length T at the circuit
-    level and 1 at the ideal level, where the pe register is exactly |0> in
-    every branch and is never built.
+    """Result of one extraction: the output state with axes [system, pe,
+    flag, garbage].  The pe axis has length T at the circuit level and 1 at
+    the ideal level, where the pe register is exactly |0> in every branch and
+    is never built.
     """
 
     params: SqrtParams
@@ -220,7 +227,7 @@ class SqrtOutput:
 
     def zero_slice(self) -> np.ndarray:
         """M: the output state with every ancilla zero, on [system, garbage]."""
-        return self.state[:, 0, 0, 0, :]
+        return self.state[:, 0, 0, :]
 
     def block(self) -> np.ndarray:
         """<0|traced output|0> over every ancilla, which block-encodes sqrt(A)
@@ -254,19 +261,13 @@ def block_spectrum(a_mat: np.ndarray) -> HermitianEigen:
     return HermitianEigen(values=np.clip(w, 0.0, 1.0), vectors=eig.vectors)
 
 
-def _prepared_spectrum(p: Purification, encoding_qubits: int) -> tuple[HermitianEigen, np.ndarray]:
-    """Spectrum and square root of A, the encoding-zero block of the state
-    ``p`` prepares on [system, encoding]: A = M M^dagger, with M the
-    encoding-zero slice of the state on [system, garbage]."""
-    n_sys = p.system_qubits - encoding_qubits
-    if n_sys < 1:
-        raise ValueError(
-            f"{encoding_qubits} encoding qubits leave no system in "
-            f"{p.system_qubits} prepared qubits"
-        )
-    m = p.factor.reshape(1 << n_sys, 1 << encoding_qubits, -1)[:, 0, :]
+def _factor_spectrum(m: np.ndarray) -> tuple[np.ndarray, HermitianEigen, np.ndarray]:
+    """M checked to be a 2^n x 2^b matrix, and the spectrum and square root
+    of A = M M^dagger."""
+    m = np.asarray(m, dtype=complex)
+    check_factor_shape(m)
     eig = block_spectrum(m @ m.conj().T)
-    return eig, (eig.vectors * np.sqrt(eig.values)) @ eig.vectors.conj().T
+    return m, eig, (eig.vectors * np.sqrt(eig.values)) @ eig.vectors.conj().T
 
 
 def _phase_estimate(lam: np.ndarray, params: SqrtParams) -> tuple[np.ndarray, np.ndarray]:
@@ -296,42 +297,37 @@ def stage_gain(lam, params: SqrtParams) -> np.ndarray:
 
 
 def build_sqrt_unitary(
-    p: Purification,
-    encoding_qubits: int,
+    m: np.ndarray,
     params: SqrtParams,
     qubit_budget: int = DEFAULT_QUBIT_BUDGET,
     seed: int | np.random.SeedSequence = 0,
 ) -> SqrtOutput:
-    """Run the extraction circuit on the state ``p`` prepares.
+    """Run the extraction circuit on M, the 2^n x 2^b factor of A = M M^dagger.
 
-    ``p`` prepares a state on [system, encoding] qubits whose encoding-zero
-    block is the PSD operator A; the controlled phases are built from A
-    reconstructed out of that block, not from a separately supplied matrix.
-    The circuit is the sine-window reflection on pe, the controlled phases
-    (exp(i tau theta) on pe value tau), the inverse QFT on pe, a rotation of
-    the flag for each pe value k, and the uncompute of the first three.
+    M is the encoding-zero slice of a prepared state, on [system, garbage];
+    the controlled phases are built from A reconstructed out of M, not from
+    a separately supplied matrix.  The circuit is the sine-window reflection
+    on pe, the controlled phases (exp(i tau theta) on pe value tau), the
+    inverse QFT on pe, a rotation of the flag for each pe value k, and the
+    uncompute of the first three.
 
     Unperturbed, eigenbranch (lambda_k, v_k) of A, with theta_k = (t/3T)
     lambda_k + 2pi/3, takes |0>_pe |0>_flag to a_k: window, phases
     e^{i tau theta_k}, FFT over pe, each rotation's first column, inverse FFT,
     conjugate phases, adjoint window.  The output is sum_k v_k (x) a_k (x)
-    v_k^dagger psi.
+    v_k^dagger M.
 
     With ``params.perturbation > 0`` each controlled exponential (tau >= 1)
     picks up an independent random unitary, drawn from ``seed``, within
     operator distance ``params.perturbation`` of identity.  These mix
-    branches, so the gates run on the whole state reshaped to [system,
-    encoding, pe, flag, garbage], one 2^n x 2^n phase matrix per tau.
+    branches, so the gates run on M reshaped to [system, pe, flag, garbage],
+    one 2^n x 2^n phase matrix per tau.
     """
-    n_enc = encoding_qubits
-    n_sys = p.system_qubits - n_enc
-    b = p.garbage_qubits
-    T = params.T
-    check_budget("circuit", circuit_qubits(p.system_qubits, b, params.l), qubit_budget,
-                 "; use the ideal-spectral level instead")
-    eig, sqrt_a = _prepared_spectrum(p, n_enc)
+    m, eig, sqrt_a = _factor_spectrum(m)
+    (dn, dg), v, T = m.shape, eig.vectors, params.T
+    check_budget("circuit", circuit_qubits(dn.bit_length() - 1, dg.bit_length() - 1, params.l),
+                 qubit_budget, "; use the ideal-spectral level instead")
 
-    dn, v = 1 << n_sys, eig.vectors
     f, s = h_vector(grid_eigenvalue(np.arange(T), params), params.kappa)
     rotations = np.array([[f, -s], [s, f]])  # [out flag, in flag, pe value], h in column 0
     window = sine_state(T)
@@ -341,8 +337,8 @@ def build_sqrt_unitary(
         a = np.fft.ifft(alpha[:, :, None] * rotations[:, 0].T, axis=1, norm="ortho")
         a = a * ph.conj()[:, :, None]
         a = reflect(window, a, axis=1, adjoint=True)
-        c = (v.conj().T @ p.factor.reshape(dn, -1)).reshape(dn, 1 << n_enc, 1 << b)
-        x = np.einsum("ik,ktf,keg->ietfg", v, a, c)  # sum_k v_k (x) a_k (x) v_k^dagger psi
+        c = v.conj().T @ m
+        x = np.einsum("ik,ktf,kg->itfg", v, a, c)  # sum_k v_k (x) a_k (x) v_k^dagger M
         return SqrtOutput(params=params, state=x, target_sqrt=sqrt_a)
     # Controlled phases: on pe value tau apply exp(i tau ((t/3T) A + (2pi/3) I)).
     ph, _ = _phase_estimate(eig.values, params)
@@ -354,31 +350,29 @@ def build_sqrt_unitary(
             w_tau = w_tau @ random_near_identity(dn, params.perturbation, rng)
         phases[tau] = w_tau
 
-    # state axes: i/j system, e encoding, t pe, f/a/b flag, g garbage
-    x = np.zeros((dn, 1 << n_enc, T, 2, 1 << b), dtype=complex)
-    x[:, :, 0, 0, :] = p.factor.reshape(dn, 1 << n_enc, 1 << b)
-    x = reflect(window, x, axis=2)
-    x = np.fft.fft(np.einsum("tij,jetfg->ietfg", phases, x), axis=2, norm="ortho")
-    x = np.einsum("abt,ietbg->ietag", rotations, x)
-    x = np.einsum("tji,jetfg->ietfg", phases.conj(), np.fft.ifft(x, axis=2, norm="ortho"))
-    x = reflect(window, x, axis=2, adjoint=True)
+    # state axes: i/j system, t pe, f/a/b flag, g garbage
+    x = np.zeros((dn, T, 2, dg), dtype=complex)
+    x[:, 0, 0, :] = m
+    x = reflect(window, x, axis=1)
+    x = np.fft.fft(np.einsum("tij,jtfg->itfg", phases, x), axis=1, norm="ortho")
+    x = np.einsum("abt,itbg->itag", rotations, x)
+    x = np.einsum("tji,jtfg->itfg", phases.conj(), np.fft.ifft(x, axis=1, norm="ortho"))
+    x = reflect(window, x, axis=1, adjoint=True)
     return SqrtOutput(params=params, state=np.ascontiguousarray(x), target_sqrt=sqrt_a)
 
 
-def ideal_sqrt_state(p: Purification, encoding_qubits: int, params: SqrtParams) -> SqrtOutput:
+def ideal_sqrt_state(m: np.ndarray, params: SqrtParams) -> SqrtOutput:
     """Perfect-phase-estimation output state, straight from the spectrum of A.
 
-    ``p`` prepares psi on [system, encoding] as for build_sqrt_unitary.  Every
-    eigenbranch (lambda_j, u_j) of A gains the flag state h(lambda_j): the
-    output is sum_j (u_j u_j^dagger psi) (x) h(lambda_j), with a length-1 pe
-    axis.  No phase register is built, so t may be arbitrarily deep.
+    M is A's factor, as for build_sqrt_unitary.  Every eigenbranch
+    (lambda_j, u_j) of A gains the flag state h(lambda_j): the output is
+    sum_j (u_j u_j^dagger M) (x) h(lambda_j), with a length-1 pe axis.  No
+    phase register is built, so t may be arbitrarily deep.
     """
-    eig, sqrt_a = _prepared_spectrum(p, encoding_qubits)
+    m, eig, sqrt_a = _factor_spectrum(m)
     v = eig.vectors
-    dn = v.shape[0]
     f, s = h_vector(eig.values, params.kappa)
-    branches = v.conj().T @ p.factor.reshape(dn, -1)  # [branch, (encoding, garbage)]
-    shape = (dn, 1 << encoding_qubits, 1, 1 << p.garbage_qubits)
-    flag = [((v * h) @ branches).reshape(shape) for h in (f, s)]  # flag 0, flag 1
-    state = np.stack(flag, axis=3)
+    branches = v.conj().T @ m  # [branch, garbage]
+    flag = [((v * h) @ branches)[:, None, :] for h in (f, s)]  # flag 0, flag 1
+    state = np.stack(flag, axis=2)
     return SqrtOutput(params=params, state=state, target_sqrt=sqrt_a)

@@ -101,6 +101,12 @@ class DensityOperator:
             return DensityOperator.from_json_dict(json.load(fh))
 
 
+def check_factor_shape(m: np.ndarray) -> None:
+    """Raise DimensionMismatchError unless m is a 2^a x 2^b matrix."""
+    if m.ndim != 2 or any(d < 1 or d & (d - 1) for d in m.shape):
+        raise DimensionMismatchError(f"not a power-of-two factor: {m.shape}")
+
+
 @dataclass(frozen=True)
 class Purification:
     """A purified state as its factor M: a 2^system x 2^garbage matrix with
@@ -116,8 +122,7 @@ class Purification:
 
     def __post_init__(self):
         m = np.array(self.factor, dtype=complex, order="C")
-        if m.ndim != 2 or any(d & (d - 1) for d in m.shape):
-            raise DimensionMismatchError(f"not a power-of-two factor: {m.shape}")
+        check_factor_shape(m)
         defect = abs(np.linalg.norm(m) - 1.0)
         if defect > NORM_TOL:
             raise ValueError(f"state norm defect {defect:.3e} > {NORM_TOL:.1e}")

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplitude import QaeParams, qae_estimate, qae_error_bound
-from .block_encoding import density_with_block
 from .errors import UnknownSuiteError
 from .linalg import eig_hermitian, operator_norm, random_near_identity
 from .sqrt_extractor import (
@@ -100,10 +99,10 @@ def ideal_bound_grid(seed: int = 0, trials: int = 24) -> float:
         n = 1 + trial % 3
         rank = 1 + trial % min(4, 1 << n)
         base = random_density(n, rank, seed=seed * 1000 + trial)
-        a = float(rng.uniform(0.2, 1.0)) * base.matrix
-        p = purify(density_with_block(a, 1), n + 1)
+        # a factor of A = u base, u in [0.2, 1)
+        m = math.sqrt(float(rng.uniform(0.2, 1.0))) * purify(base, n).factor
         for kappa in (1.0, 4.0, 16.0, 64.0):
-            out = ideal_sqrt_state(p, 1, SqrtParams(kappa=kappa, t=64))
+            out = ideal_sqrt_state(m, SqrtParams(kappa=kappa, t=64))
             err = scaled_block_error(out.block(), out.target_sqrt, kappa)
             worst = max(worst, err / (4.0 * math.sqrt(kappa)) * 4 * kappa)
     return worst

@@ -1,18 +1,30 @@
-"""Gates of the dense extraction circuit, as 2^q x 2^q matrices: reference
-oracles for the tests.
+"""Gates of the dense extraction circuit, as 2^q x 2^q matrices, and the
+extraction run on whole registers: reference oracles for the tests.
 
 The estimate path never forms a gate matrix; it applies each gate to state
 arrays.  The tests multiply these gates out (``dense_circuit`` in
 ``test_sqrt_extractor.py``) and check the path's states against the product.
+The path also never forms W's columns or eta's whole factor: ``w_columns``
+and ``perturbed_circuit_on_whole_factor`` rebuild both, so the tests can run
+a perturbed eta stage on all of W's register.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from fidest.block_encoding import purification_to_unitary_be
 from fidest.errors import IndexOutOfRangeError
-from fidest.linalg import HERMITIAN_TOL, eig_hermitian
-from fidest.sqrt_extractor import SqrtParams, grid_eigenvalue, h_vector
+from fidest.linalg import HERMITIAN_TOL, eig_hermitian, random_near_identity, reflect
+from fidest.sqrt_extractor import (
+    SqrtOutput,
+    SqrtParams,
+    block_spectrum,
+    grid_eigenvalue,
+    h_vector,
+    sine_state,
+)
+from fidest.states import Purification
 
 
 def expm_i(m: np.ndarray, s: float = 1.0, tol: float = HERMITIAN_TOL) -> np.ndarray:
@@ -28,3 +40,44 @@ def rotation_gate(k: int, params: SqrtParams) -> np.ndarray:
         raise IndexOutOfRangeError(f"k={k} outside [0, {params.T})")
     f, s = h_vector(grid_eigenvalue(k, params), params.kappa)
     return np.array([[f, -s], [s, f]], dtype=complex)
+
+
+def w_columns(out: SqrtOutput, n: int) -> np.ndarray:
+    """W's columns on its inputs |j, 0> of [system, w_anc], for W built from
+    the extraction output ``out`` on n system qubits as ``build_w_sigma``
+    builds it: rows on [system, w_anc], W's whole register."""
+    prepared = Purification(out.state.reshape(-1, out.state.shape[-1]))
+    columns, _ = purification_to_unitary_be(prepared, qubit_budget=64)
+    return columns[:, :: prepared.factor.shape[0] >> n]
+
+
+def perturbed_circuit_on_whole_factor(
+    p: Purification, n_enc: int, params: SqrtParams, seed
+) -> np.ndarray:
+    """The perturbed extraction circuit run on the whole state ``p`` prepares
+    on [system, encoding, garbage], with A its encoding-zero block: the output
+    with axes [system, encoding, pe, flag, garbage].  The controlled phases
+    are drawn from ``seed`` as ``build_sqrt_unitary`` draws them."""
+    dn, T = 1 << (p.system_qubits - n_enc), params.T
+    psi = p.factor.reshape(dn, 1 << n_enc, -1)
+    m = psi[:, 0, :]
+    eig = block_spectrum(m @ m.conj().T)
+    v = eig.vectors
+    rng = np.random.default_rng(seed)
+    theta = params.t / (3.0 * T) * eig.values + 2.0 * np.pi / 3.0
+    phases = np.empty((T, dn, dn), dtype=complex)
+    for tau in range(T):
+        phases[tau] = (v * np.exp(1j * tau * theta)) @ v.conj().T
+        if tau:
+            phases[tau] = phases[tau] @ random_near_identity(dn, params.perturbation, rng)
+    f, s = h_vector(grid_eigenvalue(np.arange(T), params), params.kappa)
+    rotations = np.array([[f, -s], [s, f]])
+    window = sine_state(T)
+    # state axes: i/j system, e encoding, t pe, f/a/b flag, g garbage
+    x = np.zeros((dn, psi.shape[1], T, 2, psi.shape[2]), dtype=complex)
+    x[:, :, 0, 0, :] = psi
+    x = reflect(window, x, axis=2)
+    x = np.fft.fft(np.einsum("tij,jetfg->ietfg", phases, x), axis=2, norm="ortho")
+    x = np.einsum("abt,ietbg->ietag", rotations, x)
+    x = np.einsum("tji,jetfg->ietfg", phases.conj(), np.fft.ifft(x, axis=2, norm="ortho"))
+    return reflect(window, x, axis=2, adjoint=True)

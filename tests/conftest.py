@@ -20,9 +20,9 @@ def with_pe_register(out) -> np.ndarray:
     """An ideal-level extraction output on the circuit's registers: its
     length-1 pe axis widened to T, with the pe register exactly |0>."""
     shape = list(out.state.shape)
-    shape[2] = out.params.T
+    shape[1] = out.params.T
     padded = np.zeros(shape, dtype=complex)
-    padded[:, :, :1] = out.state
+    padded[:, :1] = out.state
     return padded
 
 

@@ -5,7 +5,9 @@ A layout is an ordered list of named segments.  The first segment owns the
 most significant qubits (matching ``numpy.kron`` order), so a basis index
 decomposes big-endian across segments.  The estimate path reads array axes
 instead: the tests check those axis slices against the layouts,
-ancilla-zero projections and partial traces here.
+ancilla-zero projections and partial traces here.  ``density_with_block``
+builds a state whose ancilla-zero block is a given operator, the full-register
+input of the extraction oracles.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 
 from fidest.errors import DimensionMismatchError, FidestError
 from fidest.linalg import as_complex_matrix
+from fidest.states import DensityOperator
 
 
 class UnknownSegmentError(FidestError):
@@ -138,3 +141,27 @@ def partial_trace(m: np.ndarray, lay: RegisterLayout, keep: Sequence[str]) -> np
         remaining -= 1
     d_keep = int(np.prod([dims[i] for i in range(s) if lay.segments[i][0] in keep], initial=1))
     return t.reshape(d_keep, d_keep)
+
+
+def density_with_block(a: np.ndarray, ancilla_qubits: int) -> DensityOperator:
+    """Smallest honest density operator whose ancilla-zero block equals ``a``.
+
+    Requires tr(a) <= 1 (forced for any block of a unit-trace PSD matrix);
+    the leftover weight is spread uniformly over the nonzero-ancilla diagonal.
+    """
+    a = as_complex_matrix(a)
+    n_dim = a.shape[0]
+    tr = float(np.trace(a).real)
+    if ancilla_qubits < 1:
+        if abs(tr - 1.0) > 1e-9:
+            raise ValueError(f"with no ancillas the block must have trace 1, got {tr}")
+        return DensityOperator(a)
+    if tr > 1 + 1e-12:
+        raise ValueError(f"block trace {tr} exceeds 1; not encodable in a state")
+    da = 1 << ancilla_qubits
+    d = n_dim * da
+    m = np.zeros((d, d), dtype=complex)
+    m[::da, ::da] = a
+    off = np.flatnonzero(np.arange(d) % da)  # the nonzero-ancilla diagonal
+    m[off, off] = max(1.0 - tr, 0.0) / (d - n_dim)
+    return DensityOperator(m)

@@ -113,11 +113,11 @@ def test_criterion_05_circuit_vs_ideal_convergence(with_pe):
     dists, transfer_ok = [], True
     for t in ts:
         params = SqrtParams(kappa=8.0, t=t)
-        out = build_sqrt_unitary(p, 0, params)
-        v = with_pe(ideal_sqrt_state(p, 0, params))
+        out = build_sqrt_unitary(p.factor, params)
+        v = with_pe(ideal_sqrt_state(p.factor, params))
         d = float(np.linalg.norm(out.state - v))
-        lay = layout(("system", 1), ("encoding", 0), ("pe", params.l), ("flag", 1), ("garbage", 1))
-        kept = ["system", "encoding", "pe", "flag"]
+        lay = layout(("system", 1), ("pe", params.l), ("flag", 1), ("garbage", 1))
+        kept = ["system", "pe", "flag"]
         ideal_traced = partial_trace(np.outer(v, v.conj()), lay, kept)
         traced = partial_trace(np.outer(out.state, out.state.conj()), lay, kept)
         transfer_ok &= operator_norm(traced - ideal_traced) <= d + 1e-9

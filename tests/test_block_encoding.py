@@ -4,7 +4,6 @@ import pytest
 from fidest import (
     DensityOperator,
     Purification,
-    density_with_block,
     operator_norm,
     purification_to_unitary_be,
     purify,
@@ -13,7 +12,7 @@ from fidest import (
 )
 from fidest import block_encoding
 from fidest.linalg import reflect
-from register_oracles import layout, project_zero, zero_block_indices
+from register_oracles import density_with_block, layout, project_zero, zero_block_indices
 
 
 @pytest.mark.parametrize("qubits,rank", [(1, 1), (1, 2), (2, 2), (2, 4)])

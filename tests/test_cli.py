@@ -421,6 +421,53 @@ def test_sampled_qae_m_not_a_power_of_two_exits_3(tmp_path, capsys, argv, flag, 
     assert "got 24" in err and not out.exists()
 
 
+@pytest.mark.parametrize("knobs", [
+    {"--kappa-sigma": "1e250", "--kappa": "1"},  # kappa_sigma^1.5 overflowed: a traceback
+    {"--kappa-sigma": "1e200", "--kappa": "1e200"},  # the scale overflowed: NaN in the report
+    {"--kappa-sigma": "1e10", "--bound-constant": "1e308"},  # the bound overflows
+])
+@pytest.mark.parametrize("command", ["estimate", "sweep"])
+def test_knob_set_that_overflows_a_float_exits_3(tmp_path, capsys, command, knobs):
+    """Each knob is in range, but the set's scale 16 sqrt(kappa kappa_sigma)
+    or analytic bound is not a float: a usage error, and a sweep stops
+    before it writes its header."""
+    out = tmp_path / "s.csv"
+    if command == "estimate":
+        argv = [*ESTIMATE_FLAGS, *itertools.chain(*knobs.items())]
+    else:
+        argv = [*SWEEP_FLAGS, "--output", str(out)]
+        argv += itertools.chain(*((k if k == "--bound-constant" else f"{k}-list", v)
+                                  for k, v in knobs.items()))
+    code, stdout, err = run(capsys, *argv)
+    assert code == 3 and stdout == "" and "overflow the scale or bound" in err
+    assert "nan" not in err.lower() and not out.exists()
+
+
+def test_bound_that_overflows_at_the_instance_rank_exits_1_without_infinity(capsys):
+    code, stdout, err = run(capsys, "estimate", "--n", "2", "--rank-rho", "3", "--rank-sigma", "3",
+                            "--seed", "1", "--kappa-sigma", "1", "--t-sigma", "1048576",
+                            "--kappa", "1", "--t", "1048576", "--qae-m", "1024",
+                            "--bound-constant", "7e307")
+    assert (code, stdout) == (1, "")
+    assert err == "error: the analytic bound overflows a float at rank 3\n"
+
+
+@pytest.mark.parametrize("eps, mode, code", [
+    ("1e-30", "paper", 2), ("1e-80", "paper", 2), ("5e-324", "paper", 2),
+    ("1e-80", "practical", 0), ("5e-324", "practical", 0),
+])
+def test_tiny_eps_is_infeasible_or_capped_without_a_traceback(capsys, eps, mode, code):
+    got, stdout, err = run(capsys, "estimate", "--n", "1", "--rank-rho", "1", "--rank-sigma",
+                           "1", "--seed", "0", "--eps", eps, "--mode", mode)
+    assert got == code
+    if code == 2:
+        assert err.startswith("infeasible parameters: paper-mode t=")
+    else:
+        report = json.loads(stdout)  # the capped schedule
+        assert (report["kappa_sigma"], report["t"], report["qae_m"]) == (2.0**30, 1 << 30, 1 << 26)
+        assert "NaN" not in stdout and "Infinity" not in stdout
+
+
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
 @pytest.mark.parametrize("argv, flag", [
     (ESTIMATE_FLAGS, "--kappa-sigma"), (ESTIMATE_FLAGS, "--kappa"),

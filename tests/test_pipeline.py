@@ -12,6 +12,7 @@ from fidest import (
     PipelineParams,
     Purification,
     QaeParams,
+    ancilla_qubits_for,
     build_eta,
     build_sqrt_unitary,
     build_w_sigma,
@@ -27,7 +28,9 @@ from fidest import (
     unitarity_defect,
 )
 import fidest.pipeline as pipeline_module
+from circuit_oracles import perturbed_circuit_on_whole_factor, w_columns
 from fidest.errors import InfeasibleParamsError, RegisterTooLargeError
+from fidest.registers import circuit_qubits, w_qubits
 from fidest.pipeline import (
     CIRCUIT_T_CEILING,
     IDEAL_T_CEILING,
@@ -56,7 +59,8 @@ def test_w_sigma_block_approximates_scaled_sqrt(prep, sigma, name):
         target = sqrtm_psd(sigma.matrix) / (4 * math.sqrt(ks))
         # perfect-phase-estimation block sits within 1/(4 kappa) of the target
         assert operator_norm(w.block - target) <= 1 / (4 * ks) + 1e-9
-        assert unitarity_defect(w.columns) <= 1e-9
+        out = ideal_sqrt_state(prep(sigma).factor, params.sigma_params())
+        assert unitarity_defect(w_columns(out, 1)) <= 1e-9
         assert w.w_sigma_error <= 1.0 * (ks**-0.5 + ks**1.5 / params.t_sigma)
 
 
@@ -68,7 +72,8 @@ def test_w_sigma_circuit_level_meets_theta_bound(prep):
     sigma = random_density(1, 2, seed=3)
     w = build_w_sigma(prep(sigma), params)
     assert w.sim_level == "circuit-pe"
-    assert unitarity_defect(w.columns) <= 1e-9
+    out = build_sqrt_unitary(prep(sigma).factor, params.sigma_params())
+    assert unitarity_defect(w_columns(out, 1)) <= 1e-9
     assert w.w_sigma_error <= 1.0 * (4.0**-0.5 + 4.0**1.5 / 8)
 
 
@@ -90,7 +95,7 @@ def test_ideal_w_sigma_block_on_diagonal_sigma(prep):
     lam = np.array([0.6, 0.3, 0.05, 0.05])
     p = prep(DensityOperator(np.diag(lam)))
     w = build_w_sigma(p, ideal_params(ks=16.0))
-    assert w.columns.shape == (1 << (2 * (2 + 1) + p.garbage_qubits), 1 << 2)
+    assert w.qubits == 2 * (2 + 1) + p.garbage_qubits and w.block.shape == (1 << 2, 1 << 2)
     expected = np.diag(lam * filter_f(lam, 16.0) ** 2)
     assert operator_norm(w.block - expected) <= 1e-12
 
@@ -109,9 +114,9 @@ def test_w_sigma_block_is_its_extraction_block(prep, level, perturbation, label)
     )
     sigma_prep = prep(random_density(1, 2, seed=3))
     if level == "circuit-pe":
-        out = build_sqrt_unitary(sigma_prep, 0, params.sigma_params(), seed=0)
+        out = build_sqrt_unitary(sigma_prep.factor, params.sigma_params(), seed=0)
     else:
-        out = ideal_sqrt_state(sigma_prep, 0, params.sigma_params())
+        out = ideal_sqrt_state(sigma_prep.factor, params.sigma_params())
     w = build_w_sigma(sigma_prep, params, seed=0)
     assert w.sim_level == label
     np.testing.assert_allclose(w.block, out.block(), rtol=0, atol=1e-12)  # shapes too
@@ -137,7 +142,8 @@ def test_eta_equal_pure_states(prep):
     bound = 16.0**-1.5 + 16.0**0.5 / 256 + 16.0**2 / 256**2
     assert operator_norm(eta.block - ref) <= bound
     # eta's whole factor, W's columns times rho's factor, is a unit-trace state
-    eta_prep = Purification(w.columns @ prep(Z0).factor)
+    columns = w_columns(ideal_sqrt_state(prep(Z0).factor, params.sigma_params()), 1)
+    eta_prep = Purification(columns @ prep(Z0).factor)
     assert abs(np.trace(eta_prep.traced_matrix()).real - 1) <= 1e-9
 
 
@@ -323,6 +329,54 @@ def test_select_params_practical_within_ceiling():
         assert p.t <= CIRCUIT_T_CEILING and p.t_sigma <= CIRCUIT_T_CEILING
 
 
+@pytest.mark.parametrize("level, ceiling", [
+    ("ideal-spectral", IDEAL_T_CEILING), ("circuit-pe", CIRCUIT_T_CEILING),
+])
+def test_select_params_raises_no_arithmetic_error_for_any_eps(level, ceiling):
+    # the paper laws overflowed (r^11 / eps^12 divided by an underflowed 0 at
+    # eps 1e-30) and the practical ones too ((3 sqrt(2) r / eps)^4 at eps 1e-80)
+    tiny = [5e-324, 1e-300, 1e-160, 1e-80, 1e-30, 1e-12, float(np.nextafter(1.0, 0.0))]
+    for eps in tiny + np.logspace(-320, -0.01, 60).tolist():
+        for r in (1, 2, 3, 1 << 10):
+            try:
+                select_params(r, eps, mode="paper", sim_level=level)
+            except InfeasibleParamsError as exc:
+                assert "nan" not in str(exc)
+            p = select_params(r, eps, mode="practical", sim_level=level)
+            assert p.kappa_sigma <= ceiling and p.kappa <= ceiling
+            assert p.t <= ceiling and p.t_sigma <= ceiling and p.qae.M <= 1 << 26
+    # the caps bind at every knob once eps is small enough
+    p = select_params(1, 5e-324, mode="practical", sim_level=level)
+    assert (p.kappa_sigma, p.t_sigma, p.kappa, p.t, p.qae.M) == (
+        float(ceiling), ceiling, float(ceiling), ceiling, 1 << 26)
+
+
+@pytest.mark.parametrize("knobs", [
+    {"kappa_sigma": 1e250, "kappa": 1.0},  # kappa_sigma^1.5 overflows the bound
+    {"kappa_sigma": 1e200, "kappa": 1e200},  # the scale overflows
+    {"kappa_sigma": 1e10, "bound_constant": 1e308},  # the bound overflows
+    {"kappa_sigma": 1e250, "kappa": 1.0, "bound_constant": 0.0},  # 0 times inf
+])
+def test_pipeline_params_refuse_a_knob_set_that_overflows_a_float(knobs):
+    with pytest.raises(ValueError, match="overflow the scale or bound"):
+        dataclasses.replace(ideal_params(), **knobs)
+    # large knobs whose scale and bound are floats still construct
+    big = dataclasses.replace(ideal_params(), kappa_sigma=1e100, kappa=1e100)
+    assert math.isfinite(analytic_error_bound(big, 0.5, 1)) and math.isclose(big.scale, 16e100)
+
+
+def test_estimate_refuses_a_bound_that_overflows_at_its_rank(prep):
+    # finite at rank 1, so the record constructs; a rank-3 pair overflows it
+    params = dataclasses.replace(ideal_params(), kappa=1.0, kappa_sigma=1.0, t=1 << 20,
+                                 t_sigma=1 << 20, bound_constant=7e307)
+    assert math.isinf(analytic_error_bound(params, 0.5, 3))
+    rho = prep(random_density(2, 3, seed=1))
+    with pytest.raises(ValueError, match="analytic bound overflows a float at rank 3"):
+        estimate_fidelity(rho, rho, params, seed=0)
+    rho = prep(random_density(2, 1, seed=1))
+    assert math.isfinite(estimate_fidelity(rho, rho, params, seed=0).analytic_bound)
+
+
 def test_select_params_validation():
     with pytest.raises(ValueError):
         select_params(1, 1.5)
@@ -492,8 +546,8 @@ def test_estimate_builds_circuits_and_densities_only_where_needed(
 ):
     """The circuit-pe calls of the benchmark: an unperturbed estimate forms no
     density operator and runs an extraction circuit only for a circuit-level
-    sigma stage; a perturbed eta stage still runs its circuit, and only it
-    forms eta's whole factor as a purification."""
+    sigma stage; a perturbed eta stage still runs its circuit, on eta's rows
+    with W's ancillas zero, and forms no purification."""
     rho_prep = purify(random_density(1, 1, seed=3), ancillas)
     sigma_prep = purify(random_density(1, rank_sigma, seed=4), ancillas)
     params = PipelineParams(
@@ -506,12 +560,16 @@ def test_estimate_builds_circuits_and_densities_only_where_needed(
     rep = estimate_fidelity(rho_prep, sigma_prep, params, seed=1)
     assert rep.sim_level_eta == level
     assert len(densities) == 0
-    # the sigma stage encodes on no qubits, the eta stage on W's ancillas
-    assert [args[1] == 0 for args in circuits] == [True] * sigma_circuits + [False] * (
+    # the sigma stage runs on a state's factor, the eta stage on eta's zero rows
+    factors = [rho_prep.factor, sigma_prep.factor]
+    assert [any(args[0] is f for f in factors) for args in circuits] == (
+        [True] * sigma_circuits + [False] * (perturbation > 0)
+    )
+    assert [args[0].shape for args in circuits[sigma_circuits:]] == [(2, 1 << ancillas)] * (
         perturbation > 0
     )
-    # the sigma stage's output state, then eta's factor for a perturbed eta circuit
-    assert len(purifications) == 1 + (perturbation > 0)
+    # the sigma stage's output state only
+    assert len(purifications) == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -520,3 +578,60 @@ def test_factor_rank_is_the_density_rank(n):
         rho = random_density(n, rank, seed=100 * n + rank)
         for ancillas in sorted({math.ceil(math.log2(rank)), n}):
             assert purify(rho, ancillas).rank == rho.rank == rank
+
+
+def test_perturbed_eta_circuit_on_its_zero_rows_gives_the_whole_factors_x():
+    """Every gate of the eta circuit, the perturbation unitaries included, is
+    the identity on W's ancillas, so the circuit on eta's rows with them zero
+    gives the x of the circuit on eta's whole factor (W's columns times rho's
+    factor), built here as the pipeline built it before: 60 drawn estimates,
+    n 1-2, ranks 1-3, W at both levels."""
+    rng = np.random.default_rng(22)
+    for trial in range(60):
+        n, circuit_w = 1 + trial % 2, trial % 4 < 2
+        ranks = [int(rng.integers(1, min(3, 1 << n) + 1)) for _ in range(2)]
+        rho, sigma = (purify(random_density(n, r, seed=100 * trial + i), ancilla_qubits_for(r))
+                      for i, r in enumerate(ranks))
+        params = PipelineParams(
+            kappa_sigma=4.0, t_sigma=8 if circuit_w else 1 << 20, kappa=float(rng.choice([16, 64])),
+            t=int(rng.choice([6, 8])), qae=QaeParams(M=64), sim_level="circuit-pe",
+            qubit_budget=24, perturbation=float(rng.uniform(0.01, 0.1)),
+        )
+        rep = estimate_fidelity(rho, sigma, params, seed=trial)
+        assert rep.sim_level_eta == "circuit-pe-perturbed"
+        assert rep.sim_level_sigma == ("circuit-pe-perturbed" if circuit_w else "ideal-spectral")
+        rho, sigma, *_ = _role_order(rho, sigma)
+        w_seed, eta_seed = np.random.SeedSequence(trial).spawn(2)
+        sp = params.sigma_params()
+        if circuit_w:
+            out = build_sqrt_unitary(sigma.factor, sp, seed=w_seed)
+        else:
+            out = ideal_sqrt_state(sigma.factor, sp)
+        eta_prep = Purification(w_columns(out, n) @ rho.factor)  # eta's whole factor
+        state = perturbed_circuit_on_whole_factor(
+            eta_prep, eta_prep.system_qubits - n, params.eta_params(), eta_seed
+        )
+        zero = state[:, 0, 0, 0, :]  # W's ancillas, pe and flag zero
+        assert math.isclose(rep.x, np.vdot(zero, zero).real, rel_tol=1e-12, abs_tol=0)
+
+
+def test_perturbed_eta_circuit_memory_follows_the_rows_it_reads():
+    """At t = 512 after a circuit W (n = 1, ranks 1 and 2) the perturbed eta
+    circuit commits 22 qubits, but its array has 1 system, 9 pe, 1 flag and
+    1 garbage qubit: the estimate peaks under 8 MB (about 200 MB on eta's
+    whole factor, a 2^11 x 2 matrix run through the circuit)."""
+    rho, sigma = (purify(random_density(1, r, seed=r), 1) for r in (1, 2))
+    params = PipelineParams(
+        kappa_sigma=4.0, t_sigma=8, kappa=64.0, t=512, qae=QaeParams(M=64),
+        sim_level="circuit-pe", qubit_budget=30, perturbation=0.05,
+    )
+    assert circuit_qubits(w_qubits(circuit_qubits(1, 0, 3), 1), 1, 9) == 22
+    estimate_fidelity(rho, sigma, dataclasses.replace(params, t=8), seed=1)  # first-call costs
+    tracemalloc.start()
+    try:
+        rep = estimate_fidelity(rho, sigma, params, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.sim_level_sigma == rep.sim_level_eta == "circuit-pe-perturbed"
+    assert peak < 8 << 20

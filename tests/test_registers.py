@@ -5,6 +5,7 @@ from fidest import (
     PipelineParams,
     Purification,
     QaeParams,
+    build_eta,
     build_sqrt_unitary,
     build_w_sigma,
     ideal_sqrt_state,
@@ -13,6 +14,7 @@ from fidest import (
 )
 from fidest.errors import DimensionMismatchError
 from fidest.registers import circuit_qubits, eta_qubits, w_qubits
+from circuit_oracles import w_columns
 from register_oracles import (
     UnknownSegmentError,
     layout,
@@ -106,7 +108,8 @@ def test_zero_qubit_segments_are_transparent():
 ])
 def test_register_rule_counts_the_arrays_built(level, perturbation, label):
     """The rule that sizes W, eta and each extraction circuit equals the
-    qubit counts of the arrays the stages build."""
+    qubit counts of the arrays the stages commit; the eta-stage circuit runs
+    on eta's rows with W's ancillas zero, a smaller array."""
     rho_prep = purify(random_density(1, 2, seed=1), 1)
     sigma_prep = purify(random_density(1, 2, seed=2), 1)
     params = PipelineParams(
@@ -117,18 +120,21 @@ def test_register_rule_counts_the_arrays_built(level, perturbation, label):
     sp, ep = params.sigma_params(), params.eta_params()
     w = build_w_sigma(sigma_prep, params, seed=1, rho_garbage_qubits=g_rho)
     assert w.sim_level == label
-    assert 1 << w.qubits == w.columns.shape[0]
     # the sigma stage's output: a circuit's, or one with a length-1 pe axis
     if level == "circuit-pe":
-        out = build_sqrt_unitary(sigma_prep, 0, sp, seed=1)
+        out = build_sqrt_unitary(sigma_prep.factor, sp, seed=1)
         assert out.state.size == 1 << circuit_qubits(n, g_sigma, sp.l)
         assert w.qubits == w_qubits(circuit_qubits(n, 0, sp.l), g_sigma)
     else:
-        out = ideal_sqrt_state(sigma_prep, 0, sp)
+        out = ideal_sqrt_state(sigma_prep.factor, sp)
         assert out.state.size == 1 << circuit_qubits(n, g_sigma, 0)
         assert w.qubits == w_qubits(circuit_qubits(n, 0, 0), g_sigma)
-    # eta's whole factor, and the eta-stage circuit on it
-    eta_prep = Purification(w.columns @ rho_prep.factor)
+    columns = w_columns(out, n)
+    assert 1 << w.qubits == columns.shape[0]
+    # eta's whole factor, the register the level rule counts
+    eta_prep = Purification(columns @ rho_prep.factor)
     assert eta_prep.factor.size == 1 << eta_qubits(w.qubits, g_rho)
-    eta_out = build_sqrt_unitary(eta_prep, w.qubits - n, ep, qubit_budget=20, seed=2)
-    assert eta_out.state.size == 1 << circuit_qubits(w.qubits, g_rho, ep.l)
+    # the eta-stage circuit runs on eta's rows with W's ancillas zero
+    eta = build_eta(rho_prep, w, qubit_budget=20)
+    eta_out = build_sqrt_unitary(eta.m, ep, seed=2)
+    assert eta_out.state.size == 1 << circuit_qubits(n, g_rho, ep.l)

@@ -9,7 +9,6 @@ from fidest import (
     Purification,
     SqrtParams,
     build_sqrt_unitary,
-    density_with_block,
     filter_f,
     grid_eigenvalue,
     h_vector,
@@ -28,6 +27,7 @@ from fidest import (
     unitarity_defect,
 )
 from fidest.errors import (
+    DimensionMismatchError,
     IndexOutOfRangeError,
     NotPowerOfTwoError,
     OutOfRangeError,
@@ -36,7 +36,7 @@ from fidest.errors import (
 )
 from fidest.linalg import reflect
 from circuit_oracles import expm_i, rotation_gate
-from register_oracles import layout, partial_trace, project_zero
+from register_oracles import density_with_block, layout, partial_trace, project_zero
 from fidest.sqrt_extractor import SqrtOutput, block_spectrum, scaled_block_error
 from fidest.verify import ideal_bound_grid
 
@@ -45,6 +45,12 @@ PURE = DensityOperator(np.diag([1.0, 0.0]))
 
 def pure_prep():
     return purify(PURE, 1)
+
+
+def zero_slice(p, n_enc):
+    """M: the state ``p`` prepares on [system, encoding, garbage] with the
+    encoding qubits zero, on [system, garbage]."""
+    return p.factor.reshape(1 << (p.system_qubits - n_enc), 1 << n_enc, -1)[:, 0, :]
 
 
 def _on(op, dims, axes):
@@ -113,12 +119,12 @@ def test_sine_state_shape_t8():
     np.testing.assert_allclose(s, s[::-1], atol=1e-15)
 
 
-def test_extraction_needs_a_system_qubit():
-    # every prepared qubit taken as encoding leaves no system to encode on
-    p, params = purify(random_density(1, 2, seed=3), 1), SqrtParams(kappa=4.0, t=8)
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3), (0, 2), (2, 0), (4,), (2, 2, 2)])
+def test_extraction_takes_a_power_of_two_factor(shape):
+    # M is checked on entry; a zero-length axis is no power of two either
     for extract in (build_sqrt_unitary, ideal_sqrt_state):
-        with pytest.raises(ValueError, match="1 encoding qubits leave no system in 1 prepared"):
-            extract(p, 1, params)
+        with pytest.raises(DimensionMismatchError, match="not a power-of-two factor"):
+            extract(np.full(shape, 0.1), SqrtParams(kappa=4.0, t=8))
 
 
 def test_sine_state_rejects_non_power():
@@ -223,7 +229,7 @@ def test_pe_tail_bound_holds():
 
 def test_build_unitary_is_unitary_and_meets_theta_bound():
     # spec example instance: A = |0><0| (pure, no encoding ancillas), kappa=4
-    out = build_sqrt_unitary(pure_prep(), 0, SqrtParams(kappa=4.0, t=64))
+    out = build_sqrt_unitary(pure_prep().factor, SqrtParams(kappa=4.0, t=64))
     u = dense_circuit(pure_prep(), 0, out.params)
     assert unitarity_defect(u) <= 1e-9
     assert np.max(np.abs(out.state.reshape(-1) - u[:, 0])) <= 1e-12
@@ -238,8 +244,8 @@ def test_build_unitary_uncompute_weight():
     # asserted with constant 3
     for kappa, t in [(4.0, 64), (2.0, 16), (8.0, 64)]:
         p = purify(random_density(1, 2, seed=5), 1)
-        out = build_sqrt_unitary(p, 0, SqrtParams(kappa=kappa, t=t))
-        weight = np.linalg.norm(out.state[:, :, 0]) ** 2
+        out = build_sqrt_unitary(p.factor, SqrtParams(kappa=kappa, t=t))
+        weight = np.linalg.norm(out.state[:, 0]) ** 2
         assert weight >= 1 - 3.0 * (kappa / t) ** 2
 
 
@@ -247,9 +253,9 @@ def test_zero_probability_is_the_all_ancillas_zero_weight():
     # the weight of the slice block() reads, against the layout oracle's
     # projection of the flat output; out of [0, 1] it raises
     p = purify(density_with_block(0.6 * random_density(1, 2, seed=13).matrix, 1), 2)
-    out = build_sqrt_unitary(p, 1, SqrtParams(kappa=4.0, t=8))
-    lay = layout(("system", 1), ("encoding", 1), ("pe", 3), ("flag", 1), ("garbage", 2))
-    v = project_zero(out.state.reshape(-1), lay, ["encoding", "pe", "flag"])
+    out = build_sqrt_unitary(zero_slice(p, 1), SqrtParams(kappa=4.0, t=8))
+    lay = layout(("system", 1), ("pe", 3), ("flag", 1), ("garbage", 2))
+    v = project_zero(out.state.reshape(-1), lay, ["pe", "flag"])
     assert out.zero_probability() == np.vdot(v, v).real
     assert abs(out.zero_probability() - np.trace(out.block()).real) <= 1e-15
     with pytest.raises(OutOfRangeError):
@@ -258,13 +264,13 @@ def test_zero_probability_is_the_all_ancillas_zero_weight():
 
 def test_build_unitary_register_budget():
     with pytest.raises(RegisterTooLargeError):
-        build_sqrt_unitary(pure_prep(), 0, SqrtParams(kappa=4.0, t=1 << 12), qubit_budget=14)
+        build_sqrt_unitary(pure_prep().factor, SqrtParams(kappa=4.0, t=1 << 12), qubit_budget=14)
 
 
 def test_circuit_over_budget_names_its_register():
     # 1 system, 12 pe, 1 flag and 1 garbage qubit
     with pytest.raises(RegisterTooLargeError) as exc:
-        build_sqrt_unitary(pure_prep(), 0, SqrtParams(kappa=4.0, t=1 << 12), qubit_budget=14)
+        build_sqrt_unitary(pure_prep().factor, SqrtParams(kappa=4.0, t=1 << 12), qubit_budget=14)
     assert str(exc.value) == (
         "circuit needs 15 qubits, budget is 14; use the ideal-spectral level instead"
     )
@@ -280,7 +286,7 @@ def test_spectrum_guard():
 def test_ideal_state_pure_branch():
     # single eigenvalue lambda = 1: block entry is f(1)^2 = kappa^{-1/2}/4
     kappa = 16.0
-    out = ideal_sqrt_state(pure_prep(), 0, SqrtParams(kappa=kappa, t=64))
+    out = ideal_sqrt_state(pure_prep().factor, SqrtParams(kappa=kappa, t=64))
     blk = out.block()
     assert abs(blk[0, 0] - 0.25 * kappa**-0.5) <= 1e-12
     assert abs(blk[1, 1]) <= 1e-12
@@ -288,7 +294,7 @@ def test_ideal_state_pure_branch():
 
 def test_ideal_state_zero_operator():
     rho = density_with_block(np.zeros((2, 2)), 1)
-    out = ideal_sqrt_state(purify(rho, 2), 1, SqrtParams(kappa=4.0, t=64))
+    out = ideal_sqrt_state(zero_slice(purify(rho, 2), 1), SqrtParams(kappa=4.0, t=64))
     assert operator_norm(out.block()) <= 1e-12
 
 
@@ -296,7 +302,7 @@ def test_ideal_state_uniform_spectrum():
     # A = s I has every branch at lambda = s, so the block is s f(s)^2 I
     s = 0.4
     rho = density_with_block(s * np.eye(2), 1)
-    out = ideal_sqrt_state(purify(rho, 2), 1, SqrtParams(kappa=4.0, t=64))
+    out = ideal_sqrt_state(zero_slice(purify(rho, 2), 1), SqrtParams(kappa=4.0, t=64))
     np.testing.assert_allclose(
         out.block(), s * filter_f(s, 4.0) ** 2 * np.eye(2), atol=1e-12
     )
@@ -313,19 +319,19 @@ def test_ideal_vector_matches_ideal_state(with_pe):
     rho = random_density(1, 2, seed=9)
     p = purify(rho, 1)
     params = SqrtParams(kappa=4.0, t=16)
-    ideal = ideal_sqrt_state(p, 0, params)
+    ideal = ideal_sqrt_state(p.factor, params)
     v = with_pe(ideal)
     assert abs(np.linalg.norm(v) - 1) <= 1e-12
-    full = layout(("system", 1), ("encoding", 0), ("pe", params.l), ("flag", 1), ("garbage", 1))
-    traced = partial_trace(np.outer(v, v.conj()), full, ["system", "encoding", "flag"])
+    full = layout(("system", 1), ("pe", params.l), ("flag", 1), ("garbage", 1))
+    traced = partial_trace(np.outer(v, v.conj()), full, ["system", "flag"])
     lam, vecs = np.linalg.eigh(rho.matrix)
     lift = sum(
         np.kron(np.outer(u, u.conj()), h_vector(max(w, 0.0), params.kappa)[:, None])
         for w, u in zip(lam, vecs.T)
     )
     assert operator_norm(traced - lift @ rho.matrix @ lift.conj().T) <= 1e-12
-    kept = ["system", "encoding", "flag"]
-    ideal_lay = layout(("system", 1), ("encoding", 0), ("pe", 0), ("flag", 1), ("garbage", 1))
+    kept = ["system", "flag"]
+    ideal_lay = layout(("system", 1), ("pe", 0), ("flag", 1), ("garbage", 1))
     traced_ideal = partial_trace(np.outer(ideal.state, ideal.state.conj()), ideal_lay, kept)
     assert operator_norm(traced - traced_ideal) <= 1e-12
 
@@ -333,13 +339,13 @@ def test_ideal_vector_matches_ideal_state(with_pe):
 def test_circuit_converges_to_ideal(with_pe):
     p = pure_prep()
     params = SqrtParams(kappa=8.0, t=128)
-    out = build_sqrt_unitary(p, 0, params)
-    v = with_pe(ideal_sqrt_state(p, 0, params))
+    out = build_sqrt_unitary(p.factor, params)
+    v = with_pe(ideal_sqrt_state(p.factor, params))
     dist = np.linalg.norm(out.state - v)
     assert dist <= 1.0 * params.kappa / params.t
     # density-vs-purification transfer
-    full = layout(("system", 1), ("encoding", 0), ("pe", params.l), ("flag", 1), ("garbage", 1))
-    kept = ["system", "encoding", "pe", "flag"]
+    full = layout(("system", 1), ("pe", params.l), ("flag", 1), ("garbage", 1))
+    kept = ["system", "pe", "flag"]
     traced_ideal = partial_trace(np.outer(v, v.conj()), full, kept)
     traced = partial_trace(np.outer(out.state, out.state.conj()), full, kept)
     assert operator_norm(traced - traced_ideal) <= dist + 1e-9
@@ -348,10 +354,10 @@ def test_circuit_converges_to_ideal(with_pe):
 def test_perturbed_mode_is_seeded_and_distinct():
     p = pure_prep()
     params = SqrtParams(kappa=4.0, t=16, perturbation=1e-2)
-    a = build_sqrt_unitary(p, 0, params, seed=3)
-    b = build_sqrt_unitary(p, 0, params, seed=3)
-    c = build_sqrt_unitary(p, 0, params, seed=4)
-    clean = build_sqrt_unitary(p, 0, SqrtParams(kappa=4.0, t=16))
+    a = build_sqrt_unitary(p.factor, params, seed=3)
+    b = build_sqrt_unitary(p.factor, params, seed=3)
+    c = build_sqrt_unitary(p.factor, params, seed=4)
+    clean = build_sqrt_unitary(p.factor, SqrtParams(kappa=4.0, t=16))
     assert np.array_equal(a.state, b.state)
     assert not np.array_equal(a.state, c.state)
     u_a, u_clean = dense_circuit(p, 0, params, seed=3), dense_circuit(p, 0, clean.params)
@@ -377,23 +383,26 @@ def _equal_weight_block(n, rank, weight, seed):
     pytest.param(_equal_weight_block(2, 2, 0.4, 5), 3, 0.0, id="repeated-eigenvalue"),
 ])
 def test_circuit_matches_dense_oracle_with_encoding_and_garbage(a, garbage, perturbation):
+    # every gate after the preparer is the identity on the encoding qubits, so
+    # the dense circuit's output rows with them zero are the circuit on M alone
     p = purify(density_with_block(a, 1), garbage)
     params = SqrtParams(kappa=4.0, t=8, perturbation=perturbation)
-    out = build_sqrt_unitary(p, 1, params, seed=7)
+    out = build_sqrt_unitary(zero_slice(p, 1), params, seed=7)
     u = dense_circuit(p, 1, params, seed=7)
     assert unitarity_defect(u) <= 1e-12
-    assert np.max(np.abs(out.state.reshape(-1) - u[:, 0])) <= 1e-12
+    rows = u[:, 0].reshape(len(a), 2, params.T, 2, 1 << garbage)[:, 0]  # encoding zero
+    assert np.max(np.abs(out.state - rows)) <= 1e-12
 
 
 def test_unperturbed_circuit_peak_memory():
     """An unperturbed circuit runs one eigenbranch of A at a time on [pe, flag]:
     at 16 qubits it peaks within 2.5 times its 1 MB output state."""
-    p = purify(density_with_block(0.6 * random_density(2, 2, seed=13).matrix, 1), 3)
-    params = SqrtParams(kappa=4.0, t=512)  # 2 system, 1 encoding, 9 pe, 1 flag, 3 garbage
-    build_sqrt_unitary(p, 1, SqrtParams(kappa=4.0, t=8))  # first-call allocations
+    m = np.sqrt(0.6) * purify(random_density(2, 2, seed=13), 4).factor  # A = 0.6 rho
+    params = SqrtParams(kappa=4.0, t=512)  # 2 system, 9 pe, 1 flag, 4 garbage
+    build_sqrt_unitary(m, SqrtParams(kappa=4.0, t=8))  # first-call allocations
     tracemalloc.start()
     try:
-        out = build_sqrt_unitary(p, 1, params, qubit_budget=16)
+        out = build_sqrt_unitary(m, params, qubit_budget=16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -406,7 +415,7 @@ def test_w_block_same_from_dense_circuit_or_reflection():
     # matrix-free W whose preparer is the reflection of U's first column
     p = purify(random_density(1, 1, seed=17), 0)
     params = SqrtParams(kappa=4.0, t=8)
-    out = build_sqrt_unitary(p, 0, params)
+    out = build_sqrt_unitary(p.factor, params)
     u = dense_circuit(p, 0, params)
     dm = u.shape[0]  # a 5-qubit output, no garbage: W has 10 qubits
     swap = np.eye(dm * dm)[np.arange(dm * dm).reshape(dm, dm).T.reshape(-1)]
@@ -464,10 +473,9 @@ def test_stage_gain_gives_the_circuit_zero_probability(t):
             garbage = int(rng.integers(0, 3))
             shape = (1 << (n + enc), 1 << garbage)
             g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            p = Purification(g / np.linalg.norm(g))
+            m = zero_slice(Purification(g / np.linalg.norm(g)), enc)
             params = SqrtParams(kappa=4.0, t=t)
-            x = build_sqrt_unitary(p, enc, params, qubit_budget=20).zero_probability()
-            m = p.factor.reshape(1 << n, 1 << enc, -1)[:, 0, :]
+            x = build_sqrt_unitary(m, params, qubit_budget=20).zero_probability()
             lam = block_spectrum(m @ m.conj().T).values
             assert math.isclose(np.sum(lam * stage_gain(lam, params) ** 2), x, rel_tol=1e-12)
 
