@@ -12,10 +12,10 @@ at rate ~ kappa/t.
 === EXAMPLE OUTPUT ===
 filter at kappa=8: f(1)=0.297  f(1/kappa)=0.500  f(1/(2 kappa))=0.000
 ideal block error * 4 kappa (must be <= 1):
-  kappa=  1: 0.342
+  kappa=   1: 0.575
   ...
 circuit vs ideal (pure 1-qubit instance, kappa=8):
-  t=   8: ||circuit - ideal|| = 0.070934
+  t=   8: ||circuit - ideal|| = 0.070934 (preparer queries: 29)
   ...
 """
 

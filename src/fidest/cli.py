@@ -22,6 +22,7 @@ import numpy as np
 from .amplitude import QAE_MODES, QaeParams
 from .errors import FidestError, InfeasibleParamsError, Range
 from .pipeline import (
+    CIRCUIT_T_CEILING,
     SCHEDULE_MODES,
     SCHEDULE_RANGES,
     SIM_LEVELS,
@@ -278,23 +279,25 @@ def cmd_coeffs(args) -> int:
         raise ConfigError(
             f"--T {args.T} inconsistent with --t {args.t}: T must be 2^ceil(log2 t) = {params.T}"
         )
-    print("k,delta,closed_re,closed_im,direct_re,direct_im,abs_diff,tail_bound")
-    total = 0.0
-    for k in range(params.T):
+    if args.t > CIRCUIT_T_CEILING:
+        raise ConfigError(
+            f"--t {args.t} exceeds {CIRCUIT_T_CEILING}, the deepest circuit simulated"
+        )
+    k = np.arange(params.T)
+    with np.errstate(all="ignore"):  # a non-finite table is refused below
         a = pe_coefficient(args.lam, k, params)
         d = pe_coefficient_direct(args.lam, k, params)
         delta = pe_phase_offset(args.lam, k, params)
-        tail = (
-            f"{pe_tail_bound(delta, params.T):.17g}"
-            if abs(delta) > 2 * np.pi / params.T
-            else "-"
-        )
-        total += abs(a) ** 2
-        print(
-            f"{k},{delta:.17g},{a.real:.17g},{a.imag:.17g},"
-            f"{d.real:.17g},{d.imag:.17g},{abs(a - d):.17g},{tail}"
-        )
-    print(f"# sum |alpha|^2 = {total:.17g}")
+        tail = pe_tail_bound(delta, params.T)
+    if not all(np.isfinite(v).all() for v in (a, d, delta)):
+        raise ConfigError(f"argument --lam: {args.lam} gives a non-finite coefficient table")
+    print("k,delta,closed_re,closed_im,direct_re,direct_im,abs_diff,tail_bound")
+    columns = (delta, a.real, a.imag, d.real, d.imag, np.abs(a - d))
+    for grid_point, row, bound in zip(k.tolist(), zip(*(c.tolist() for c in columns)),
+                                      tail.tolist()):
+        cells = [f"{v:.17g}" for v in row] + [f"{bound:.17g}" if bound < math.inf else "-"]
+        print(f"{grid_point}," + ",".join(cells))
+    print(f"# sum |alpha|^2 = {float(np.sum(np.abs(a) ** 2)):.17g}")
     return EXIT_OK
 
 

@@ -31,7 +31,10 @@ and the level it reports, is the pipeline's choice.
 Where only the all-zeros probability of an unperturbed circuit is needed,
 ``stage_gain`` gives each eigenbranch's all-zeros amplitude from the same
 window, phase and FFT step, without the output state: the probability is
-sum_lambda lambda stage_gain(lambda)^2 over the spectrum of A.
+sum_lambda lambda stage_gain(lambda)^2 over the spectrum of A.  The
+amplitude alpha_k(lambda) of reading grid point k has two versions that
+check each other, both over arrays of lambda and k: the closed form
+``pe_coefficient``, and ``pe_coefficient_direct``, an entry of that FFT step.
 
 An output is one array with axes [system, pe, flag, garbage]; the pe axis
 has length 1 at the ideal level.  The ancillas sit between system and
@@ -96,6 +99,15 @@ class SqrtParams:
     def T(self) -> int:
         return 1 << self.l
 
+    @property
+    def slope(self) -> float:
+        """t/(3T): phase estimation runs on exp(i (slope A + (2pi/3) I)), whose
+        phase on eigenvalue lambda is theta(lambda) = slope lambda + 2pi/3."""
+        return self.t / (3.0 * self.T)
+
+    def theta(self, lam):
+        return self.slope * lam + 2.0 * np.pi / 3.0
+
 
 def sine_state(T: int) -> np.ndarray:
     """Unit vector sqrt(2/T) * sin(pi (tau + 1/2) / T), tau = 0..T-1.
@@ -141,56 +153,73 @@ def grid_eigenvalue(k: int, params: SqrtParams) -> float:
     return (3.0 * T / params.t) * (2.0 * np.pi * k / T - 2.0 * np.pi / 3.0)
 
 
-def pe_phase_offset(lambda_j: float, k: int, params: SqrtParams) -> float:
-    """delta = (t/(3T)) lambda_j + 2 pi/3 - 2 pi k / T."""
-    T = params.T
-    return params.t / (3.0 * T) * lambda_j + 2.0 * np.pi / 3.0 - 2.0 * np.pi * k / T
-
-
-def pe_coefficient_direct(lambda_j: float, k: int, params: SqrtParams) -> complex:
-    """Brute-force DFT sum (sqrt(2)/T) sum_tau e^{i tau delta} sin(pi(tau+1/2)/T)."""
-    if not 0 <= k < params.T:
+def _grid_points(k, params: SqrtParams) -> np.ndarray:
+    """Grid points k as an array, each checked to lie in [0, T)."""
+    k = np.asarray(k)
+    if np.any((k < 0) | (k >= params.T)):
         raise IndexOutOfRangeError(f"k={k} outside [0, {params.T})")
-    T = params.T
-    delta = pe_phase_offset(lambda_j, k, params)
-    tau = np.arange(T)
-    return complex(
-        np.sqrt(2.0) / T * np.sum(np.exp(1j * tau * delta) * np.sin(np.pi * (tau + 0.5) / T))
-    )
+    return k
+
+
+def pe_phase_offset(lam, k, params: SqrtParams):
+    """delta = theta(lambda) - 2 pi k / T, broadcast over arrays of lambda and
+    grid points k."""
+    k = _grid_points(k, params)
+    delta = params.theta(np.asarray(lam, dtype=float)) - 2.0 * np.pi * k / params.T
+    return delta if delta.ndim else float(delta)
+
+
+def pe_coefficient_direct(lam, k, params: SqrtParams):
+    """alpha_k(lambda) as the circuit computes it: entry k of
+    ``_phase_estimate``'s ortho FFT of the sine window times the controlled
+    phases, which is the DFT sum (sqrt(2)/T) sum_tau e^{i tau delta}
+    sin(pi(tau+1/2)/T).  Broadcast over arrays of lambda and k; one FFT per
+    distinct lambda, so a row of k for one lambda costs one FFT."""
+    lam, k = np.broadcast_arrays(np.asarray(lam, dtype=float), _grid_points(k, params))
+    rows, row = np.unique(lam, return_inverse=True)
+    value = _phase_estimate(rows, params)[1][row.reshape(lam.shape), k]
+    return value if value.ndim else complex(value)
 
 
 _SINGULARITY_WINDOW = 5e-6
 
 
-def pe_coefficient(lambda_j: float, k: int, params: SqrtParams) -> complex:
-    """Closed-form phase-estimation amplitude onto grid point k.
+def pe_coefficient(lam, k, params: SqrtParams):
+    """Closed-form phase-estimation amplitude alpha_k(lambda) onto grid point
+    k, broadcast over arrays of lambda and k.
 
     Near the removable singularities delta = +-pi/T the closed form loses
-    precision (0/0 cancellation), so the direct sum is used there.
+    precision (0/0 cancellation), so the circuit's value
+    (``pe_coefficient_direct``) is used there.
     """
-    if not 0 <= k < params.T:
-        raise IndexOutOfRangeError(f"k={k} outside [0, {params.T})")
+    delta = np.asarray(pe_phase_offset(lam, k, params))
     T = params.T
-    delta = pe_phase_offset(lambda_j, k, params)
-    s_minus = math.sin(delta / 2 - math.pi / (2 * T))
-    s_plus = math.sin(delta / 2 + math.pi / (2 * T))
-    if min(abs(s_minus), abs(s_plus)) < _SINGULARITY_WINDOW:
-        return pe_coefficient_direct(lambda_j, k, params)
-    value = (
-        -np.sqrt(2.0)
-        * np.exp(1j * delta * (T - 1) / 2)
-        * math.cos(T * delta / 2)
-        / T
-        * math.cos(delta / 2)
-        * math.sin(math.pi / (2 * T))
-        / (s_plus * s_minus)
-    )
-    return complex(value)
+    s_minus = np.sin(delta / 2 - math.pi / (2 * T))
+    s_plus = np.sin(delta / 2 + math.pi / (2 * T))
+    near = np.minimum(abs(s_minus), abs(s_plus)) < _SINGULARITY_WINDOW
+    with np.errstate(divide="ignore", invalid="ignore"):  # the near entries are replaced
+        value = (
+            -np.sqrt(2.0)
+            * np.exp(1j * delta * (T - 1) / 2)
+            * np.cos(T * delta / 2)
+            / T
+            * np.cos(delta / 2)
+            * math.sin(math.pi / (2 * T))
+            / (s_plus * s_minus)
+        )
+    if np.any(near):
+        value = np.where(near, pe_coefficient_direct(lam, k, params), value)
+    return value if value.ndim else complex(value)
 
 
-def pe_tail_bound(delta: float, T: int) -> float:
-    """|alpha| <= 3 sqrt(2) pi^3 / (T^2 delta^2), valid for |delta| > 2 pi / T."""
-    return 3.0 * np.sqrt(2.0) * np.pi**3 / (T * T * delta * delta)
+def pe_tail_bound(delta, T: int):
+    """|alpha| <= 3 sqrt(2) pi^3 / (T^2 delta^2) for |delta| > 2 pi / T;
+    inf where |delta| <= 2 pi / T, where it says nothing.  Broadcast over
+    arrays of delta."""
+    delta = np.asarray(delta, dtype=float)
+    bound = np.divide(3.0 * np.sqrt(2.0) * np.pi**3, T * T * delta * delta,
+                      out=np.full(delta.shape, np.inf), where=np.abs(delta) > 2 * np.pi / T)
+    return bound if bound.ndim else float(bound)
 
 
 def controlled_ua_applications(params: SqrtParams) -> int:
@@ -199,8 +228,8 @@ def controlled_ua_applications(params: SqrtParams) -> int:
     The controlled powers 2^i of exp(i (t/(3T) A + 2pi/3)) are each simulated
     with ceil((t/(3T)) 2^i) + 1 applications of the controlled encoding.
     """
-    scale = params.t / (3.0 * params.T)
-    return sum(math.ceil(scale * (1 << i)) + 1 for i in range(params.l))
+    slope = params.slope
+    return sum(math.ceil(slope * (1 << i)) + 1 for i in range(params.l))
 
 
 def preparer_queries(params: SqrtParams) -> int:
@@ -276,8 +305,7 @@ def _phase_estimate(lam: np.ndarray, params: SqrtParams) -> tuple[np.ndarray, np
     lambda + 2pi/3, and one ortho FFT over pe.  Returns the phases and the
     amplitudes alpha_k(lambda) on grid point k, both with axes [branch, pe]
     (the branches are lambda flattened)."""
-    theta = params.t / (3.0 * params.T) * lam + 2.0 * np.pi / 3.0
-    ph = np.exp(1j * np.outer(theta, np.arange(params.T)))
+    ph = np.exp(1j * np.outer(params.theta(lam), np.arange(params.T)))
     return ph, np.fft.fft(ph * sine_state(params.T), axis=1, norm="ortho")
 
 

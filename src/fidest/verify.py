@@ -120,16 +120,14 @@ def pe_coefficient_deviations(seed: int = 0, lams_per_T: int = 100):
     dev = unit = tail = 0.0
     for t in (8, 16, 32):
         params = SqrtParams(kappa=4.0, t=t)
-        T = params.T
+        k = np.arange(params.T)
         for lam in rng.uniform(0, 1, lams_per_T):
-            closed = np.array([pe_coefficient(lam, k, params) for k in range(T)])
-            direct = np.array([pe_coefficient_direct(lam, k, params) for k in range(T)])
+            closed = pe_coefficient(lam, k, params)
+            direct = pe_coefficient_direct(lam, k, params)
             dev = max(dev, float(np.max(np.abs(closed - direct))))
             unit = max(unit, abs(float(np.sum(np.abs(closed) ** 2)) - 1.0))
-            for k in range(T):
-                d = pe_phase_offset(lam, k, params)
-                if abs(d) > 2 * np.pi / T:
-                    tail = max(tail, abs(closed[k]) - pe_tail_bound(d, T))
+            bound = pe_tail_bound(pe_phase_offset(lam, k, params), params.T)
+            tail = max(tail, float(np.max(np.abs(closed) - bound)))
     return dev, unit, tail
 
 

@@ -1,4 +1,5 @@
-"""Gates of the dense extraction circuit, as 2^q x 2^q matrices, and the
+"""Gates of the dense extraction circuit, as 2^q x 2^q matrices, the
+phase-estimation amplitudes as the per-grid-point DFT sum, and the
 extraction run on whole registers: reference oracles for the tests.
 
 The estimate path never forms a gate matrix; it applies each gate to state
@@ -40,6 +41,20 @@ def rotation_gate(k: int, params: SqrtParams) -> np.ndarray:
         raise IndexOutOfRangeError(f"k={k} outside [0, {params.T})")
     f, s = h_vector(grid_eigenvalue(k, params), params.kappa)
     return np.array([[f, -s], [s, f]], dtype=complex)
+
+
+def pe_coefficient_sum(lam: float, k: int, params: SqrtParams) -> complex:
+    """alpha_k(lambda) as the DFT sum (sqrt(2)/T) sum_tau e^{i tau delta}
+    sin(pi(tau+1/2)/T), one grid point at a time: the oracle that both the
+    closed form and the circuit's FFT are checked against."""
+    if not 0 <= k < params.T:
+        raise IndexOutOfRangeError(f"k={k} outside [0, {params.T})")
+    T = params.T
+    delta = params.t / (3.0 * T) * lam + 2.0 * np.pi / 3.0 - 2.0 * np.pi * k / T
+    tau = np.arange(T)
+    return complex(
+        np.sqrt(2.0) / T * np.sum(np.exp(1j * tau * delta) * np.sin(np.pi * (tau + 0.5) / T))
+    )
 
 
 def w_columns(out: SqrtOutput, n: int) -> np.ndarray:

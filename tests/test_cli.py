@@ -285,6 +285,32 @@ def test_coeffs_table(capsys):
         assert float(line.split(",")[6]) <= 1e-10  # closed form vs direct sum
 
 
+def test_coeffs_computes_each_column_in_one_call(monkeypatch, capsys):
+    calls = {"pe_coefficient": 0, "pe_coefficient_direct": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(cli, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(cli, name, counted)
+    code, out, _ = run(capsys, "coeffs", "--lam", "0.3", "--t", "64")
+    assert code == 0 and len(out.splitlines()) == 1 + 64 + 1
+    assert calls == {"pe_coefficient": 1, "pe_coefficient_direct": 1}
+
+
+@pytest.mark.parametrize("lam", ["1e308", "-1e308", "1.7e308"])
+def test_coeffs_non_finite_table_exits_3_before_output(capsys, lam):
+    code, out, err = run(capsys, "coeffs", f"--lam={lam}", "--t", "8")
+    assert code == 3 and out == ""
+    assert err.startswith("config error: argument --lam:") and "non-finite" in err
+
+
+@pytest.mark.parametrize("t", ["1048577", "1073741824"])
+def test_coeffs_deeper_than_the_circuit_ceiling_exits_3(capsys, t):
+    code, out, err = run(capsys, "coeffs", "--lam", "0.3", "--t", t)
+    assert code == 3 and out == ""
+    assert f"--t {t} exceeds 1048576" in err
+
+
 def test_coeffs_inconsistent_grid_exits_3(capsys):
     code, _, err = run(capsys, "coeffs", "--lam", "0.3", "--t", "8", "--T", "16")
     assert code == 3 and "--t" in err

@@ -35,7 +35,7 @@ from fidest.errors import (
     SpectrumOutOfRangeError,
 )
 from fidest.linalg import reflect
-from circuit_oracles import expm_i, rotation_gate
+from circuit_oracles import expm_i, pe_coefficient_sum, rotation_gate
 from register_oracles import density_with_block, layout, partial_trace, project_zero
 from fidest.sqrt_extractor import SqrtOutput, block_spectrum, scaled_block_error
 from fidest.verify import ideal_bound_grid
@@ -193,12 +193,15 @@ def test_h_vector_at_lambda_one():
 
 @pytest.mark.parametrize("t", [8, 16, 32])
 def test_pe_coefficient_matches_direct_sum(t):
+    """The closed form and the circuit's FFT each match the DFT sum, row by row."""
     rng = np.random.default_rng(t)
     params = SqrtParams(kappa=4.0, t=t)
+    k = np.arange(params.T)
     for lam in rng.uniform(0, 1, 20):
-        closed = np.array([pe_coefficient(lam, k, params) for k in range(params.T)])
-        direct = np.array([pe_coefficient_direct(lam, k, params) for k in range(params.T)])
-        assert np.max(np.abs(closed - direct)) <= 1e-10
+        oracle = np.array([pe_coefficient_sum(lam, j, params) for j in k])
+        closed = pe_coefficient(lam, k, params)
+        assert np.max(np.abs(closed - oracle)) <= 1e-10
+        assert np.max(np.abs(pe_coefficient_direct(lam, k, params) - oracle)) <= 1e-10
         assert abs(np.sum(np.abs(closed) ** 2) - 1) <= 1e-10
 
 
@@ -209,22 +212,53 @@ def test_pe_coefficient_at_removable_singularity():
     for k in range(T):
         lam = (np.pi / T - 2 * np.pi / 3 + 2 * np.pi * k / T) * 3 * T / params.t
         if 0 <= lam <= 1:
-            a = pe_coefficient(lam, k, params)
-            d = pe_coefficient_direct(lam, k, params)
-            assert abs(a - d) <= 1e-12
+            oracle = pe_coefficient_sum(lam, k, params)
+            assert abs(pe_coefficient(lam, k, params) - oracle) <= 1e-12
+            assert abs(pe_coefficient_direct(lam, k, params) - oracle) <= 1e-12
+            # the singular entry of a whole row takes the same value
+            assert pe_coefficient(lam, np.arange(T), params)[k] == pe_coefficient(lam, k, params)
             break
     else:
         pytest.fail("no singular grid point found in [0, 1]")
 
 
+def test_pe_functions_broadcast_over_lambda_and_k():
+    """A whole table in one call equals the scalar calls entry by entry, and
+    a k outside [0, T) anywhere in the array is refused."""
+    params = SqrtParams(kappa=4.0, t=16)
+    lam = np.array([0.0, 0.3, 0.75, 1.0])[:, None]
+    k = np.arange(params.T)[None, :]
+    for fn in (pe_coefficient, pe_coefficient_direct, pe_phase_offset):
+        table = fn(lam, k, params)
+        assert table.shape == (4, params.T)
+        for i, j in np.ndindex(table.shape):
+            assert table[i, j] == fn(float(lam[i, 0]), int(j), params)
+        for bad in (-1, params.T, np.array([0, params.T])):
+            with pytest.raises(IndexOutOfRangeError):
+                fn(0.3, bad, params)
+    assert isinstance(pe_coefficient(0.3, 2, params), complex)
+    assert isinstance(pe_coefficient_direct(0.3, 2, params), complex)
+    assert isinstance(pe_phase_offset(0.3, 2, params), float)
+
+
 def test_pe_tail_bound_holds():
     params = SqrtParams(kappa=4.0, t=32)
     rng = np.random.default_rng(1)
+    k = np.arange(params.T)
     for lam in rng.uniform(0, 1, 25):
-        for k in range(params.T):
-            d = pe_phase_offset(lam, k, params)
-            if abs(d) > 2 * np.pi / params.T:
-                assert abs(pe_coefficient(lam, k, params)) <= pe_tail_bound(d, params.T) + 1e-12
+        bound = pe_tail_bound(pe_phase_offset(lam, k, params), params.T)
+        assert np.all(np.abs(pe_coefficient(lam, k, params)) <= bound + 1e-12)
+
+
+def test_pe_tail_bound_is_inf_where_it_says_nothing():
+    T = 16
+    edge = 2 * np.pi / T
+    delta = np.array([0.0, 0.5 * edge, -edge, edge, np.nextafter(edge, 4.0), -2 * edge])
+    bound = pe_tail_bound(delta, T)
+    assert np.all(np.isinf(bound[:4]))
+    np.testing.assert_allclose(bound[4:], 3 * np.sqrt(2) * np.pi**3 / (T * delta[4:]) ** 2,
+                               rtol=1e-15)
+    assert pe_tail_bound(0.0, T) == math.inf and isinstance(pe_tail_bound(1.0, T), float)
 
 
 def test_build_unitary_is_unitary_and_meets_theta_bound():
@@ -484,10 +518,8 @@ def test_stage_gain_gives_the_circuit_zero_probability(t):
 def test_stage_gain_is_the_pe_coefficient_sum(t):
     params = SqrtParams(kappa=4.0, t=t)
     lam = np.array([0.0, 0.05, 0.125, 0.25, 0.3, 0.5, 0.99, 1.0])
-    direct = [
-        sum(abs(pe_coefficient_direct(v, k, params)) ** 2
-            * filter_f(grid_eigenvalue(k, params), params.kappa) for k in range(params.T))
-        for v in lam
-    ]
-    assert np.max(np.abs(stage_gain(lam, params) - direct)) <= 1e-12
+    k = np.arange(params.T)
+    f = filter_f(grid_eigenvalue(k, params), params.kappa)
+    closed = [np.sum(np.abs(pe_coefficient(v, k, params)) ** 2 * f) for v in lam]
+    assert np.max(np.abs(stage_gain(lam, params) - closed)) <= 1e-12
     assert stage_gain(0.3, params).shape == ()

@@ -33,4 +33,4 @@ def test_verify_all_computes_the_pe_grid_once(monkeypatch):
     verify.pe_coefficient_deviations.cache_clear()
     results = verify.run_suite("all")
     assert all(r.passed for r in results) and len(results) == 19
-    assert len(calls) == 100 * (8 + 16 + 32)  # one pass over the grid of t = 8, 16, 32
+    assert len(calls) == 100 * 3  # one row of k per lambda, 100 lambdas at each t = 8, 16, 32
