@@ -26,6 +26,7 @@ from fidest import (
     build_sqrt_unitary,
     filter_f,
     ideal_sqrt_state,
+    preparer_queries,
     purify,
     random_density,
 )
@@ -55,7 +56,7 @@ def main():
         ideal = np.zeros_like(out.state)
         ideal[:, :1] = ideal_sqrt_state(m, params).state
         print(f"  t={t:4d}: ||circuit - ideal|| = {np.linalg.norm(out.state - ideal):.6f} "
-              f"(preparer queries: {out.preparer_queries})")
+              f"(preparer queries: {preparer_queries(params)})")
 
 
 if __name__ == "__main__":

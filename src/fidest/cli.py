@@ -1,11 +1,14 @@
 """Command-line front end: single estimations, parameter sweeps, bound
 verification suites, and phase-estimation coefficient tables.
 
-argparse owns every value (type, choices, default); a ``--config`` file's
-``key = value`` lines are parsed as ``--key=value`` flags ahead of the
-command line's, which win.  Exit codes: 0 ok, 1 runtime error, 2 infeasible
-parameters, 3 usage or config error (argparse's own errors included).
-Identical invocations (flags + seeds) produce byte-identical outputs.
+argparse owns every value (type, choices, default), each asked for once:
+``--sim-level`` takes the library's levels, ``--perturbation`` above 0 alone
+perturbs a circuit-pe run (reported as circuit-pe-perturbed), and ``coeffs``
+reads T off ``--t``.  A ``--config`` file's ``key = value`` lines are parsed
+as ``--key=value`` flags ahead of the command line's, which win.  Exit codes:
+0 ok, 1 runtime error, 2 infeasible parameters, 3 usage or config error
+(argparse's own errors included).  Identical invocations (flags + seeds)
+produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .sqrt_extractor import (
     pe_tail_bound,
 )
 from .states import DensityOperator, ancilla_qubits_for, purify, random_density
-from .verify import SUITES, run_suite
+from .verify import CLOSED_VS_DIRECT_TOL, SUITES, run_suite
 
 SIGMA_SEED_OFFSET = 1_000_003
 
@@ -126,29 +129,21 @@ def _estimate(rho: DensityOperator, sigma: DensityOperator, params: PipelinePara
     )
 
 
-def _run_options(args) -> dict:
-    """PipelineParams' fields other than the knobs and QAE, from the run
-    options: the circuit-pe-perturbed level is circuit-pe with
-    --perturbation > 0, and needs it."""
-    if (args.sim_level == "circuit-pe-perturbed") != (args.perturbation > 0):
-        raise ConfigError("--perturbation > 0 goes with --sim-level circuit-pe-perturbed "
-                          f"and only with it; got {args.sim_level}, {args.perturbation:g}")
-    return {"sim_level": "circuit-pe" if args.perturbation > 0 else args.sim_level,
-            "bound_constant": args.bound_constant, "qubit_budget": args.qubit_budget,
-            "perturbation": args.perturbation}
-
-
 def _knob_params(args, kappa_sigma: float, t_sigma: int, kappa: float, t: int,
                  qae_m: int) -> PipelineParams:
-    """PipelineParams from an explicit knob set and the run options."""
-    options = _run_options(args)
+    """PipelineParams from a knob set and the run options."""
+    if args.perturbation > 0 and args.sim_level == "ideal-spectral":
+        raise ConfigError(f"option --perturbation {args.perturbation:g} does nothing at "
+                          "--sim-level ideal-spectral: it perturbs the circuit-pe circuits")
     if args.qae_mode == "sample" and not QaeParams.SAMPLED_M.ok(qae_m):
         flag = "--qae-m-list" if args.command == "sweep" else "--qae-m"
         raise ConfigError(f"option {flag} must be a power of two with --qae-mode sample, "
                           f"got {qae_m}")
     try:
         return PipelineParams(kappa_sigma=kappa_sigma, t_sigma=t_sigma, kappa=kappa, t=t,
-                              qae=QaeParams(M=qae_m, mode=args.qae_mode), **options)
+                              qae=QaeParams(M=qae_m, mode=args.qae_mode),
+                              sim_level=args.sim_level, bound_constant=args.bound_constant,
+                              qubit_budget=args.qubit_budget, perturbation=args.perturbation)
     except ValueError as exc:  # each knob is in range, but the set overflows a float
         raise ConfigError(str(exc)) from None
 
@@ -161,13 +156,12 @@ def _params_from_args(args, rank_r: int) -> PipelineParams:
     if len(missing) < len(knobs):
         raise ConfigError("the explicit knobs go all five together; missing: "
                           + " ".join(f"--{k.replace('_', '-')}" for k in missing))
-    sim_level = _run_options(args)["sim_level"]
     if args.eps is None:
         raise ConfigError(
             "missing required option: --eps (or the explicit set "
             "--kappa-sigma --t-sigma --kappa --t --qae-m)"
         )
-    params = select_params(r=rank_r, eps=args.eps, mode=args.mode, sim_level=sim_level,
+    params = select_params(r=rank_r, eps=args.eps, mode=args.mode, sim_level=args.sim_level,
                            qae_mode=args.qae_mode)
     return _knob_params(args, params.kappa_sigma, params.t_sigma, params.kappa, params.t,
                         params.qae.M)
@@ -272,13 +266,12 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not failed else EXIT_RUNTIME
 
 
+COEFFS_BLOCK_ROWS = 1 << 14  # rows formatted at a time, so no column becomes a Python list
+
+
 def cmd_coeffs(args) -> int:
     _need(args, "lam", "t")
     params = SqrtParams(kappa=1.0, t=args.t)
-    if args.T is not None and args.T != params.T:
-        raise ConfigError(
-            f"--T {args.T} inconsistent with --t {args.t}: T must be 2^ceil(log2 t) = {params.T}"
-        )
     if args.t > CIRCUIT_T_CEILING:
         raise ConfigError(
             f"--t {args.t} exceeds {CIRCUIT_T_CEILING}, the deepest circuit simulated"
@@ -291,12 +284,17 @@ def cmd_coeffs(args) -> int:
         tail = pe_tail_bound(delta, params.T)
     if not all(np.isfinite(v).all() for v in (a, d, delta)):
         raise ConfigError(f"argument --lam: {args.lam} gives a non-finite coefficient table")
+    gap = np.abs(a - d)
+    if gap.max() > CLOSED_VS_DIRECT_TOL:
+        raise ConfigError(f"argument --lam: {args.lam} puts the closed and direct columns "
+                          f"{gap.max():.3g} apart, above {CLOSED_VS_DIRECT_TOL:g}")
     print("k,delta,closed_re,closed_im,direct_re,direct_im,abs_diff,tail_bound")
-    columns = (delta, a.real, a.imag, d.real, d.imag, np.abs(a - d))
-    for grid_point, row, bound in zip(k.tolist(), zip(*(c.tolist() for c in columns)),
-                                      tail.tolist()):
-        cells = [f"{v:.17g}" for v in row] + [f"{bound:.17g}" if bound < math.inf else "-"]
-        print(f"{grid_point}," + ",".join(cells))
+    columns = (k, delta, a.real, a.imag, d.real, d.imag, gap, tail)
+    for start in range(0, params.T, COEFFS_BLOCK_ROWS):
+        rows = slice(start, start + COEFFS_BLOCK_ROWS)
+        for grid_point, *row, bound in zip(*(c[rows].tolist() for c in columns)):
+            cells = [f"{v:.17g}" for v in row] + [f"{bound:.17g}" if bound < math.inf else "-"]
+            print(f"{grid_point}," + ",".join(cells))
     print(f"# sum |alpha|^2 = {float(np.sum(np.abs(a) ** 2)):.17g}")
     return EXIT_OK
 
@@ -320,8 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_run_options(p):
         """The options of the subcommands that run estimations."""
         p.add_argument("--seed", type=_NON_NEGATIVE)
-        p.add_argument("--sim-level", default="ideal-spectral",
-                       choices=[*SIM_LEVELS, "circuit-pe-perturbed"])
+        p.add_argument("--sim-level", default="ideal-spectral", choices=SIM_LEVELS)
         p.add_argument("--qubit-budget", type=_KNOBS["qubit_budget"], default=DEFAULT_QUBIT_BUDGET)
         p.add_argument("--perturbation", type=_KNOBS["perturbation"], default=0.0)
         p.add_argument("--output")
@@ -364,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     co = sub.add_parser("coeffs", help="phase-estimation coefficient table")
     co.add_argument("--config")
     co.add_argument("--lam", type=_FINITE, help="eigenvalue lambda")
-    co.add_argument("--T", type=int, help="grid size (must be 2^ceil(log2 t))")
     co.add_argument("--t", type=_KNOBS["t"])
     co.set_defaults(fn=cmd_coeffs)
     return parser

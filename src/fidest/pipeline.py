@@ -212,7 +212,7 @@ def build_w_sigma(
         kappa_sigma=params.kappa_sigma,
         w_sigma_error=scaled_block_error(block, out.target_sqrt, params.kappa_sigma),
         sim_level=_stage_level(circuit, params.perturbation),
-        o_sigma_queries_per_use=2 * out.preparer_queries,
+        o_sigma_queries_per_use=2 * preparer_queries(sp),
         qubits=w_qubits(prepared.system_qubits, prepared.garbage_qubits),
     )
 

@@ -61,7 +61,8 @@ from .errors import (
     SpectrumOutOfRangeError,
     check_ranges,
 )
-from .linalg import HermitianEigen, eig_hermitian, operator_norm, random_near_identity, reflect
+from .linalg import (HermitianEigen, eig_hermitian, operator_norm, random_near_identity,
+                     reflect, sqrtm_psd)
 from .registers import DEFAULT_QUBIT_BUDGET, check_budget, circuit_qubits
 from .states import check_factor_shape
 
@@ -213,12 +214,14 @@ def pe_coefficient(lam, k, params: SqrtParams):
 
 
 def pe_tail_bound(delta, T: int):
-    """|alpha| <= 3 sqrt(2) pi^3 / (T^2 delta^2) for |delta| > 2 pi / T;
-    inf where |delta| <= 2 pi / T, where it says nothing.  Broadcast over
-    arrays of delta."""
+    """|alpha| <= 3 sqrt(2) pi^3 / (T^2 d^2) for d, delta's distance to the
+    nearest multiple of 2 pi (alpha is 2 pi-periodic in delta; d = |delta|
+    where |delta| <= pi), above 2 pi / T; inf where d <= 2 pi / T, where it
+    says nothing.  Broadcast over arrays of delta."""
     delta = np.asarray(delta, dtype=float)
-    bound = np.divide(3.0 * np.sqrt(2.0) * np.pi**3, T * T * delta * delta,
-                      out=np.full(delta.shape, np.inf), where=np.abs(delta) > 2 * np.pi / T)
+    d = np.abs(delta - 2 * np.pi * np.round(delta / (2 * np.pi)))
+    bound = np.divide(3.0 * np.sqrt(2.0) * np.pi**3, T * T * d * d,
+                      out=np.full(d.shape, np.inf), where=d > 2 * np.pi / T)
     return bound if bound.ndim else float(bound)
 
 
@@ -249,10 +252,6 @@ class SqrtOutput:
     params: SqrtParams
     state: np.ndarray
     target_sqrt: np.ndarray  # sqrt(A), from the decomposition the output was built on
-
-    @property
-    def preparer_queries(self) -> int:
-        return preparer_queries(self.params)
 
     def zero_slice(self) -> np.ndarray:
         """M: the output state with every ancilla zero, on [system, garbage]."""
@@ -296,7 +295,7 @@ def _factor_spectrum(m: np.ndarray) -> tuple[np.ndarray, HermitianEigen, np.ndar
     m = np.asarray(m, dtype=complex)
     check_factor_shape(m)
     eig = block_spectrum(m @ m.conj().T)
-    return m, eig, (eig.vectors * np.sqrt(eig.values)) @ eig.vectors.conj().T
+    return m, eig, sqrtm_psd(eig)
 
 
 def _phase_estimate(lam: np.ndarray, params: SqrtParams) -> tuple[np.ndarray, np.ndarray]:

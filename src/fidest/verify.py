@@ -30,6 +30,9 @@ from .sqrt_extractor import (
 )
 from .states import fidelity_exact, purify, random_density, trace_distance, uhlmann_fidelity
 
+# the most the closed-form and FFT amplitudes may differ; `fidest coeffs` refuses a wider table
+CLOSED_VS_DIRECT_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -134,7 +137,7 @@ def pe_coefficient_deviations(seed: int = 0, lams_per_T: int = 100):
 def suite_pe_coefficients(seed: int = 0) -> list[CheckResult]:
     dev, unit, _ = pe_coefficient_deviations(seed)
     return [
-        _check("pe-coefficients", "closed-vs-direct", dev, 1e-10),
+        _check("pe-coefficients", "closed-vs-direct", dev, CLOSED_VS_DIRECT_TOL),
         _check("pe-coefficients", "unit-mass", unit, 1e-10),
     ]
 

