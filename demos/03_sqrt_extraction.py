@@ -1,10 +1,11 @@
 """Square-root extraction: the filter function, the exact spectral bound, and
 circuit-vs-ideal convergence as the phase budget t grows.
 
-Both routines take M, a factor of A = M M^dagger: the ancilla-zero slice of
-a state that block-encodes A.  The traced output of the extraction circuit
-block-encodes sqrt(A) with scale 4 sqrt(kappa); its block is M' M'^dagger
-for M' the output state's ancilla-zero slice.  With perfect phase estimation
+One routine runs the extraction at both levels (``circuit=False`` is
+perfect phase estimation); it takes M, a factor of A = M M^dagger: the
+ancilla-zero slice of a state that block-encodes A.  The traced output of
+the extraction block-encodes sqrt(A) with scale 4 sqrt(kappa); its block is
+M' M'^dagger for M' the output state's ancilla-zero slice.  With perfect phase estimation
 the block error (unscaled) is at most 1/(4 kappa) -- an exact constant,
 checked below -- and the circuit converges to the perfect-estimation output
 at rate ~ kappa/t.
@@ -25,7 +26,6 @@ from fidest import (
     SqrtParams,
     build_sqrt_unitary,
     filter_f,
-    ideal_sqrt_state,
     preparer_queries,
     purify,
     random_density,
@@ -43,7 +43,7 @@ def main():
     # A = 0.7 rho for a rank-3 rho on 2 qubits: its factor is sqrt(0.7) times rho's
     m = np.sqrt(0.7) * purify(random_density(2, 3, seed=1), 2).factor
     for k in (1.0, 4.0, 16.0, 64.0):
-        out = ideal_sqrt_state(m, SqrtParams(kappa=k, t=64))
+        out = build_sqrt_unitary(m, SqrtParams(kappa=k, t=64), circuit=False)
         err = scaled_block_error(out.block(), out.target_sqrt, k) / (4 * np.sqrt(k))
         print(f"  kappa={k:4g}: {err * 4 * k:.3f}")
 
@@ -54,7 +54,7 @@ def main():
         out = build_sqrt_unitary(m, params)
         # the ideal output has a length-1 pe axis: on the circuit's, pe is exactly |0>
         ideal = np.zeros_like(out.state)
-        ideal[:, :1] = ideal_sqrt_state(m, params).state
+        ideal[:, :1] = build_sqrt_unitary(m, params, circuit=False).state
         print(f"  t={t:4d}: ||circuit - ideal|| = {np.linalg.norm(out.state - ideal):.6f} "
               f"(preparer queries: {preparer_queries(params)})")
 

@@ -28,7 +28,6 @@ from .sqrt_extractor import (
     filter_f,
     grid_eigenvalue,
     h_vector,
-    ideal_sqrt_state,
     pe_coefficient,
     pe_coefficient_direct,
     pe_phase_offset,
@@ -66,7 +65,6 @@ __all__ = [
     "filter_f",
     "grid_eigenvalue",
     "h_vector",
-    "ideal_sqrt_state",
     "operator_norm",
     "pe_coefficient",
     "pe_coefficient_direct",

@@ -33,6 +33,7 @@ from .pipeline import (
     PipelineParams,
     estimate_fidelity,
     select_params,
+    stage_levels,
 )
 from .registers import DEFAULT_QUBIT_BUDGET
 from .sqrt_extractor import (
@@ -106,19 +107,20 @@ def _random_pair(n: int, rank_rho: int, rank_sigma: int, seed: int) -> tuple:
             random_density(n, rank_sigma, seed=seed + SIGMA_SEED_OFFSET))
 
 
-def _instance(args) -> tuple:
-    if args.load_rho or args.load_sigma:
-        _need(args, "load_rho", "load_sigma")
-        rho = DensityOperator.load(args.load_rho)
-        sigma = DensityOperator.load(args.load_sigma)
-    else:
-        _need_instance(args)
-        rho, sigma = _random_pair(args.n, args.rank_rho, args.rank_sigma, args.seed)
-    if args.dump_rho:
-        rho.save(args.dump_rho)
-    if args.dump_sigma:
-        sigma.save(args.dump_sigma)
-    return rho, sigma
+def _runnable(args, params: PipelineParams) -> PipelineParams:
+    """``params``, once ``stage_levels`` has refused a generated pair that no
+    level can run, before it is drawn: the lower rank takes rho's role."""
+    low, high = sorted((args.rank_rho, args.rank_sigma))
+    stage_levels(args.n, ancilla_qubits_for(low), ancilla_qubits_for(high), params)
+    return params
+
+
+def _load(path: str) -> DensityOperator:
+    """The state a --load-* file holds; a file holding none is a config error naming it."""
+    try:
+        return DensityOperator.load(path)
+    except (ValueError, KeyError, TypeError, FidestError) as exc:  # json's errors are ValueErrors
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _estimate(rho: DensityOperator, sigma: DensityOperator, params: PipelineParams,
@@ -168,8 +170,18 @@ def _params_from_args(args, rank_r: int) -> PipelineParams:
 
 
 def cmd_estimate(args) -> int:
-    rho, sigma = _instance(args)
-    params = _params_from_args(args, min(rho.rank, sigma.rank))
+    if args.load_rho or args.load_sigma:
+        _need(args, "load_rho", "load_sigma")
+        rho, sigma = _load(args.load_rho), _load(args.load_sigma)
+        params = _params_from_args(args, min(rho.rank, sigma.rank))
+    else:
+        _need_instance(args)
+        params = _runnable(args, _params_from_args(args, min(args.rank_rho, args.rank_sigma)))
+        rho, sigma = _random_pair(args.n, args.rank_rho, args.rank_sigma, args.seed)
+    if args.dump_rho:
+        rho.save(args.dump_rho)
+    if args.dump_sigma:
+        sigma.save(args.dump_sigma)
     # a loaded instance needs no seed; the estimate's own draws then use 0
     report = _estimate(rho, sigma, params, 0 if args.seed is None else args.seed)
     text = report.to_json()
@@ -226,9 +238,10 @@ def cmd_sweep(args) -> int:
     ))
     if not grid:
         raise ConfigError("empty parameter grid")
+    cells = [_runnable(args, _knob_params(args, *knobs)) for knobs in grid]
     items = [
-        (args.n, args.rank_rho, args.rank_sigma, _knob_params(args, *knobs), args.seed + trial)
-        for knobs in grid
+        (args.n, args.rank_rho, args.rank_sigma, params, args.seed + trial)
+        for params in cells
         for trial in range(args.trials)
     ]
     with open(args.output, "w", encoding="utf-8", newline="") as fh:

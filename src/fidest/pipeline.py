@@ -8,21 +8,22 @@ all-zeros amplitude x by amplitude estimation; report 16 sqrt(kappa
 kappa_sigma) x~ against the exact-oracle fidelity together with an analytic
 error bound and measured query counts.
 
-Each stage's level is chosen and labelled here: circuit-pe when every
-register it commits the estimate to fits the qubit budget (for W, that is
-eta's register: W's plus rho's garbage), else ideal-spectral, and the report
-records the level used (circuit-pe-perturbed for a circuit run with
-perturbation > 0).  Both levels work on arrays: each purification is its
-factor, W is its block over its ancillas, eta's rows with W's ancillas zero
-are that block times rho's factor, each block is M M^dagger of a slice M,
-and each block error is one operator norm.  The eta stage needs only the
-all-zeros probability x of its output, so unperturbed it reads
-x = sum_g g G(g)^2 off the block's spectrum: G is the circuit's
-per-eigenvalue gain (``stage_gain``) or, at the ideal level, the filter;
-only a perturbed eta circuit runs on a state, and that state is eta's rows
-with W's ancillas zero: every gate of the circuit, the perturbations
-included, is the identity on W's ancillas, so the all-zeros output reads
-those rows alone.  Neither W's columns nor eta's whole factor is formed.
+Both stages' levels are decided once, from the factors' shapes and the
+knobs, before anything is built (``stage_levels``): circuit-pe where every
+register a stage commits the estimate to fits the qubit budget (for W, that
+is eta's register: W's plus rho's garbage), else ideal-spectral; a call no
+level can run is refused there.  The report records the level used
+(circuit-pe-perturbed for a circuit run with perturbation > 0).  Both levels
+work on arrays: each purification is its factor, W is its block over its
+ancillas, eta's rows with W's ancillas zero are that block times rho's
+factor, each block is M M^dagger of a slice M, and each block error is one
+operator norm.  The eta stage needs only the all-zeros probability x of its
+output, so unperturbed it reads x = sum_g g G(g)^2 off the block's
+spectrum, G the per-eigenvalue gain at its level (``stage_gain``); only a
+perturbed eta circuit runs on a state, and that state is eta's rows with
+W's ancillas zero: every gate of the circuit, the perturbations included,
+is the identity on W's ancillas, so the all-zeros output reads those rows
+alone.  Neither W's columns nor eta's whole factor is formed.
 The roles and ranks come from the factors, so no density operator is
 formed.  The reported exact fidelity is Uhlmann's || M_rho^dagger M_sigma ||_1
 on the two factors the estimate was given.  This module holds the estimate path and the parameter
@@ -46,8 +47,6 @@ from .sqrt_extractor import (
     SqrtParams,
     block_spectrum,
     build_sqrt_unitary,
-    filter_f,
-    ideal_sqrt_state,
     preparer_queries,
     scaled_block_error,
     stage_gain,
@@ -165,11 +164,31 @@ class WSigmaResult:
     w_sigma_error: float  # || 4 sqrt(kappa_sigma) block - sqrt(sigma) ||
     sim_level: str
     o_sigma_queries_per_use: int  # one W use = two extraction-circuit uses
-    qubits: int  # W's register: system and w_anc
+
+
+def stage_levels(n: int, rho_garbage: int, sigma_garbage: int,
+                 params: PipelineParams) -> tuple[bool, bool]:
+    """Whether W and the eta stage run as circuits, for roles on n system
+    qubits with ``rho_garbage`` and ``sigma_garbage`` garbage qubits.
+
+    At circuit-pe, W is a circuit when eta's register on a circuit W fits
+    the budget, and the eta stage when its circuit on that W fits it.  A
+    call no level can run is refused before anything is built: W's register,
+    then eta's, over the budget raises RegisterTooLargeError.
+    """
+    budget = params.qubit_budget
+    circuit = params.sim_level == "circuit-pe"
+    # a circuit's output is [system, pe, flag] over sigma's garbage; the circuit is smaller than W
+    circuit_w_qubits = w_qubits(circuit_qubits(n, 0, params.sigma_params().l), sigma_garbage)
+    w_circuit = circuit and eta_qubits(circuit_w_qubits, rho_garbage) <= budget
+    w = circuit_w_qubits if w_circuit else w_qubits(circuit_qubits(n, 0, 0), sigma_garbage)
+    check_budget("construction", w, budget)
+    check_budget("eta register", eta_qubits(w, rho_garbage), budget)
+    return w_circuit, circuit and circuit_qubits(w, rho_garbage, params.eta_params().l) <= budget
 
 
 def _stage_level(circuit: bool, perturbation: float) -> str:
-    """The level a stage reports, from the routine it ran and the perturbation."""
+    """The level a stage reports, from the level it ran and the perturbation."""
     if not circuit:
         return "ideal-spectral"
     return "circuit-pe-perturbed" if perturbation > 0 else "circuit-pe"
@@ -178,33 +197,24 @@ def _stage_level(circuit: bool, perturbation: float) -> str:
 def build_w_sigma(
     sigma_prep: Purification,
     params: PipelineParams,
+    circuit: bool,
     seed: int | np.random.SeedSequence = 0,
-    rho_garbage_qubits: int = 0,
 ) -> WSigmaResult:
     """Unitary block-encoding of sqrt(sigma) with scale 4 sqrt(kappa_sigma).
 
-    The extraction runs on sigma's purification, as a circuit or (at the
-    ideal level, or as the fallback when eta's register on a circuit W, that
-    is W's plus ``rho_garbage_qubits``, exceeds the qubit budget) as perfect
-    phase estimation, which is small regardless of t_sigma.  Its output state
-    then goes through the two-query purified-state-to-unitary construction.
+    The extraction runs on sigma's purification, as a circuit or (``circuit``
+    false) as perfect phase estimation, which is small regardless of
+    t_sigma; ``stage_levels`` picks the level.  Its output state then goes
+    through the two-query purified-state-to-unitary construction.
     """
-    n = sigma_prep.system_qubits
     sp = params.sigma_params()
-    # a circuit's output is [system, pe, flag] over sigma's garbage; the circuit is smaller than W
-    w_circuit = w_qubits(circuit_qubits(n, 0, sp.l), sigma_prep.garbage_qubits)
-    circuit = (params.sim_level == "circuit-pe"
-               and eta_qubits(w_circuit, rho_garbage_qubits) <= params.qubit_budget)
-    if circuit:
-        out = build_sqrt_unitary(sigma_prep.factor, sp, qubit_budget=params.qubit_budget,
-                                 seed=seed)
-    else:
-        out = ideal_sqrt_state(sigma_prep.factor, sp)
+    out = build_sqrt_unitary(sigma_prep.factor, sp, circuit, qubit_budget=params.qubit_budget,
+                             seed=seed)
     # the output as a purification: its factor on [system and ancillas, garbage]
     prepared = Purification(out.state.reshape(-1, out.state.shape[-1]))
     _, w_block = purification_to_unitary_be(prepared, qubit_budget=params.qubit_budget)
     # W's block rows with the output's ancillas zero, copied to free W's columns
-    keep = slice(None, None, prepared.factor.shape[0] >> n)
+    keep = slice(None, None, prepared.factor.shape[0] >> sigma_prep.system_qubits)
     block = np.array(w_block[keep, keep])
     return WSigmaResult(
         block=block,
@@ -213,7 +223,6 @@ def build_w_sigma(
         w_sigma_error=scaled_block_error(block, out.target_sqrt, params.kappa_sigma),
         sim_level=_stage_level(circuit, params.perturbation),
         o_sigma_queries_per_use=2 * preparer_queries(sp),
-        qubits=w_qubits(prepared.system_qubits, prepared.garbage_qubits),
     )
 
 
@@ -224,11 +233,7 @@ class EtaResult:
     block_error: float  # distance of the block from its target
 
 
-def build_eta(
-    rho_prep: Purification,
-    w: WSigmaResult,
-    qubit_budget: int = DEFAULT_QUBIT_BUDGET,
-) -> EtaResult:
+def build_eta(rho_prep: Purification, w: WSigmaResult) -> EtaResult:
     """Apply the sqrt(sigma) encoding, held as W's block over its ancillas,
     to rho's purification.
 
@@ -243,7 +248,6 @@ def build_eta(
     n = rho_prep.system_qubits
     if len(w.block) != 1 << n:
         raise ValueError(f"rho prepares {n} qubits, W encodes on {len(w.block).bit_length() - 1}")
-    check_budget("eta register", eta_qubits(w.qubits, rho_prep.garbage_qubits), qubit_budget)
     m = w.block @ rho_prep.factor
     block = m @ m.conj().T
     t = w.target_sqrt @ rho_prep.factor
@@ -303,25 +307,22 @@ def estimate_fidelity(
     if not math.isfinite(analytic_error_bound(params, 0.5, rank_rho)):  # params checked rank 1
         raise ValueError(f"the analytic bound overflows a float at rank {rank_rho}")
     n = rho_prep.system_qubits
+    w_circuit, eta_circuit = stage_levels(n, rho_prep.garbage_qubits, sigma_prep.garbage_qubits,
+                                          params)
 
     # the perturbations draw from two children of the seed, the sampled QAE draw from the seed
     w_seed, eta_seed = np.random.SeedSequence(seed).spawn(2) if params.perturbation else (0, 0)
-    w = build_w_sigma(sigma_prep, params, seed=w_seed, rho_garbage_qubits=rho_prep.garbage_qubits)
-    eta = build_eta(rho_prep, w, qubit_budget=params.qubit_budget)
+    w = build_w_sigma(sigma_prep, params, w_circuit, seed=w_seed)
+    eta = build_eta(rho_prep, w)
 
     ep = params.eta_params()
-    eta_circuit = circuit_qubits(w.qubits, rho_prep.garbage_qubits, ep.l)
-    circuit = params.sim_level == "circuit-pe" and eta_circuit <= params.qubit_budget
-    if circuit and ep.perturbation:
+    if eta_circuit and ep.perturbation:
         # every gate is the identity on W's ancillas: the circuit runs on eta's rows with them zero
-        out = build_sqrt_unitary(eta.m, ep, qubit_budget=params.qubit_budget, seed=eta_seed)
-        x = out.zero_probability()
+        x = build_sqrt_unitary(eta.m, ep, eta_circuit, qubit_budget=params.qubit_budget,
+                               seed=eta_seed).zero_probability()
     else:
-        # eigenbranch g of the block reads all-zeros with amplitude G(g): the
-        # circuit's stage gain, or the filter under perfect phase estimation
         g = block_spectrum(eta.block).values
-        gain = stage_gain(g, ep) if circuit else filter_f(g, params.kappa)
-        x = checked_probability(float(np.sum(g * gain**2)))
+        x = checked_probability(float(np.sum(g * stage_gain(g, ep, eta_circuit) ** 2)))
 
     x_tilde = qae_estimate(x, params.qae, seed)
     estimate = params.scale * x_tilde
@@ -337,7 +338,7 @@ def estimate_fidelity(
         rank_r=rank_rho,
         swapped=swapped,
         sim_level_sigma=w.sim_level,
-        sim_level_eta=_stage_level(circuit, params.perturbation),
+        sim_level_eta=_stage_level(eta_circuit, params.perturbation),
         kappa_sigma=params.kappa_sigma,
         t_sigma=params.t_sigma,
         kappa=params.kappa,

@@ -14,23 +14,24 @@ M is the encoding-zero slice of a preparer's state on [system, encoding,
 garbage], whose encoding-zero block is A.  Every gate after the preparer
 acts on [system, pe, flag] only, so the encoding qubits pass through
 untouched, and the output's all-zeros rows are the circuit run on M alone:
-neither routine takes the encoding register.
+the routine does not take the encoding register.
 
-Two routines build the output state: ``ideal_sqrt_state`` applies the
-filter directly on the exact spectrum (perfect phase estimation, no phase
-register blowup), and ``build_sqrt_unitary`` applies the circuit's gates,
-with exact controlled exponentials; no 2^q x 2^q unitary is formed.  Each
-gate is a function of A, so each eigenbranch of A runs alone on [pe, flag]
-from |0>|0>: the circuit is simulated on a branches x T x 2 array.  A
-``perturbation`` > 0 multiplies each controlled exponential by a random
-unitary within that operator distance of identity to model
-Hamiltonian-simulation error; such unitaries mix branches, so those circuits
-run on M reshaped to one axis per register.  Which routine a stage runs,
-and the level it reports, is the pipeline's choice.
+One routine, ``build_sqrt_unitary``, builds the output state at either
+level: perfect phase estimation (the filter applied on the exact spectrum,
+no phase register) or the circuit's gates, with exact controlled
+exponentials; no 2^q x 2^q unitary is formed.  Each gate is a function of
+A, so each eigenbranch of A runs alone on [pe, flag] from |0>|0>, and one
+branch rule gives its amplitudes at both levels: h(lambda) on a length-1 pe
+axis, or the circuit on a branches x T x 2 array.  A ``perturbation`` > 0
+multiplies each controlled exponential by a random unitary within that
+operator distance of identity (Hamiltonian-simulation error); such unitaries
+mix branches, so those circuits run on M reshaped to one axis per register.
+The pipeline chooses the level a stage runs and reports.
 
-Where only the all-zeros probability of an unperturbed circuit is needed,
-``stage_gain`` gives each eigenbranch's all-zeros amplitude from the same
-window, phase and FFT step, without the output state: the probability is
+Where only the all-zeros probability of an unperturbed extraction is
+needed, ``stage_gain`` gives each eigenbranch's all-zeros amplitude at
+either level without the output state (at the circuit level from the
+circuit's window, phase and FFT step): the probability is
 sum_lambda lambda stage_gain(lambda)^2 over the spectrum of A.  The
 amplitude alpha_k(lambda) of reading grid point k has two versions that
 check each other, both over arrays of lambda and k: the closed form
@@ -155,10 +156,10 @@ def grid_eigenvalue(k: int, params: SqrtParams) -> float:
 
 
 def _grid_points(k, params: SqrtParams) -> np.ndarray:
-    """Grid points k as an array, each checked to lie in [0, T)."""
+    """Grid points k as an array, each checked to be an integer in [0, T)."""
     k = np.asarray(k)
-    if np.any((k < 0) | (k >= params.T)):
-        raise IndexOutOfRangeError(f"k={k} outside [0, {params.T})")
+    if k.dtype.kind not in "iu" or np.any((k < 0) | (k >= params.T)):
+        raise IndexOutOfRangeError(f"k={k} is not a grid point: an integer in [0, {params.T})")
     return k
 
 
@@ -289,15 +290,6 @@ def block_spectrum(a_mat: np.ndarray) -> HermitianEigen:
     return HermitianEigen(values=np.clip(w, 0.0, 1.0), vectors=eig.vectors)
 
 
-def _factor_spectrum(m: np.ndarray) -> tuple[np.ndarray, HermitianEigen, np.ndarray]:
-    """M checked to be a 2^n x 2^b matrix, and the spectrum and square root
-    of A = M M^dagger."""
-    m = np.asarray(m, dtype=complex)
-    check_factor_shape(m)
-    eig = block_spectrum(m @ m.conj().T)
-    return m, eig, sqrtm_psd(eig)
-
-
 def _phase_estimate(lam: np.ndarray, params: SqrtParams) -> tuple[np.ndarray, np.ndarray]:
     """The forward phase estimation of eigenbranches lambda from |0>_pe: the
     sine window, the controlled phases e^{i tau theta} with theta = (t/3T)
@@ -308,9 +300,23 @@ def _phase_estimate(lam: np.ndarray, params: SqrtParams) -> tuple[np.ndarray, np
     return ph, np.fft.fft(ph * sine_state(params.T), axis=1, norm="ortho")
 
 
-def stage_gain(lam, params: SqrtParams) -> np.ndarray:
-    """F~(lambda) = sum_k |alpha_k(lambda)|^2 f(lambda~_k), the all-zeros
-    amplitude of an unperturbed circuit's eigenbranch lambda.
+def _branch_amplitudes(lam: np.ndarray, params: SqrtParams, circuit: bool) -> np.ndarray:
+    """Each eigenbranch's [pe, flag] amplitudes from |0>_pe |0>_flag, axes
+    [branch, pe, flag]: |0>_pe (x) h(lambda) on a length-1 pe axis at the
+    ideal level; the window, phases, FFT, rotations' first column, inverse
+    FFT, conjugate phases and adjoint window at the circuit level."""
+    if not circuit:
+        return h_vector(lam, params.kappa).T[:, None, :]
+    ph, alpha = _phase_estimate(lam, params)
+    h = h_vector(grid_eigenvalue(np.arange(params.T), params), params.kappa).T  # [pe value, flag]
+    a = np.fft.ifft(alpha[:, :, None] * h, axis=1, norm="ortho") * ph.conj()[:, :, None]
+    return reflect(sine_state(params.T), a, axis=1, adjoint=True)
+
+
+def stage_gain(lam, params: SqrtParams, circuit: bool) -> np.ndarray:
+    """G(lambda), the all-zeros amplitude of an unperturbed extraction's
+    eigenbranch lambda: the filter f(lambda) at the ideal level, and
+    F~(lambda) = sum_k |alpha_k(lambda)|^2 f(lambda~_k) at the circuit level.
 
     The uncompute maps the flag-0 part alpha_k f(lambda~_k) back onto
     |0>_pe with overlap sum_k conj(alpha_k) alpha_k f(lambda~_k), so the
@@ -318,6 +324,8 @@ def stage_gain(lam, params: SqrtParams) -> np.ndarray:
     sum_g g F~(g)^2; perfect phase estimation has f(lambda) in its place.
     """
     lam = np.asarray(lam, dtype=float)
+    if not circuit:
+        return np.asarray(filter_f(lam, params.kappa))
     _, alpha = _phase_estimate(lam, params)
     f = filter_f(grid_eigenvalue(np.arange(params.T), params), params.kappa)
     return ((alpha.real**2 + alpha.imag**2) @ f).reshape(lam.shape)
@@ -326,80 +334,56 @@ def stage_gain(lam, params: SqrtParams) -> np.ndarray:
 def build_sqrt_unitary(
     m: np.ndarray,
     params: SqrtParams,
+    circuit: bool = True,
     qubit_budget: int = DEFAULT_QUBIT_BUDGET,
     seed: int | np.random.SeedSequence = 0,
 ) -> SqrtOutput:
-    """Run the extraction circuit on M, the 2^n x 2^b factor of A = M M^dagger.
+    """Run the extraction on M, the 2^n x 2^b factor of A = M M^dagger, as
+    the circuit or (``circuit`` false) as perfect phase estimation.
 
     M is the encoding-zero slice of a prepared state, on [system, garbage];
     the controlled phases are built from A reconstructed out of M, not from
     a separately supplied matrix.  The circuit is the sine-window reflection
     on pe, the controlled phases (exp(i tau theta) on pe value tau), the
     inverse QFT on pe, a rotation of the flag for each pe value k, and the
-    uncompute of the first three.
+    uncompute of the first three; its register is checked against
+    ``qubit_budget``.  Perfect phase estimation builds no phase register, so
+    t may be arbitrarily deep, and has no perturbation.
 
-    Unperturbed, eigenbranch (lambda_k, v_k) of A, with theta_k = (t/3T)
-    lambda_k + 2pi/3, takes |0>_pe |0>_flag to a_k: window, phases
-    e^{i tau theta_k}, FFT over pe, each rotation's first column, inverse FFT,
-    conjugate phases, adjoint window.  The output is sum_k v_k (x) a_k (x)
-    v_k^dagger M.
-
-    With ``params.perturbation > 0`` each controlled exponential (tau >= 1)
-    picks up an independent random unitary, drawn from ``seed``, within
-    operator distance ``params.perturbation`` of identity.  These mix
-    branches, so the gates run on M reshaped to [system, pe, flag, garbage],
-    one 2^n x 2^n phase matrix per tau.
+    Unperturbed, eigenbranch (lambda_k, v_k) of A takes |0>_pe |0>_flag to
+    a_k, its branch amplitudes at the level: the output is sum_k v_k (x) a_k
+    (x) v_k^dagger M.  With ``params.perturbation > 0`` each controlled
+    exponential (tau >= 1) of the circuit picks up an independent random
+    unitary, drawn from ``seed``, within operator distance
+    ``params.perturbation`` of identity.  These mix branches, so the gates
+    run on M reshaped to [system, pe, flag, garbage], one 2^n x 2^n phase
+    matrix per tau.
     """
-    m, eig, sqrt_a = _factor_spectrum(m)
-    (dn, dg), v, T = m.shape, eig.vectors, params.T
-    check_budget("circuit", circuit_qubits(dn.bit_length() - 1, dg.bit_length() - 1, params.l),
-                 qubit_budget, "; use the ideal-spectral level instead")
-
+    m = np.asarray(m, dtype=complex)
+    check_factor_shape(m)
+    eig = block_spectrum(m @ m.conj().T)
+    (dn, dg), v, T, sqrt_a = m.shape, eig.vectors, params.T, sqrtm_psd(eig)
+    if circuit:
+        check_budget("circuit", circuit_qubits(dn.bit_length() - 1, dg.bit_length() - 1, params.l),
+                     qubit_budget, "; use the ideal-spectral level instead")
+    if not (circuit and params.perturbation):  # each eigenbranch runs alone
+        a = _branch_amplitudes(eig.values, params, circuit)
+        x = np.einsum("ik,ktf,kg->itfg", v, a, v.conj().T @ m)
+        return SqrtOutput(params=params, state=x, target_sqrt=sqrt_a)
+    # Controlled phases: on pe value tau apply exp(i tau ((t/3T) A + (2pi/3) I)), then its noise.
+    ph, _ = _phase_estimate(eig.values, params)
+    phases = (v * ph.T[:, None, :]) @ v.conj().T  # [tau, system out, system in]
+    rng = np.random.default_rng(seed)
+    for tau in range(1, T):
+        phases[tau] = phases[tau] @ random_near_identity(dn, params.perturbation, rng)
     f, s = h_vector(grid_eigenvalue(np.arange(T), params), params.kappa)
     rotations = np.array([[f, -s], [s, f]])  # [out flag, in flag, pe value], h in column 0
-    window = sine_state(T)
-    if not params.perturbation:
-        # branch k of A runs alone on [pe, flag] from |0>|0>: a_k, axes [branch, pe, flag]
-        ph, alpha = _phase_estimate(eig.values, params)
-        a = np.fft.ifft(alpha[:, :, None] * rotations[:, 0].T, axis=1, norm="ortho")
-        a = a * ph.conj()[:, :, None]
-        a = reflect(window, a, axis=1, adjoint=True)
-        c = v.conj().T @ m
-        x = np.einsum("ik,ktf,kg->itfg", v, a, c)  # sum_k v_k (x) a_k (x) v_k^dagger M
-        return SqrtOutput(params=params, state=x, target_sqrt=sqrt_a)
-    # Controlled phases: on pe value tau apply exp(i tau ((t/3T) A + (2pi/3) I)).
-    ph, _ = _phase_estimate(eig.values, params)
-    rng = np.random.default_rng(seed)
-    phases = np.empty((T, dn, dn), dtype=complex)
-    for tau in range(T):
-        w_tau = (v * ph[:, tau]) @ v.conj().T
-        if tau:
-            w_tau = w_tau @ random_near_identity(dn, params.perturbation, rng)
-        phases[tau] = w_tau
-
     # state axes: i/j system, t pe, f/a/b flag, g garbage
     x = np.zeros((dn, T, 2, dg), dtype=complex)
     x[:, 0, 0, :] = m
-    x = reflect(window, x, axis=1)
+    x = reflect(sine_state(T), x, axis=1)
     x = np.fft.fft(np.einsum("tij,jtfg->itfg", phases, x), axis=1, norm="ortho")
     x = np.einsum("abt,itbg->itag", rotations, x)
     x = np.einsum("tji,jtfg->itfg", phases.conj(), np.fft.ifft(x, axis=1, norm="ortho"))
-    x = reflect(window, x, axis=1, adjoint=True)
+    x = reflect(sine_state(T), x, axis=1, adjoint=True)
     return SqrtOutput(params=params, state=np.ascontiguousarray(x), target_sqrt=sqrt_a)
-
-
-def ideal_sqrt_state(m: np.ndarray, params: SqrtParams) -> SqrtOutput:
-    """Perfect-phase-estimation output state, straight from the spectrum of A.
-
-    M is A's factor, as for build_sqrt_unitary.  Every eigenbranch
-    (lambda_j, u_j) of A gains the flag state h(lambda_j): the output is
-    sum_j (u_j u_j^dagger M) (x) h(lambda_j), with a length-1 pe axis.  No
-    phase register is built, so t may be arbitrarily deep.
-    """
-    m, eig, sqrt_a = _factor_spectrum(m)
-    v = eig.vectors
-    f, s = h_vector(eig.values, params.kappa)
-    branches = v.conj().T @ m  # [branch, garbage]
-    flag = [((v * h) @ branches)[:, None, :] for h in (f, s)]  # flag 0, flag 1
-    state = np.stack(flag, axis=2)
-    return SqrtOutput(params=params, state=state, target_sqrt=sqrt_a)

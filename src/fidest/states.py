@@ -85,11 +85,14 @@ class DensityOperator:
 
     @staticmethod
     def from_json_dict(data: dict) -> "DensityOperator":
-        if data.get("kind") != "density":
-            raise ValueError(f"not a density-operator record: kind={data.get('kind')!r}")
-        d = 1 << int(data["qubits"])
+        kind = data.get("kind") if isinstance(data, dict) else None
+        if kind != "density":
+            raise ValueError(f"not a density-operator record: kind={kind!r}")
+        qubits = int(data["qubits"])
         entries = np.array([complex(re, im) for re, im in data["entries"]])
-        return DensityOperator(entries.reshape(d, d))
+        if qubits < 0 or len(entries) != 4**qubits:
+            raise ValueError(f"{len(entries)} entries for {qubits} qubits, not 4^qubits")
+        return DensityOperator(entries.reshape(1 << qubits, -1))
 
     def save(self, path: str):
         with open(path, "w", encoding="utf-8") as fh:

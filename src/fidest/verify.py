@@ -18,9 +18,9 @@ from .errors import UnknownSuiteError
 from .linalg import eig_hermitian, operator_norm, random_near_identity
 from .sqrt_extractor import (
     SqrtParams,
+    build_sqrt_unitary,
     filter_f,
     h_vector,
-    ideal_sqrt_state,
     pe_coefficient,
     pe_coefficient_direct,
     pe_phase_offset,
@@ -105,7 +105,7 @@ def ideal_bound_grid(seed: int = 0, trials: int = 24) -> float:
         # a factor of A = u base, u in [0.2, 1)
         m = math.sqrt(float(rng.uniform(0.2, 1.0))) * purify(base, n).factor
         for kappa in (1.0, 4.0, 16.0, 64.0):
-            out = ideal_sqrt_state(m, SqrtParams(kappa=kappa, t=64))
+            out = build_sqrt_unitary(m, SqrtParams(kappa=kappa, t=64), circuit=False)
             err = scaled_block_error(out.block(), out.target_sqrt, kappa)
             worst = max(worst, err / (4.0 * math.sqrt(kappa)) * 4 * kappa)
     return worst

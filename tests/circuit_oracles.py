@@ -1,6 +1,7 @@
 """Gates of the dense extraction circuit, as 2^q x 2^q matrices, the
-phase-estimation amplitudes as the per-grid-point DFT sum, and the
-extraction run on whole registers: reference oracles for the tests.
+phase-estimation amplitudes as the per-grid-point DFT sum, the extraction
+run on whole registers, and perfect phase estimation's output as the
+spectral sum: reference oracles for the tests.
 
 The estimate path never forms a gate matrix; it applies each gate to state
 arrays.  The tests multiply these gates out (``dense_circuit`` in
@@ -55,6 +56,18 @@ def pe_coefficient_sum(lam: float, k: int, params: SqrtParams) -> complex:
     return complex(
         np.sqrt(2.0) / T * np.sum(np.exp(1j * tau * delta) * np.sin(np.pi * (tau + 0.5) / T))
     )
+
+
+def ideal_output(m: np.ndarray, params: SqrtParams) -> np.ndarray:
+    """Perfect phase estimation on M, straight from the spectrum of
+    A = M M^dagger: every eigenbranch (lambda_j, u_j) gains the flag state
+    h(lambda_j), so the output is sum_j (u_j u_j^dagger M) (x) h(lambda_j),
+    with axes [system, pe, flag, garbage] and a length-1 pe axis."""
+    eig = block_spectrum(m @ m.conj().T)
+    v = eig.vectors
+    branches = v.conj().T @ m  # [branch, garbage]
+    flag = [(v * h) @ branches for h in h_vector(eig.values, params.kappa)]  # flag 0, flag 1
+    return np.stack(flag, axis=1)[:, None]
 
 
 def w_columns(out: SqrtOutput, n: int) -> np.ndarray:

@@ -17,7 +17,6 @@ from fidest import (
     build_sqrt_unitary,
     estimate_fidelity,
     fidelity_exact,
-    ideal_sqrt_state,
     operator_norm,
     purify,
     random_density,
@@ -114,7 +113,7 @@ def test_criterion_05_circuit_vs_ideal_convergence(with_pe):
     for t in ts:
         params = SqrtParams(kappa=8.0, t=t)
         out = build_sqrt_unitary(p.factor, params)
-        v = with_pe(ideal_sqrt_state(p.factor, params))
+        v = with_pe(build_sqrt_unitary(p.factor, params, circuit=False))
         d = float(np.linalg.norm(out.state - v))
         lay = layout(("system", 1), ("pe", params.l), ("flag", 1), ("garbage", 1))
         kept = ["system", "pe", "flag"]

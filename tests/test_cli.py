@@ -136,6 +136,40 @@ def test_five_qubit_ideal_estimate_fits_in_3_gib():
     assert "construction needs 15 qubits, budget is 14" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--eps", "0.5"],
+    ["sweep", "--kappa-sigma-list", "4", "--t-sigma-list", "8", "--kappa-list", "4",
+     "--t-list", "8", "--qae-m-list", "16"],
+])
+def test_unrunnable_instance_is_refused_before_it_is_drawn(tmp_path, capsys, monkeypatch, argv):
+    """n = 12 needs a 27-qubit W at any level: the refusal comes before the
+    pair is drawn (drawing and running it took minutes and gigabytes), and
+    before a sweep writes its table."""
+    def undrawn(*args, **kwargs):
+        raise AssertionError("the instance was drawn")
+
+    monkeypatch.setattr(cli, "random_density", undrawn)
+    out = tmp_path / "s.csv"
+    code, stdout, err = run(capsys, *argv, "--n", "12", "--rank-rho", "1", "--rank-sigma", "1",
+                            "--seed", "1", "--output", str(out))
+    assert (code, stdout) == (1, "")
+    assert err == "error: construction needs 27 qubits, budget is 14\n"
+    assert not out.exists()
+
+
+def test_refusal_orders_the_roles_by_rank(capsys, monkeypatch):
+    """The lower rank takes rho's role whichever flag gives it: at n = 3,
+    rank 5 is purified with 3 garbage qubits and rank 1 with one, so sigma's
+    W needs 2 (3 + 1) + 3 = 11 qubits, over a budget of 10, in both flag
+    orders (the other order's W, 9 qubits, fits)."""
+    monkeypatch.setattr(cli, "random_density", None)  # drawing would fail the run
+    for ranks in (["1", "5"], ["5", "1"]):
+        code, _, err = run(capsys, "estimate", "--n", "3", "--rank-rho", ranks[0],
+                           "--rank-sigma", ranks[1], "--seed", "1", "--eps", "0.5",
+                           "--qubit-budget", "10")
+        assert code == 1 and err == "error: construction needs 11 qubits, budget is 10\n"
+
+
 def test_estimate_load_dump_round_trip(tmp_path, capsys):
     f1 = tmp_path / "rho.json"
     random_density(1, 1, seed=5).save(str(f1))
@@ -386,15 +420,25 @@ def test_config_key_that_is_no_flag_of_the_subcommand_exits_3(tmp_path, capsys, 
     assert code == 3 and f"config error: unknown config key: {key}" in err
 
 
-def test_load_of_a_record_that_is_not_a_density_exits_1(tmp_path, capsys):
-    record = tmp_path / "state.json"
-    record.write_text(json.dumps(
-        {"kind": "purification", "qubits": 1, "entries": [[1, 0], [0, 0], [0, 0], [0, 0]]}
-    ))
-    code, out, err = run(capsys, "estimate", "--load-rho", str(record), "--load-sigma",
-                         str(record), "--eps", "0.5")
-    assert code == 1 and out == ""
-    assert "error: not a density-operator record: kind='purification'" in err
+@pytest.mark.parametrize("text, message", [
+    pytest.param("not json", "Expecting value: line 1 column 1 (char 0)", id="not-json"),
+    pytest.param(json.dumps({"kind": "purification", "qubits": 1,
+                             "entries": [[1, 0], [0, 0], [0, 0], [0, 0]]}),
+                 "not a density-operator record: kind='purification'", id="wrong-kind"),
+    pytest.param(json.dumps({"kind": "density", "qubits": 1, "entries": [[1, 0], [0, 0], [0, 0]]}),
+                 "3 entries for 1 qubits, not 4^qubits", id="entry-count"),
+    pytest.param(json.dumps({"kind": "density", "qubits": -1, "entries": [[1, 0]]}),
+                 "1 entries for -1 qubits, not 4^qubits", id="negative-qubits"),
+])
+def test_malformed_load_file_exits_3_naming_it(tmp_path, capsys, text, message):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    random_density(1, 1, seed=5).save(str(good))
+    bad.write_text(text)
+    for rho, sigma in [(bad, good), (good, bad)]:
+        code, out, err = run(capsys, "estimate", "--load-rho", str(rho), "--load-sigma",
+                             str(sigma), "--eps", "0.5")
+        assert (code, out) == (3, "")
+        assert err == f"config error: {bad}: {message}\n"
 
 
 def test_sweep_with_an_empty_knob_list_exits_3(tmp_path, capsys):

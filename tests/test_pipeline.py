@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -18,7 +19,6 @@ from fidest import (
     build_w_sigma,
     estimate_fidelity,
     filter_f,
-    ideal_sqrt_state,
     operator_norm,
     purification_to_unitary_be,
     purify,
@@ -34,8 +34,10 @@ from fidest.registers import circuit_qubits, w_qubits
 from fidest.pipeline import (
     CIRCUIT_T_CEILING,
     IDEAL_T_CEILING,
+    SIM_LEVELS,
     _role_order,
     analytic_error_bound,
+    stage_levels,
 )
 from fidest.verify import weyl_trace_bound_check
 
@@ -55,11 +57,11 @@ def ideal_params(ks=16.0, ts=256, k=16.0, t=256, M=1024, C=1.0):
 def test_w_sigma_block_approximates_scaled_sqrt(prep, sigma, name):
     for ks in (4.0, 16.0):
         params = ideal_params(ks=ks)
-        w = build_w_sigma(prep(sigma), params)
+        w = build_w_sigma(prep(sigma), params, circuit=False)
         target = sqrtm_psd(sigma.matrix) / (4 * math.sqrt(ks))
         # perfect-phase-estimation block sits within 1/(4 kappa) of the target
         assert operator_norm(w.block - target) <= 1 / (4 * ks) + 1e-9
-        out = ideal_sqrt_state(prep(sigma).factor, params.sigma_params())
+        out = build_sqrt_unitary(prep(sigma).factor, params.sigma_params(), circuit=False)
         assert unitarity_defect(w_columns(out, 1)) <= 1e-9
         assert w.w_sigma_error <= 1.0 * (ks**-0.5 + ks**1.5 / params.t_sigma)
 
@@ -70,7 +72,7 @@ def test_w_sigma_circuit_level_meets_theta_bound(prep):
         qae=QaeParams(M=64), sim_level="circuit-pe",
     )
     sigma = random_density(1, 2, seed=3)
-    w = build_w_sigma(prep(sigma), params)
+    w = build_w_sigma(prep(sigma), params, circuit=True)
     assert w.sim_level == "circuit-pe"
     out = build_sqrt_unitary(prep(sigma).factor, params.sigma_params())
     assert unitarity_defect(w_columns(out, 1)) <= 1e-9
@@ -84,9 +86,11 @@ def test_w_sigma_level_labels(perturbation, level):
         kappa_sigma=4.0, t_sigma=8, kappa=16.0, t=256,
         qae=QaeParams(M=64), sim_level="circuit-pe", perturbation=perturbation,
     )
-    assert build_w_sigma(purify(Z0, 0), params).sim_level == level
+    assert stage_levels(1, 0, 0, params)[0]
+    assert build_w_sigma(purify(Z0, 0), params, circuit=True).sim_level == level
     deep = dataclasses.replace(params, t_sigma=1 << 10)
-    assert build_w_sigma(purify(Z0, 0), deep).sim_level == "ideal-spectral"
+    assert not stage_levels(1, 0, 0, deep)[0]
+    assert build_w_sigma(purify(Z0, 0), deep, circuit=False).sim_level == "ideal-spectral"
 
 
 def test_ideal_w_sigma_block_on_diagonal_sigma(prep):
@@ -94,8 +98,8 @@ def test_ideal_w_sigma_block_on_diagonal_sigma(prep):
     # sum lambda f(lambda)^2 P_lambda, one eigenvalue on the filter's ramp
     lam = np.array([0.6, 0.3, 0.05, 0.05])
     p = prep(DensityOperator(np.diag(lam)))
-    w = build_w_sigma(p, ideal_params(ks=16.0))
-    assert w.qubits == 2 * (2 + 1) + p.garbage_qubits and w.block.shape == (1 << 2, 1 << 2)
+    w = build_w_sigma(p, ideal_params(ks=16.0), circuit=False)
+    assert w.block.shape == (1 << 2, 1 << 2)
     expected = np.diag(lam * filter_f(lam, 16.0) ** 2)
     assert operator_norm(w.block - expected) <= 1e-12
 
@@ -113,11 +117,9 @@ def test_w_sigma_block_is_its_extraction_block(prep, level, perturbation, label)
         qae=QaeParams(M=64), sim_level=level, perturbation=perturbation,
     )
     sigma_prep = prep(random_density(1, 2, seed=3))
-    if level == "circuit-pe":
-        out = build_sqrt_unitary(sigma_prep.factor, params.sigma_params(), seed=0)
-    else:
-        out = ideal_sqrt_state(sigma_prep.factor, params.sigma_params())
-    w = build_w_sigma(sigma_prep, params, seed=0)
+    circuit = level == "circuit-pe"
+    out = build_sqrt_unitary(sigma_prep.factor, params.sigma_params(), circuit, seed=0)
+    w = build_w_sigma(sigma_prep, params, circuit, seed=0)
     assert w.sim_level == label
     np.testing.assert_allclose(w.block, out.block(), rtol=0, atol=1e-12)  # shapes too
     factor = out.state.reshape(-1, out.state.shape[-1])  # [system and ancillas, garbage]
@@ -130,26 +132,30 @@ def test_w_sigma_falls_back_when_circuit_too_large(prep):
         kappa_sigma=4.0, t_sigma=1 << 10, kappa=16.0, t=256,
         qae=QaeParams(M=64), sim_level="circuit-pe",
     )
-    w = build_w_sigma(prep(random_density(1, 2, seed=3)), params)
-    assert w.sim_level == "ideal-spectral"
+    # sigma on one system and one garbage qubit, rho without garbage
+    w_circuit, _ = stage_levels(1, 0, 1, params)
+    assert not w_circuit
+    assert build_w_sigma(prep(random_density(1, 2, seed=3)), params, w_circuit).sim_level == (
+        "ideal-spectral")
 
 
 def test_eta_equal_pure_states(prep):
     params = ideal_params(ks=16.0)
-    w = build_w_sigma(prep(Z0), params)
+    w = build_w_sigma(prep(Z0), params, circuit=False)
     eta = build_eta(prep(Z0), w)
     ref = Z0.matrix / (16 * 16.0)
     bound = 16.0**-1.5 + 16.0**0.5 / 256 + 16.0**2 / 256**2
     assert operator_norm(eta.block - ref) <= bound
     # eta's whole factor, W's columns times rho's factor, is a unit-trace state
-    columns = w_columns(ideal_sqrt_state(prep(Z0).factor, params.sigma_params()), 1)
+    out = build_sqrt_unitary(prep(Z0).factor, params.sigma_params(), circuit=False)
+    columns = w_columns(out, 1)
     eta_prep = Purification(columns @ prep(Z0).factor)
     assert abs(np.trace(eta_prep.traced_matrix()).real - 1) <= 1e-9
 
 
 def test_eta_orthogonal_pure_states(prep):
     params = ideal_params(ks=16.0)
-    w = build_w_sigma(prep(Z1), params)
+    w = build_w_sigma(prep(Z1), params, circuit=False)
     eta = build_eta(prep(Z0), w)
     bound = 16.0**-1.5 + 16.0**0.5 / 256 + 16.0**2 / 256**2
     assert operator_norm(eta.block) <= bound
@@ -160,7 +166,7 @@ def test_eta_block_error_scaling(prep, ks):
     rho = random_density(1, 2, seed=21)
     sigma = random_density(1, 2, seed=22)
     params = ideal_params(ks=ks, ts=4096)
-    w = build_w_sigma(prep(sigma), params)
+    w = build_w_sigma(prep(sigma), params, circuit=False)
     eta = build_eta(prep(rho), w)
     bound = ks**-1.5 + ks**0.5 / 4096 + ks**2 / 4096**2
     assert eta.block_error <= 1.0 * bound
@@ -482,7 +488,7 @@ def test_perturbed_sampled_estimates_share_no_random_stream(prep, monkeypatch):
 
 
 def test_eta_rejects_a_w_for_another_system_size(prep):
-    w = build_w_sigma(prep(random_density(1, 2, seed=3)), ideal_params())
+    w = build_w_sigma(prep(random_density(1, 2, seed=3)), ideal_params(), circuit=False)
     with pytest.raises(ValueError, match="rho prepares 2 qubits, W encodes on 1"):
         build_eta(prep(random_density(2, 2, seed=4)), w)
 
@@ -513,15 +519,69 @@ def test_bad_knob_raises_at_construction(knob, value, message):
         dataclasses.replace(ideal_params(), **{knob: value})
 
 
-def test_eta_over_budget_names_its_register(prep):
+def test_eta_over_budget_names_its_register():
     # an ideal W on one system and one garbage qubit: 2 (1 + 1) + 1 = 5 qubits,
     # and rho's garbage qubit makes eta's register 6
-    w = build_w_sigma(prep(random_density(1, 2, seed=3)), ideal_params())
-    rho_prep = prep(random_density(1, 2, seed=4))
-    build_eta(rho_prep, w, qubit_budget=6)
-    with pytest.raises(RegisterTooLargeError) as exc:
-        build_eta(rho_prep, w, qubit_budget=5)
-    assert str(exc.value) == "eta register needs 6 qubits, budget is 5"
+    for budget, message in [(4, "construction needs 5 qubits, budget is 4"),
+                            (5, "eta register needs 6 qubits, budget is 5")]:
+        with pytest.raises(RegisterTooLargeError) as exc:
+            stage_levels(1, 1, 1, dataclasses.replace(ideal_params(), qubit_budget=budget))
+        assert str(exc.value) == message
+    assert stage_levels(1, 1, 1, dataclasses.replace(ideal_params(), qubit_budget=6)) == (
+        False, False)
+
+
+def _inline_level_rule(n, rho_garbage, sigma_garbage, params):
+    """The level rule as the pipeline applied it inline before
+    ``stage_levels``: in build_w_sigma, in its extraction and construction,
+    in build_eta, then in estimate_fidelity.  Returns both stages' levels,
+    or the first refusal's message.  An output's main register is system, pe
+    (circuit only) and flag; W is twice that plus sigma's garbage; eta is W
+    plus rho's garbage; eta's circuit adds its pe register and flag."""
+    budget, circuit = params.qubit_budget, params.sim_level == "circuit-pe"
+    ls, l = params.sigma_params().l, params.eta_params().l
+    w_circuit = circuit and 2 * (n + ls + 1) + sigma_garbage + rho_garbage <= budget
+    if w_circuit and n + ls + 1 + sigma_garbage > budget:
+        return (f"circuit needs {n + ls + 1 + sigma_garbage} qubits, budget is {budget}; "
+                "use the ideal-spectral level instead")
+    w = 2 * (n + (ls if w_circuit else 0) + 1) + sigma_garbage
+    if w > budget:
+        return f"construction needs {w} qubits, budget is {budget}"
+    if w + rho_garbage > budget:
+        return f"eta register needs {w + rho_garbage} qubits, budget is {budget}"
+    return w_circuit, circuit and w + rho_garbage + l + 1 <= budget
+
+
+def test_stage_levels_are_the_inline_rule():
+    """Both levels and every refusal, over n 1-4, garbage 0-3 for each role,
+    t_sigma and t in {8, 2^10, 2^20}, budgets 5-22 and both levels."""
+    seen = set()
+    depths = (8, 1 << 10, 1 << 20)
+    for level, t_sigma, t, budget in itertools.product(SIM_LEVELS, depths, depths, range(5, 23)):
+        params = dataclasses.replace(ideal_params(), sim_level=level, t_sigma=t_sigma, t=t,
+                                     qubit_budget=budget)
+        for n, g_rho, g_sigma in itertools.product(range(1, 5), range(4), range(4)):
+            try:
+                got = stage_levels(n, g_rho, g_sigma, params)
+            except RegisterTooLargeError as exc:
+                got = str(exc)
+            assert got == _inline_level_rule(n, g_rho, g_sigma, params), (level, n, g_rho, g_sigma)
+            seen.add(got if isinstance(got, tuple) else got.split(" needs")[0])
+    assert seen == {(False, False), (False, True), (True, False), (True, True),
+                    "construction", "eta register"}
+
+
+def test_estimate_refuses_an_unrunnable_pair_before_building(prep, monkeypatch):
+    """A pair that no level can run is refused with the register check's
+    message before any extraction runs."""
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("an extraction ran")
+
+    monkeypatch.setattr(pipeline_module, "build_sqrt_unitary", unbuilt)
+    pair = [prep(random_density(2, 2, seed=s)) for s in (1, 2)]  # W 2 (2 + 1) + 1 = 7 qubits
+    params = dataclasses.replace(ideal_params(), sim_level="circuit-pe", qubit_budget=7)
+    with pytest.raises(RegisterTooLargeError, match="^eta register needs 8 qubits, budget is 7$"):
+        estimate_fidelity(*pair, params, seed=0)
 
 
 def _counting(monkeypatch, owner, name):
@@ -560,14 +620,13 @@ def test_estimate_builds_circuits_and_densities_only_where_needed(
     rep = estimate_fidelity(rho_prep, sigma_prep, params, seed=1)
     assert rep.sim_level_eta == level
     assert len(densities) == 0
-    # the sigma stage runs on a state's factor, the eta stage on eta's zero rows
+    # the sigma stage runs on a state's factor at its level, the eta stage
+    # on eta's zero rows; the third argument is the level, true for a circuit
     factors = [rho_prep.factor, sigma_prep.factor]
-    assert [any(args[0] is f for f in factors) for args in circuits] == (
-        [True] * sigma_circuits + [False] * (perturbation > 0)
+    assert [(any(args[0] is f for f in factors), args[2]) for args in circuits] == (
+        [(True, bool(sigma_circuits))] + [(False, True)] * (perturbation > 0)
     )
-    assert [args[0].shape for args in circuits[sigma_circuits:]] == [(2, 1 << ancillas)] * (
-        perturbation > 0
-    )
+    assert [args[0].shape for args in circuits[1:]] == [(2, 1 << ancillas)] * (perturbation > 0)
     # the sigma stage's output state only
     assert len(purifications) == 1
 
@@ -603,10 +662,7 @@ def test_perturbed_eta_circuit_on_its_zero_rows_gives_the_whole_factors_x():
         rho, sigma, *_ = _role_order(rho, sigma)
         w_seed, eta_seed = np.random.SeedSequence(trial).spawn(2)
         sp = params.sigma_params()
-        if circuit_w:
-            out = build_sqrt_unitary(sigma.factor, sp, seed=w_seed)
-        else:
-            out = ideal_sqrt_state(sigma.factor, sp)
+        out = build_sqrt_unitary(sigma.factor, sp, circuit_w, seed=w_seed)
         eta_prep = Purification(w_columns(out, n) @ rho.factor)  # eta's whole factor
         state = perturbed_circuit_on_whole_factor(
             eta_prep, eta_prep.system_qubits - n, params.eta_params(), eta_seed

@@ -8,11 +8,11 @@ from fidest import (
     build_eta,
     build_sqrt_unitary,
     build_w_sigma,
-    ideal_sqrt_state,
     purify,
     random_density,
 )
 from fidest.errors import DimensionMismatchError
+from fidest.pipeline import stage_levels
 from fidest.registers import circuit_qubits, eta_qubits, w_qubits
 from circuit_oracles import w_columns
 from register_oracles import (
@@ -118,23 +118,21 @@ def test_register_rule_counts_the_arrays_built(level, perturbation, label):
     )
     n, g_sigma, g_rho = 1, sigma_prep.garbage_qubits, rho_prep.garbage_qubits
     sp, ep = params.sigma_params(), params.eta_params()
-    w = build_w_sigma(sigma_prep, params, seed=1, rho_garbage_qubits=g_rho)
+    w_circuit, _ = stage_levels(n, g_rho, g_sigma, params)
+    assert w_circuit == (level == "circuit-pe")
+    w = build_w_sigma(sigma_prep, params, w_circuit, seed=1)
     assert w.sim_level == label
     # the sigma stage's output: a circuit's, or one with a length-1 pe axis
-    if level == "circuit-pe":
-        out = build_sqrt_unitary(sigma_prep.factor, sp, seed=1)
-        assert out.state.size == 1 << circuit_qubits(n, g_sigma, sp.l)
-        assert w.qubits == w_qubits(circuit_qubits(n, 0, sp.l), g_sigma)
-    else:
-        out = ideal_sqrt_state(sigma_prep.factor, sp)
-        assert out.state.size == 1 << circuit_qubits(n, g_sigma, 0)
-        assert w.qubits == w_qubits(circuit_qubits(n, 0, 0), g_sigma)
+    out = build_sqrt_unitary(sigma_prep.factor, sp, w_circuit, seed=1)
+    l = sp.l if w_circuit else 0
+    assert out.state.size == 1 << circuit_qubits(n, g_sigma, l)
+    w_register = w_qubits(circuit_qubits(n, 0, l), g_sigma)
     columns = w_columns(out, n)
-    assert 1 << w.qubits == columns.shape[0]
+    assert 1 << w_register == columns.shape[0]
     # eta's whole factor, the register the level rule counts
     eta_prep = Purification(columns @ rho_prep.factor)
-    assert eta_prep.factor.size == 1 << eta_qubits(w.qubits, g_rho)
+    assert eta_prep.factor.size == 1 << eta_qubits(w_register, g_rho)
     # the eta-stage circuit runs on eta's rows with W's ancillas zero
-    eta = build_eta(rho_prep, w, qubit_budget=20)
+    eta = build_eta(rho_prep, w)
     eta_out = build_sqrt_unitary(eta.m, ep, seed=2)
     assert eta_out.state.size == 1 << circuit_qubits(n, g_rho, ep.l)

@@ -12,7 +12,6 @@ from fidest import (
     filter_f,
     grid_eigenvalue,
     h_vector,
-    ideal_sqrt_state,
     operator_norm,
     pe_coefficient,
     pe_coefficient_direct,
@@ -35,9 +34,10 @@ from fidest.errors import (
     SpectrumOutOfRangeError,
 )
 from fidest.linalg import reflect
-from circuit_oracles import expm_i, pe_coefficient_sum, rotation_gate
+from circuit_oracles import expm_i, ideal_output, pe_coefficient_sum, rotation_gate
 from register_oracles import density_with_block, layout, partial_trace, project_zero
-from fidest.sqrt_extractor import SqrtOutput, block_spectrum, scaled_block_error
+from fidest.sqrt_extractor import (SqrtOutput, _branch_amplitudes, block_spectrum,
+                                   scaled_block_error)
 from fidest.verify import ideal_bound_grid
 
 PURE = DensityOperator(np.diag([1.0, 0.0]))
@@ -121,10 +121,10 @@ def test_sine_state_shape_t8():
 
 @pytest.mark.parametrize("shape", [(3, 2), (2, 3), (0, 2), (2, 0), (4,), (2, 2, 2)])
 def test_extraction_takes_a_power_of_two_factor(shape):
-    # M is checked on entry; a zero-length axis is no power of two either
-    for extract in (build_sqrt_unitary, ideal_sqrt_state):
+    # M is checked on entry, at both levels; a zero-length axis is no power of two either
+    for circuit in (True, False):
         with pytest.raises(DimensionMismatchError, match="not a power-of-two factor"):
-            extract(np.full(shape, 0.1), SqrtParams(kappa=4.0, t=8))
+            build_sqrt_unitary(np.full(shape, 0.1), SqrtParams(kappa=4.0, t=8), circuit)
 
 
 def test_sine_state_rejects_non_power():
@@ -241,6 +241,17 @@ def test_pe_functions_broadcast_over_lambda_and_k():
     assert isinstance(pe_phase_offset(0.3, 2, params), float)
 
 
+@pytest.mark.parametrize("k", [1.5, 2.0, np.array([0, 1.5]), np.arange(4.0)])
+def test_pe_functions_refuse_a_non_integer_grid_point(k):
+    """A k that is not of an integer type is no grid point: each function
+    refuses it, where the closed form used to answer for 1.5 and the FFT's
+    entry to raise numpy's IndexError."""
+    params = SqrtParams(kappa=4.0, t=16)
+    for fn in (pe_coefficient, pe_coefficient_direct, pe_phase_offset):
+        with pytest.raises(IndexOutOfRangeError, match="not a grid point"):
+            fn(0.3, k, params)
+
+
 def test_pe_tail_bound_holds():
     params = SqrtParams(kappa=4.0, t=32)
     rng = np.random.default_rng(1)
@@ -337,7 +348,7 @@ def test_spectrum_guard():
 def test_ideal_state_pure_branch():
     # single eigenvalue lambda = 1: block entry is f(1)^2 = kappa^{-1/2}/4
     kappa = 16.0
-    out = ideal_sqrt_state(pure_prep().factor, SqrtParams(kappa=kappa, t=64))
+    out = build_sqrt_unitary(pure_prep().factor, SqrtParams(kappa=kappa, t=64), circuit=False)
     blk = out.block()
     assert abs(blk[0, 0] - 0.25 * kappa**-0.5) <= 1e-12
     assert abs(blk[1, 1]) <= 1e-12
@@ -345,7 +356,8 @@ def test_ideal_state_pure_branch():
 
 def test_ideal_state_zero_operator():
     rho = density_with_block(np.zeros((2, 2)), 1)
-    out = ideal_sqrt_state(zero_slice(purify(rho, 2), 1), SqrtParams(kappa=4.0, t=64))
+    m = zero_slice(purify(rho, 2), 1)
+    out = build_sqrt_unitary(m, SqrtParams(kappa=4.0, t=64), circuit=False)
     assert operator_norm(out.block()) <= 1e-12
 
 
@@ -353,7 +365,8 @@ def test_ideal_state_uniform_spectrum():
     # A = s I has every branch at lambda = s, so the block is s f(s)^2 I
     s = 0.4
     rho = density_with_block(s * np.eye(2), 1)
-    out = ideal_sqrt_state(zero_slice(purify(rho, 2), 1), SqrtParams(kappa=4.0, t=64))
+    m = zero_slice(purify(rho, 2), 1)
+    out = build_sqrt_unitary(m, SqrtParams(kappa=4.0, t=64), circuit=False)
     np.testing.assert_allclose(
         out.block(), s * filter_f(s, 4.0) ** 2 * np.eye(2), atol=1e-12
     )
@@ -370,7 +383,7 @@ def test_ideal_vector_matches_ideal_state(with_pe):
     rho = random_density(1, 2, seed=9)
     p = purify(rho, 1)
     params = SqrtParams(kappa=4.0, t=16)
-    ideal = ideal_sqrt_state(p.factor, params)
+    ideal = build_sqrt_unitary(p.factor, params, circuit=False)
     v = with_pe(ideal)
     assert abs(np.linalg.norm(v) - 1) <= 1e-12
     full = layout(("system", 1), ("pe", params.l), ("flag", 1), ("garbage", 1))
@@ -387,11 +400,38 @@ def test_ideal_vector_matches_ideal_state(with_pe):
     assert operator_norm(traced - traced_ideal) <= 1e-12
 
 
+def test_ideal_level_is_the_spectral_sum():
+    """At the ideal level the routine's output is sum_j (u_j u_j^dagger M)
+    (x) h(lambda_j) on a length-1 pe axis, for any t and perturbation, and
+    its register is not checked: 40 drawn factors, n 1-3, garbage 0-2."""
+    rng = np.random.default_rng(25)
+    for trial in range(40):
+        n, garbage = 1 + trial % 3, int(rng.integers(0, 3))
+        g = rng.standard_normal((2, 1 << n, 1 << garbage))
+        m = (g[0] + 1j * g[1]) * math.sqrt(rng.uniform(0.2, 1.0)) / np.linalg.norm(g)
+        params = SqrtParams(kappa=float(rng.choice([1, 4, 64])), t=int(rng.choice([8, 1 << 30])),
+                            perturbation=float(rng.choice([0.0, 0.1])))
+        out = build_sqrt_unitary(m, params, circuit=False, qubit_budget=1, seed=trial)
+        assert out.state.shape == (1 << n, 1, 2, 1 << garbage)
+        assert np.max(np.abs(out.state - ideal_output(m, params))) <= 1e-13
+
+
+@pytest.mark.parametrize("circuit", [True, False])
+@pytest.mark.parametrize("t", [6, 100, 4000])
+def test_stage_gain_is_the_branch_rules_zero_entry(circuit, t):
+    """G(lambda) is the all-zeros entry of the branch rule's amplitudes at
+    both levels, up to T = 2^12, though the gain does not build them."""
+    params = SqrtParams(kappa=4.0, t=t)
+    lam = np.concatenate([[0.0, 0.125, 0.25, 1.0], np.random.default_rng(t).uniform(0, 1, 20)])
+    zero = _branch_amplitudes(lam, params, circuit)[:, 0, 0]
+    assert np.max(np.abs(stage_gain(lam, params, circuit) - zero)) <= 1e-12
+
+
 def test_circuit_converges_to_ideal(with_pe):
     p = pure_prep()
     params = SqrtParams(kappa=8.0, t=128)
     out = build_sqrt_unitary(p.factor, params)
-    v = with_pe(ideal_sqrt_state(p.factor, params))
+    v = with_pe(build_sqrt_unitary(p.factor, params, circuit=False))
     dist = np.linalg.norm(out.state - v)
     assert dist <= 1.0 * params.kappa / params.t
     # density-vs-purification transfer
@@ -528,7 +568,8 @@ def test_stage_gain_gives_the_circuit_zero_probability(t):
             params = SqrtParams(kappa=4.0, t=t)
             x = build_sqrt_unitary(m, params, qubit_budget=20).zero_probability()
             lam = block_spectrum(m @ m.conj().T).values
-            assert math.isclose(np.sum(lam * stage_gain(lam, params) ** 2), x, rel_tol=1e-12)
+            gain = stage_gain(lam, params, circuit=True)
+            assert math.isclose(np.sum(lam * gain**2), x, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("t", [6, 12, 100])
@@ -538,5 +579,6 @@ def test_stage_gain_is_the_pe_coefficient_sum(t):
     k = np.arange(params.T)
     f = filter_f(grid_eigenvalue(k, params), params.kappa)
     closed = [np.sum(np.abs(pe_coefficient(v, k, params)) ** 2 * f) for v in lam]
-    assert np.max(np.abs(stage_gain(lam, params) - closed)) <= 1e-12
-    assert stage_gain(0.3, params).shape == ()
+    assert np.max(np.abs(stage_gain(lam, params, circuit=True) - closed)) <= 1e-12
+    assert stage_gain(0.3, params, circuit=True).shape == ()
+    assert stage_gain(0.3, params, circuit=False) == filter_f(0.3, params.kappa)
