@@ -119,7 +119,7 @@ def _load(path: str) -> DensityOperator:
     """The state a --load-* file holds; a file holding none is a config error naming it."""
     try:
         return DensityOperator.load(path)
-    except (ValueError, KeyError, TypeError, FidestError) as exc:  # json's errors are ValueErrors
+    except (ValueError, TypeError, FidestError) as exc:  # json's errors are ValueErrors
         raise ConfigError(f"{path}: {exc}") from None
 
 

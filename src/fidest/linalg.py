@@ -1,6 +1,6 @@
-"""Complex linear algebra: Hermitian eigendecomposition, the PSD square root,
-the norms used everywhere else, and the reflection that loads a state as a
-gate applied to vectors.
+"""Complex linear algebra: Hermitian eigendecomposition and the one Hermitian
+check (``eig_hermitian``), the PSD square root, the norms used everywhere else,
+and the reflection that loads a state as a gate applied to vectors.
 
 All operators are plain ``numpy.ndarray`` matrices in row-major order; square
 operators on qubit registers have power-of-two dimension.  Every function is
@@ -26,42 +26,34 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest entrywise deviation |m - m^dagger|."""
-    m = as_complex_matrix(m)
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-
-
-def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    m = as_complex_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise NotHermitianError(f"matrix is not square: {m.shape}")
-    defect = hermiticity_defect(m)
-    if defect > tol:
-        raise NotHermitianError(f"max |m - m^dagger| = {defect:.3e} exceeds {tol:.1e}")
-    return m
-
-
 @dataclass(frozen=True)
 class HermitianEigen:
     """Spectral decomposition with eigenvalues sorted descending.
 
     Column j of ``vectors`` pairs with ``values[j]``; reconstruction
-    V diag(values) V^dagger matches the input to 1e-10.
+    V diag(values) V^dagger matches ``matrix``, the matrix decomposed, to 1e-10.
     """
 
     values: np.ndarray
     vectors: np.ndarray
+    matrix: np.ndarray
 
 
 def eig_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> HermitianEigen:
-    """Eigendecompose a Hermitian matrix, raising NotHermitianError otherwise."""
-    m = require_hermitian(m, tol)
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
+    """Eigendecompose ``matrix`` = (m + m^dagger)/2, raising NotHermitianError
+    unless m is square with max |m - m^dagger| <= tol: the one Hermitian check."""
+    m = as_complex_matrix(m)
+    if m.shape[0] != m.shape[1]:
+        raise NotHermitianError(f"matrix is not square: {m.shape}")
+    defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    if defect > tol:
+        raise NotHermitianError(f"max |m - m^dagger| = {defect:.3e} exceeds {tol:.1e}")
+    h = (m + m.conj().T) / 2
+    w, v = np.linalg.eigh(h)
     w, v = w[::-1].copy(), v[:, ::-1].copy()
-    w.flags.writeable = False
-    v.flags.writeable = False
-    return HermitianEigen(values=w, vectors=v)
+    for a in (w, v, h):
+        a.flags.writeable = False
+    return HermitianEigen(values=w, vectors=v, matrix=h)
 
 
 def sqrtm_psd(m: np.ndarray | HermitianEigen, tol: float = HERMITIAN_TOL) -> np.ndarray:

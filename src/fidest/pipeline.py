@@ -8,33 +8,34 @@ all-zeros amplitude x by amplitude estimation; report 16 sqrt(kappa
 kappa_sigma) x~ against the exact-oracle fidelity together with an analytic
 error bound and measured query counts.
 
-Both stages' levels are decided once, from the factors' shapes and the
-knobs, before anything is built (``stage_levels``): circuit-pe where every
-register a stage commits the estimate to fits the qubit budget (for W, that
-is eta's register: W's plus rho's garbage), else ideal-spectral; a call no
-level can run is refused there.  The report records the level used
-(circuit-pe-perturbed for a circuit run with perturbation > 0).  Both levels
-work on arrays: each purification is its factor, W is its block over its
-ancillas, eta's rows with W's ancillas zero are that block times rho's
-factor, each block is M M^dagger of a slice M, and each block error is one
-operator norm.  The eta stage needs only the all-zeros probability x of its
-output, so unperturbed it reads x = sum_g g G(g)^2 off the block's
-spectrum, G the per-eigenvalue gain at its level (``stage_gain``); only a
-perturbed eta circuit runs on a state, and that state is eta's rows with
-W's ancillas zero: every gate of the circuit, the perturbations included,
-is the identity on W's ancillas, so the all-zeros output reads those rows
-alone.  Neither W's columns nor eta's whole factor is formed.
-The roles and ranks come from the factors, so no density operator is
+Both stages' levels are decided once, from the factors' shapes and the knobs,
+before anything is built (``stage_levels``): circuit-pe where every register a
+stage commits the estimate to fits the qubit budget (for W, that is eta's
+register: W's plus rho's garbage), else ideal-spectral; a call no level can run
+is refused there.  The knobs are checked once, when ``PipelineParams`` is built,
+which also builds each stage's extraction record (``sigma``, ``eta``) for the
+stages to read.  The report records the level used (circuit-pe-perturbed for a
+circuit run with perturbation > 0).  Both levels work on arrays: each
+purification is its factor, W is its block over its ancillas, eta's rows with
+W's ancillas zero are that block times rho's factor, each block is M M^dagger
+of a slice M, and each block error is one operator norm.  The eta stage needs
+only the all-zeros probability x of its output, so unperturbed it reads
+x = sum_g g G(g)^2 off the block's spectrum, G the per-eigenvalue gain at its
+level (``stage_gain``); only a perturbed eta circuit runs on a state, and that
+state is eta's rows with W's ancillas zero: every gate of the circuit, the
+perturbations included, is the identity on W's ancillas, so the all-zeros
+output reads those rows alone.  Neither W's columns nor eta's whole factor is
+formed.  The roles and ranks come from the factors, so no density operator is
 formed.  The reported exact fidelity is Uhlmann's || M_rho^dagger M_sigma ||_1
-on the two factors the estimate was given.  This module holds the estimate path and the parameter
-schedules; the bound checks live in ``verify``.
+on the two factors the estimate was given.  This module holds the estimate path
+and the parameter schedules; the bound checks live in ``verify``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,6 +83,8 @@ class PipelineParams:
     bound_constant: float = 1.0
     qubit_budget: int = DEFAULT_QUBIT_BUDGET
     perturbation: float = 0.0
+    sigma: SqrtParams = field(init=False, repr=False, compare=False)  # (kappa_sigma, t_sigma)
+    eta: SqrtParams = field(init=False, repr=False, compare=False)  # (kappa, t)
 
     RANGES = {
         "kappa_sigma": SqrtParams.RANGES["kappa"],
@@ -95,6 +98,9 @@ class PipelineParams:
         if self.sim_level not in SIM_LEVELS:
             raise ValueError(f"sim_level {self.sim_level!r} not in {SIM_LEVELS}")
         check_ranges(self)
+        object.__setattr__(self, "sigma",
+                           SqrtParams(self.kappa_sigma, self.t_sigma, self.perturbation))
+        object.__setattr__(self, "eta", SqrtParams(self.kappa, self.t, self.perturbation))
         if not (math.isfinite(self.scale) and math.isfinite(analytic_error_bound(self, 0.5, 1))):
             raise ValueError(f"kappa_sigma={self.kappa_sigma:g}, kappa={self.kappa:g} and "
                              f"bound_constant={self.bound_constant:g} overflow the scale or bound")
@@ -103,12 +109,6 @@ class PipelineParams:
     def scale(self) -> float:
         """The estimate's scale: the estimate is 16 sqrt(kappa kappa_sigma) x~."""
         return 16.0 * math.sqrt(self.kappa * self.kappa_sigma)
-
-    def sigma_params(self) -> SqrtParams:
-        return SqrtParams(kappa=self.kappa_sigma, t=self.t_sigma, perturbation=self.perturbation)
-
-    def eta_params(self) -> SqrtParams:
-        return SqrtParams(kappa=self.kappa, t=self.t, perturbation=self.perturbation)
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,6 @@ class WSigmaResult:
     kappa_sigma: float  # W's block encodes sqrt(sigma) at scale 4 sqrt(kappa_sigma)
     w_sigma_error: float  # || 4 sqrt(kappa_sigma) block - sqrt(sigma) ||
     sim_level: str
-    o_sigma_queries_per_use: int  # one W use = two extraction-circuit uses
 
 
 def stage_levels(n: int, rho_garbage: int, sigma_garbage: int,
@@ -179,12 +178,12 @@ def stage_levels(n: int, rho_garbage: int, sigma_garbage: int,
     budget = params.qubit_budget
     circuit = params.sim_level == "circuit-pe"
     # a circuit's output is [system, pe, flag] over sigma's garbage; the circuit is smaller than W
-    circuit_w_qubits = w_qubits(circuit_qubits(n, 0, params.sigma_params().l), sigma_garbage)
+    circuit_w_qubits = w_qubits(circuit_qubits(n, 0, params.sigma.l), sigma_garbage)
     w_circuit = circuit and eta_qubits(circuit_w_qubits, rho_garbage) <= budget
     w = circuit_w_qubits if w_circuit else w_qubits(circuit_qubits(n, 0, 0), sigma_garbage)
     check_budget("construction", w, budget)
     check_budget("eta register", eta_qubits(w, rho_garbage), budget)
-    return w_circuit, circuit and circuit_qubits(w, rho_garbage, params.eta_params().l) <= budget
+    return w_circuit, circuit and circuit_qubits(w, rho_garbage, params.eta.l) <= budget
 
 
 def _stage_level(circuit: bool, perturbation: float) -> str:
@@ -207,9 +206,8 @@ def build_w_sigma(
     t_sigma; ``stage_levels`` picks the level.  Its output state then goes
     through the two-query purified-state-to-unitary construction.
     """
-    sp = params.sigma_params()
-    out = build_sqrt_unitary(sigma_prep.factor, sp, circuit, qubit_budget=params.qubit_budget,
-                             seed=seed)
+    out = build_sqrt_unitary(sigma_prep.factor, params.sigma, circuit,
+                             qubit_budget=params.qubit_budget, seed=seed)
     # the output as a purification: its factor on [system and ancillas, garbage]
     prepared = Purification(out.state.reshape(-1, out.state.shape[-1]))
     _, w_block = purification_to_unitary_be(prepared, qubit_budget=params.qubit_budget)
@@ -222,7 +220,6 @@ def build_w_sigma(
         kappa_sigma=params.kappa_sigma,
         w_sigma_error=scaled_block_error(block, out.target_sqrt, params.kappa_sigma),
         sim_level=_stage_level(circuit, params.perturbation),
-        o_sigma_queries_per_use=2 * preparer_queries(sp),
     )
 
 
@@ -315,21 +312,20 @@ def estimate_fidelity(
     w = build_w_sigma(sigma_prep, params, w_circuit, seed=w_seed)
     eta = build_eta(rho_prep, w)
 
-    ep = params.eta_params()
-    if eta_circuit and ep.perturbation:
+    if eta_circuit and params.perturbation:
         # every gate is the identity on W's ancillas: the circuit runs on eta's rows with them zero
-        x = build_sqrt_unitary(eta.m, ep, eta_circuit, qubit_budget=params.qubit_budget,
+        x = build_sqrt_unitary(eta.m, params.eta, eta_circuit, qubit_budget=params.qubit_budget,
                                seed=eta_seed).zero_probability()
     else:
         g = block_spectrum(eta.block).values
-        x = checked_probability(float(np.sum(g * stage_gain(g, ep, eta_circuit) ** 2)))
+        x = checked_probability(float(np.sum(g * stage_gain(g, params.eta, eta_circuit) ** 2)))
 
     x_tilde = qae_estimate(x, params.qae, seed)
     estimate = params.scale * x_tilde
 
     exact = uhlmann_fidelity(rho_prep, sigma_prep)
     delta = qae_error_bound(x, params.qae.M)
-    q_eta = preparer_queries(ep)
+    q_eta = preparer_queries(params.eta)
     qae_uses = 2 * params.qae.M + 1
     return EstimationReport(
         n=n,
@@ -358,7 +354,7 @@ def estimate_fidelity(
         w_sigma_error=w.w_sigma_error,
         eta_block_error=eta.block_error,
         queries_o_rho=qae_uses * q_eta,
-        queries_o_sigma=qae_uses * q_eta * w.o_sigma_queries_per_use,
+        queries_o_sigma=qae_uses * q_eta * 2 * preparer_queries(params.sigma),  # W: 2 extractions
     )
 
 

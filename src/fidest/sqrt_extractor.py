@@ -50,7 +50,7 @@ formed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -287,7 +287,7 @@ def block_spectrum(a_mat: np.ndarray) -> HermitianEigen:
         raise SpectrumOutOfRangeError(
             f"encoded spectrum [{w[-1]:.3e}, {w[0]:.3e}] outside [0, 1]"
         )
-    return HermitianEigen(values=np.clip(w, 0.0, 1.0), vectors=eig.vectors)
+    return replace(eig, values=np.clip(w, 0.0, 1.0))
 
 
 def _phase_estimate(lam: np.ndarray, params: SqrtParams) -> tuple[np.ndarray, np.ndarray]:

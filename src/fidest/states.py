@@ -2,14 +2,14 @@
 instances, and the ground-truth oracles: fidelity (by eigendecomposition on
 density operators, by Uhlmann's theorem on purifications) and trace distance.
 
-A purification of a rank-r state on n qubits is its 2^n x 2^g factor M, with
-at least r columns; the prepared state is M M^dagger."""
+A density operator is checked once, at construction, by one ``eig_hermitian``
+call.  A purification of a rank-r state on n qubits is its 2^n x 2^g factor M,
+with at least r columns; the prepared state is M M^dagger."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -17,13 +17,11 @@ from .errors import (
     DimensionMismatchError,
     InsufficientAncillaError,
     NegativeEigenvalueError,
-    NotHermitianError,
     RankOutOfRangeError,
 )
 from .linalg import (
     HermitianEigen,
     eig_hermitian,
-    hermiticity_defect,
     operator_norm,
     sqrtm_psd,
     trace_norm,
@@ -39,37 +37,31 @@ NORM_TOL = 1e-10
 class DensityOperator:
     """Hermitian, PSD, unit-trace matrix on a qubit register.
 
-    ``rank`` is the numerical rank at threshold 1e-9.  The eigendecomposition
-    is computed once and cached; instances are immutable.
+    ``rank`` is the numerical rank at threshold 1e-9, and ``eigen`` the
+    decomposition its one ``eig_hermitian`` call made; instances are immutable.
     """
 
     matrix: np.ndarray
     qubits: int = field(init=False)
     rank: int = field(init=False)
+    eigen: HermitianEigen = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+        m = np.asarray(self.matrix, dtype=complex)
         d = m.shape[0]
         if m.shape != (d, d) or d & (d - 1) or d == 0:
             raise DimensionMismatchError(f"not a square power-of-two matrix: {m.shape}")
-        defect = hermiticity_defect(m)
-        if defect > PSD_TOL:
-            raise NotHermitianError(f"density operator defect {defect:.3e} > {PSD_TOL:.1e}")
-        m = (m + m.conj().T) / 2
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        eigen = eig_hermitian(m, PSD_TOL)
+        object.__setattr__(self, "matrix", eigen.matrix)
+        object.__setattr__(self, "eigen", eigen)
         object.__setattr__(self, "qubits", d.bit_length() - 1)
-        w = self.eigen.values
+        w = eigen.values
         if w[-1] < -PSD_TOL:
             raise NegativeEigenvalueError(f"eigenvalue {w[-1]:.3e} below -{PSD_TOL:.1e}")
-        tr = float(np.trace(m).real)
+        tr = float(np.trace(eigen.matrix).real)
         if abs(tr - 1.0) > PSD_TOL:
             raise ValueError(f"trace {tr} is not 1 within {PSD_TOL:.1e}")
         object.__setattr__(self, "rank", int(np.sum(w > RANK_THRESHOLD)))
-
-    @cached_property
-    def eigen(self) -> HermitianEigen:
-        return eig_hermitian(self.matrix)
 
     @property
     def dim(self) -> int:
@@ -88,7 +80,14 @@ class DensityOperator:
         kind = data.get("kind") if isinstance(data, dict) else None
         if kind != "density":
             raise ValueError(f"not a density-operator record: kind={kind!r}")
+        missing = [key for key in ("qubits", "entries") if key not in data]
+        if missing:
+            raise ValueError(f"density-operator record has no {missing[0]!r}")
         qubits = int(data["qubits"])
+        for i, pair in enumerate(data["entries"]):
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and all(isinstance(v, (int, float)) for v in pair)):
+                raise ValueError(f"entry {i} is not a [re, im] pair of numbers: {pair!r}")
         entries = np.array([complex(re, im) for re, im in data["entries"]])
         if qubits < 0 or len(entries) != 4**qubits:
             raise ValueError(f"{len(entries)} entries for {qubits} qubits, not 4^qubits")
@@ -191,9 +190,8 @@ def purify(rho: DensityOperator, ancilla_qubits: int) -> Purification:
         raise InsufficientAncillaError(
             f"{ancilla_qubits} ancilla qubits cannot hold rank {rho.rank}"
         )
-    w = np.maximum(rho.eigen.values[: rho.rank], 0.0)
     m = np.zeros((rho.dim, 1 << ancilla_qubits), dtype=complex)
-    m[:, : rho.rank] = rho.eigen.vectors[:, : rho.rank] * np.sqrt(w)
+    m[:, : rho.rank] = rho.eigen.vectors[:, : rho.rank] * np.sqrt(rho.eigen.values[: rho.rank])
     m /= np.linalg.norm(m)
     p = Purification(m)
     roundtrip = operator_norm(p.traced_matrix() - rho.matrix)
@@ -206,7 +204,7 @@ def fidelity_exact(rho: DensityOperator, sigma: DensityOperator) -> float:
     """tr sqrt( sqrt(sigma) rho sqrt(sigma) ), the oracle for density operators.
 
     Evaluated as the trace norm of sqrt(rho) sqrt(sigma), both roots from the
-    operators' cached eigendecompositions.  On a low-rank state those hold
+    operators' stored eigendecompositions.  On a low-rank state those hold
     rounding eigenvalues near 1e-17, whose square roots (near 3e-9) enter the
     product, so the value can be off by about 1e-8; ``uhlmann_fidelity`` on
     purifications takes no square root.

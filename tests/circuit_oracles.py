@@ -1,11 +1,11 @@
-"""Gates of the dense extraction circuit, as 2^q x 2^q matrices, the
-phase-estimation amplitudes as the per-grid-point DFT sum, the extraction
-run on whole registers, and perfect phase estimation's output as the
-spectral sum: reference oracles for the tests.
+"""Gates of the dense extraction circuit, as 2^q x 2^q matrices, and their
+product, the phase-estimation amplitudes as the per-grid-point DFT sum, the
+extraction run on whole registers, and perfect phase estimation's output as
+the spectral sum: reference oracles for the tests.
 
 The estimate path never forms a gate matrix; it applies each gate to state
-arrays.  The tests multiply these gates out (``dense_circuit`` in
-``test_sqrt_extractor.py``) and check the path's states against the product.
+arrays.  The tests multiply these gates out (``dense_circuit``) and check the
+path's states, and the perturbed reports built on them, against the product.
 The path also never forms W's columns or eta's whole factor: ``w_columns``
 and ``perturbed_circuit_on_whole_factor`` rebuild both, so the tests can run
 a perturbed eta stage on all of W's register.
@@ -27,6 +27,7 @@ from fidest.sqrt_extractor import (
     sine_state,
 )
 from fidest.states import Purification
+from register_oracles import layout, project_zero
 
 
 def expm_i(m: np.ndarray, s: float = 1.0, tol: float = HERMITIAN_TOL) -> np.ndarray:
@@ -109,3 +110,45 @@ def perturbed_circuit_on_whole_factor(
     x = np.einsum("abt,ietbg->ietag", rotations, x)
     x = np.einsum("tji,jetfg->ietfg", phases.conj(), np.fft.ifft(x, axis=2, norm="ortho"))
     return reflect(window, x, axis=2, adjoint=True)
+
+
+def _on(op, dims, axes):
+    """Dense matrix of ``op`` acting on the register axes ``axes`` (in that
+    order) of a register with segment dimensions ``dims``, identity elsewhere."""
+    rest = [i for i in range(len(dims)) if i not in axes]
+    d = int(np.prod(dims))
+    full = np.kron(op, np.eye(d // op.shape[0])).reshape([dims[i] for i in axes + rest] * 2)
+    inv = list(np.argsort(axes + rest))
+    return full.transpose(inv + [len(dims) + i for i in inv]).reshape(d, d)
+
+
+def dense_circuit(p, n_enc, params, seed=0):
+    """The extraction circuit as one dense unitary on [system, encoding, pe,
+    flag, garbage], multiplied out of np.kron lifts of its gates, with the
+    reflections as the preparer and the sine-window loader: the reference
+    that build_sqrt_unitary's output state must be the first column of."""
+    n_sys, T = p.system_qubits - n_enc, params.T
+    dims = [1 << n_sys, 1 << n_enc, T, 2, 1 << p.garbage_qubits]
+    d = int(np.prod(dims))
+    assert d <= 1 << 10
+    lay = layout(("system", n_sys), ("encoding", n_enc))
+    a = project_zero(p.traced_matrix(), lay, ["encoding"])
+    rng = np.random.default_rng(seed)
+    ctrl = np.zeros((dims[0], T, dims[0], T), dtype=complex)
+    for tau in range(T):
+        w_tau = expm_i(a, tau * params.t / (3.0 * T)) * np.exp(2j * np.pi * tau / 3)
+        if params.perturbation > 0 and tau:
+            g = rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape)
+            h = (g + g.conj().T) / 2
+            w_tau = w_tau @ expm_i(h / np.linalg.norm(h, 2), params.perturbation)
+        ctrl[:, tau, :, tau] = w_tau
+    rot = np.zeros((T, 2, T, 2), dtype=complex)
+    for k in range(T):
+        rot[k, :, k, :] = rotation_gate(k, params)
+    jk = np.arange(T)
+    inverse_qft = np.exp(-2j * np.pi * np.outer(jk, jk) / T) / np.sqrt(T)
+    prep = _on(reflect(p.factor, np.eye(d // (2 * T)), axis=0), dims, [0, 1, 4])
+    window = _on(reflect(sine_state(T), np.eye(T), axis=0), dims, [2])
+    pe = _on(inverse_qft, dims, [2]) @ _on(ctrl.reshape(dims[0] * T, -1), dims, [0, 2])
+    flag = _on(rot.reshape(2 * T, -1), dims, [2, 3])
+    return window.conj().T @ pe.conj().T @ flag @ pe @ window @ prep

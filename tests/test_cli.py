@@ -429,6 +429,21 @@ def test_config_key_that_is_no_flag_of_the_subcommand_exits_3(tmp_path, capsys, 
                  "3 entries for 1 qubits, not 4^qubits", id="entry-count"),
     pytest.param(json.dumps({"kind": "density", "qubits": -1, "entries": [[1, 0]]}),
                  "1 entries for -1 qubits, not 4^qubits", id="negative-qubits"),
+    pytest.param(json.dumps({"kind": "density"}),
+                 "density-operator record has no 'qubits'", id="no-qubits"),
+    pytest.param(json.dumps({"kind": "density", "qubits": 1}),
+                 "density-operator record has no 'entries'", id="no-entries"),
+    pytest.param(json.dumps({"kind": "density", "qubits": 1,
+                             "entries": [[1, 0], [0, 0], [0], [0, 0]]}),
+                 "entry 2 is not a [re, im] pair of numbers: [0]", id="one-element-entry"),
+    pytest.param(json.dumps({"kind": "density", "qubits": 1,
+                             "entries": [[1, 0], [0, 0, 0], [0, 0], [0, 0]]}),
+                 "entry 1 is not a [re, im] pair of numbers: [0, 0, 0]", id="three-element-entry"),
+    pytest.param(json.dumps({"kind": "density", "qubits": 1,
+                             "entries": [[1, 0], [0, 0], [0, 0], ["0", 0]]}),
+                 "entry 3 is not a [re, im] pair of numbers: ['0', 0]", id="string-entry"),
+    pytest.param(json.dumps({"kind": "density", "qubits": 1, "entries": [1, 0, 0, 0]}),
+                 "entry 0 is not a [re, im] pair of numbers: 1", id="bare-number-entry"),
 ])
 def test_malformed_load_file_exits_3_naming_it(tmp_path, capsys, text, message):
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"

@@ -13,6 +13,7 @@ from fidest import (
     PipelineParams,
     Purification,
     QaeParams,
+    SqrtParams,
     ancilla_qubits_for,
     build_eta,
     build_sqrt_unitary,
@@ -28,7 +29,8 @@ from fidest import (
     unitarity_defect,
 )
 import fidest.pipeline as pipeline_module
-from circuit_oracles import perturbed_circuit_on_whole_factor, w_columns
+from circuit_oracles import (dense_circuit, ideal_output, perturbed_circuit_on_whole_factor,
+                             w_columns)
 from fidest.errors import InfeasibleParamsError, RegisterTooLargeError
 from fidest.registers import circuit_qubits, w_qubits
 from fidest.pipeline import (
@@ -61,7 +63,7 @@ def test_w_sigma_block_approximates_scaled_sqrt(prep, sigma, name):
         target = sqrtm_psd(sigma.matrix) / (4 * math.sqrt(ks))
         # perfect-phase-estimation block sits within 1/(4 kappa) of the target
         assert operator_norm(w.block - target) <= 1 / (4 * ks) + 1e-9
-        out = build_sqrt_unitary(prep(sigma).factor, params.sigma_params(), circuit=False)
+        out = build_sqrt_unitary(prep(sigma).factor, params.sigma, circuit=False)
         assert unitarity_defect(w_columns(out, 1)) <= 1e-9
         assert w.w_sigma_error <= 1.0 * (ks**-0.5 + ks**1.5 / params.t_sigma)
 
@@ -74,7 +76,7 @@ def test_w_sigma_circuit_level_meets_theta_bound(prep):
     sigma = random_density(1, 2, seed=3)
     w = build_w_sigma(prep(sigma), params, circuit=True)
     assert w.sim_level == "circuit-pe"
-    out = build_sqrt_unitary(prep(sigma).factor, params.sigma_params())
+    out = build_sqrt_unitary(prep(sigma).factor, params.sigma)
     assert unitarity_defect(w_columns(out, 1)) <= 1e-9
     assert w.w_sigma_error <= 1.0 * (4.0**-0.5 + 4.0**1.5 / 8)
 
@@ -118,7 +120,7 @@ def test_w_sigma_block_is_its_extraction_block(prep, level, perturbation, label)
     )
     sigma_prep = prep(random_density(1, 2, seed=3))
     circuit = level == "circuit-pe"
-    out = build_sqrt_unitary(sigma_prep.factor, params.sigma_params(), circuit, seed=0)
+    out = build_sqrt_unitary(sigma_prep.factor, params.sigma, circuit, seed=0)
     w = build_w_sigma(sigma_prep, params, circuit, seed=0)
     assert w.sim_level == label
     np.testing.assert_allclose(w.block, out.block(), rtol=0, atol=1e-12)  # shapes too
@@ -147,7 +149,7 @@ def test_eta_equal_pure_states(prep):
     bound = 16.0**-1.5 + 16.0**0.5 / 256 + 16.0**2 / 256**2
     assert operator_norm(eta.block - ref) <= bound
     # eta's whole factor, W's columns times rho's factor, is a unit-trace state
-    out = build_sqrt_unitary(prep(Z0).factor, params.sigma_params(), circuit=False)
+    out = build_sqrt_unitary(prep(Z0).factor, params.sigma, circuit=False)
     columns = w_columns(out, 1)
     eta_prep = Purification(columns @ prep(Z0).factor)
     assert abs(np.trace(eta_prep.traced_matrix()).real - 1) <= 1e-9
@@ -539,7 +541,7 @@ def _inline_level_rule(n, rho_garbage, sigma_garbage, params):
     (circuit only) and flag; W is twice that plus sigma's garbage; eta is W
     plus rho's garbage; eta's circuit adds its pe register and flag."""
     budget, circuit = params.qubit_budget, params.sim_level == "circuit-pe"
-    ls, l = params.sigma_params().l, params.eta_params().l
+    ls, l = params.sigma.l, params.eta.l
     w_circuit = circuit and 2 * (n + ls + 1) + sigma_garbage + rho_garbage <= budget
     if w_circuit and n + ls + 1 + sigma_garbage > budget:
         return (f"circuit needs {n + ls + 1 + sigma_garbage} qubits, budget is {budget}; "
@@ -607,7 +609,8 @@ def test_estimate_builds_circuits_and_densities_only_where_needed(
     """The circuit-pe calls of the benchmark: an unperturbed estimate forms no
     density operator and runs an extraction circuit only for a circuit-level
     sigma stage; a perturbed eta stage still runs its circuit, on eta's rows
-    with W's ancillas zero, and forms no purification."""
+    with W's ancillas zero, and forms no purification.  No estimate builds a
+    stage's SqrtParams: both are built once, with the PipelineParams."""
     rho_prep = purify(random_density(1, 1, seed=3), ancillas)
     sigma_prep = purify(random_density(1, rank_sigma, seed=4), ancillas)
     params = PipelineParams(
@@ -617,9 +620,10 @@ def test_estimate_builds_circuits_and_densities_only_where_needed(
     densities = _counting(monkeypatch, DensityOperator, "__post_init__")
     circuits = _counting(monkeypatch, pipeline_module, "build_sqrt_unitary")
     purifications = _counting(monkeypatch, Purification, "__post_init__")
+    stage_records = _counting(monkeypatch, SqrtParams, "__post_init__")
     rep = estimate_fidelity(rho_prep, sigma_prep, params, seed=1)
     assert rep.sim_level_eta == level
-    assert len(densities) == 0
+    assert len(densities) == len(stage_records) == 0
     # the sigma stage runs on a state's factor at its level, the eta stage
     # on eta's zero rows; the third argument is the level, true for a circuit
     factors = [rho_prep.factor, sigma_prep.factor]
@@ -661,14 +665,86 @@ def test_perturbed_eta_circuit_on_its_zero_rows_gives_the_whole_factors_x():
         assert rep.sim_level_sigma == ("circuit-pe-perturbed" if circuit_w else "ideal-spectral")
         rho, sigma, *_ = _role_order(rho, sigma)
         w_seed, eta_seed = np.random.SeedSequence(trial).spawn(2)
-        sp = params.sigma_params()
-        out = build_sqrt_unitary(sigma.factor, sp, circuit_w, seed=w_seed)
+        out = build_sqrt_unitary(sigma.factor, params.sigma, circuit_w, seed=w_seed)
         eta_prep = Purification(w_columns(out, n) @ rho.factor)  # eta's whole factor
         state = perturbed_circuit_on_whole_factor(
-            eta_prep, eta_prep.system_qubits - n, params.eta_params(), eta_seed
+            eta_prep, eta_prep.system_qubits - n, params.eta, eta_seed
         )
         zero = state[:, 0, 0, 0, :]  # W's ancillas, pe and flag zero
         assert math.isclose(rep.x, np.vdot(zero, zero).real, rel_tol=1e-12, abs_tol=0)
+
+
+def test_w_block_is_the_extraction_block_on_drawn_calls():
+    """W's kept block, from the two-query construction, equals the block of
+    the extraction output it is built from within 1e-13: 120 drawn calls, n
+    1-3, ranks 1-3, both levels (a circuit W at n <= 2: at n = 3 it exceeds
+    the default budget), perturbation 0 and 0.05.  This is the lemma that
+    lets W's block be read off the output without building W."""
+    rng = np.random.default_rng(26)
+    worst, seen = 0.0, set()
+    for trial in range(120):
+        n, perturbation = 1 + trial % 3, (0.0, 0.05)[trial // 2 % 2]
+        circuit = trial % 2 == 0 and n < 3
+        rank = int(rng.integers(1, min(3, 1 << n) + 1))
+        sigma = purify(random_density(n, rank, seed=trial), ancilla_qubits_for(rank))
+        params = PipelineParams(
+            kappa_sigma=float(rng.choice([4, 16])), t_sigma=8, kappa=16.0, t=8,
+            qae=QaeParams(M=64), sim_level="circuit-pe", perturbation=perturbation,
+        )
+        seed = np.random.SeedSequence(trial)
+        w = build_w_sigma(sigma, params, circuit, seed=seed)
+        out = build_sqrt_unitary(sigma.factor, params.sigma, circuit, seed=seed)
+        assert w.block.shape == out.block().shape
+        worst = max(worst, float(np.max(np.abs(w.block - out.block()))))
+        seen.add((n, circuit, perturbation))
+    assert worst <= 1e-13
+    assert len(seen) == 10  # each n at each level it fits, perturbed and not
+
+
+def test_perturbed_reports_match_dense_gate_products():
+    """A perturbed estimate's w_sigma_error (circuit W, ideal eta) and x
+    (ideal W, perturbed eta circuit) against the same stage multiplied out of
+    dense gates of at most 2^9 dimensions (``dense_circuit``), each drawing
+    its noise from the estimate's own SeedSequence(seed).spawn(2) child: 20
+    seeds each, n 1-2, agreeing within 1e-10."""
+    rng = np.random.default_rng(8)
+    for seed in range(40):
+        circuit_w, n = seed % 2 == 0, 1 + seed // 2 % 2
+        ranks = [int(rng.integers(1, (2 if circuit_w else min(3, 1 << n)) + 1)) for _ in range(2)]
+        rho, sigma = (purify(random_density(n, r, seed=100 * seed + i), ancilla_qubits_for(r))
+                      for i, r in enumerate(ranks))
+        params = PipelineParams(
+            kappa_sigma=float(rng.choice([4, 16])), t_sigma=8 if circuit_w else 1 << 20,
+            kappa=float(rng.choice([16, 64])), t=1 << 20 if circuit_w else 8,
+            qae=QaeParams(M=64), sim_level="circuit-pe",
+            perturbation=float(rng.uniform(0.01, 0.1)),
+        )
+        rep = estimate_fidelity(rho, sigma, params, seed=seed)
+        assert (rep.sim_level_sigma, rep.sim_level_eta) == (
+            ("circuit-pe-perturbed", "ideal-spectral") if circuit_w
+            else ("ideal-spectral", "circuit-pe-perturbed"))
+        rho, sigma, *_ = _role_order(rho, sigma)
+        w_seed, eta_seed = np.random.SeedSequence(seed).spawn(2)
+        if circuit_w:
+            # the circuit on sigma's state, no encoding qubits: its first column
+            u = dense_circuit(sigma, 0, params.sigma, seed=w_seed)
+            zero = u[:, 0].reshape(1 << n, params.sigma.T, 2, -1)[:, 0, 0, :]
+            block = zero @ zero.conj().T
+            target = sqrtm_psd(sigma.traced_matrix())
+            error = operator_norm(4 * math.sqrt(params.kappa_sigma) * block - target)
+            assert abs(rep.w_sigma_error - error) <= 1e-10
+            continue
+        # the ideal W's block from the spectral sum, eta's rows under it, and a
+        # state on [system, encoding, garbage] whose encoding-zero rows they are
+        w_zero = ideal_output(sigma.factor, params.sigma)[:, 0, 0, :]
+        m = w_zero @ w_zero.conj().T @ rho.factor
+        state = np.zeros((1 << n, 2, m.shape[1]), dtype=complex)
+        state[:, 0, :] = m
+        state[0, 1, 0] = math.sqrt(1.0 - np.vdot(m, m).real)
+        p = Purification(state.reshape(2 << n, -1))
+        u = dense_circuit(p, 1, params.eta, seed=eta_seed)
+        zero = u[:, 0].reshape(1 << n, 2, params.eta.T, 2, -1)[:, 0, 0, 0, :]
+        assert abs(rep.x - np.vdot(zero, zero).real) <= 1e-10
 
 
 def test_perturbed_eta_circuit_memory_follows_the_rows_it_reads():

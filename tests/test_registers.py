@@ -117,7 +117,7 @@ def test_register_rule_counts_the_arrays_built(level, perturbation, label):
         sim_level=level, perturbation=perturbation,
     )
     n, g_sigma, g_rho = 1, sigma_prep.garbage_qubits, rho_prep.garbage_qubits
-    sp, ep = params.sigma_params(), params.eta_params()
+    sp, ep = params.sigma, params.eta
     w_circuit, _ = stage_levels(n, g_rho, g_sigma, params)
     assert w_circuit == (level == "circuit-pe")
     w = build_w_sigma(sigma_prep, params, w_circuit, seed=1)

@@ -33,8 +33,7 @@ from fidest.errors import (
     RegisterTooLargeError,
     SpectrumOutOfRangeError,
 )
-from fidest.linalg import reflect
-from circuit_oracles import expm_i, ideal_output, pe_coefficient_sum, rotation_gate
+from circuit_oracles import dense_circuit, ideal_output, pe_coefficient_sum, rotation_gate
 from register_oracles import density_with_block, layout, partial_trace, project_zero
 from fidest.sqrt_extractor import (SqrtOutput, _branch_amplitudes, block_spectrum,
                                    scaled_block_error)
@@ -51,48 +50,6 @@ def zero_slice(p, n_enc):
     """M: the state ``p`` prepares on [system, encoding, garbage] with the
     encoding qubits zero, on [system, garbage]."""
     return p.factor.reshape(1 << (p.system_qubits - n_enc), 1 << n_enc, -1)[:, 0, :]
-
-
-def _on(op, dims, axes):
-    """Dense matrix of ``op`` acting on the register axes ``axes`` (in that
-    order) of a register with segment dimensions ``dims``, identity elsewhere."""
-    rest = [i for i in range(len(dims)) if i not in axes]
-    d = int(np.prod(dims))
-    full = np.kron(op, np.eye(d // op.shape[0])).reshape([dims[i] for i in axes + rest] * 2)
-    inv = list(np.argsort(axes + rest))
-    return full.transpose(inv + [len(dims) + i for i in inv]).reshape(d, d)
-
-
-def dense_circuit(p, n_enc, params, seed=0):
-    """The extraction circuit as one dense unitary on [system, encoding, pe,
-    flag, garbage], multiplied out of np.kron lifts of its gates, with the
-    reflections as the preparer and the sine-window loader: the reference
-    that build_sqrt_unitary's output state must be the first column of."""
-    n_sys, T = p.system_qubits - n_enc, params.T
-    dims = [1 << n_sys, 1 << n_enc, T, 2, 1 << p.garbage_qubits]
-    d = int(np.prod(dims))
-    assert d <= 1 << 10
-    lay = layout(("system", n_sys), ("encoding", n_enc))
-    a = project_zero(p.traced_matrix(), lay, ["encoding"])
-    rng = np.random.default_rng(seed)
-    ctrl = np.zeros((dims[0], T, dims[0], T), dtype=complex)
-    for tau in range(T):
-        w_tau = expm_i(a, tau * params.t / (3.0 * T)) * np.exp(2j * np.pi * tau / 3)
-        if params.perturbation > 0 and tau:
-            g = rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape)
-            h = (g + g.conj().T) / 2
-            w_tau = w_tau @ expm_i(h / np.linalg.norm(h, 2), params.perturbation)
-        ctrl[:, tau, :, tau] = w_tau
-    rot = np.zeros((T, 2, T, 2), dtype=complex)
-    for k in range(T):
-        rot[k, :, k, :] = rotation_gate(k, params)
-    jk = np.arange(T)
-    inverse_qft = np.exp(-2j * np.pi * np.outer(jk, jk) / T) / np.sqrt(T)
-    prep = _on(reflect(p.factor, np.eye(d // (2 * T)), axis=0), dims, [0, 1, 4])
-    window = _on(reflect(sine_state(T), np.eye(T), axis=0), dims, [2])
-    pe = _on(inverse_qft, dims, [2]) @ _on(ctrl.reshape(dims[0] * T, -1), dims, [0, 2])
-    flag = _on(rot.reshape(2 * T, -1), dims, [2, 3])
-    return window.conj().T @ pe.conj().T @ flag @ pe @ window @ prep
 
 
 def test_params_validation():
