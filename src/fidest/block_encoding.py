@@ -11,15 +11,12 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import operator_norm, reflection, unitarity_defect
-from .registers import DEFAULT_QUBIT_BUDGET, check_budget, w_qubits
 from .states import NORM_TOL, Purification
 
 BE_TOL = 1e-9
 
 
-def purification_to_unitary_be(
-    p: Purification, qubit_budget: int = DEFAULT_QUBIT_BUDGET
-) -> tuple[np.ndarray, np.ndarray]:
+def purification_to_unitary_be(p: Purification) -> tuple[np.ndarray, np.ndarray]:
     """W's columns on its ancilla-zero inputs and W's block, for W the exact
     unitary block-encoding of the density operator a purification prepares.
 
@@ -34,9 +31,9 @@ def purification_to_unitary_be(
     -conj(phase), V = v on [main, garbage] and S = psi V^dagger.  The columns
     (rows on [system, mirror, enc_garbage]) are checked orthonormal within
     NORM_TOL and their block (rows j 2^(main + garbage)) equal to the prepared
-    density within BE_TOL; either failure raises ValueError.
+    density within BE_TOL; either failure raises ValueError.  W's register is
+    sized against the qubit budget by ``pipeline.stage_levels``, not here.
     """
-    check_budget("construction", w_qubits(p.system_qubits, p.garbage_qubits), qubit_budget)
     dm = len(p.factor)
     phase, v, c = reflection(p.factor)
     s = -np.conj(phase)

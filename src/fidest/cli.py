@@ -400,7 +400,7 @@ def main(argv=None) -> int:
     except InfeasibleParamsError as exc:
         print(f"infeasible parameters: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (FidestError, ValueError, TypeError) as exc:
+    except (FidestError, ValueError, TypeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

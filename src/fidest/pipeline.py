@@ -206,11 +206,10 @@ def build_w_sigma(
     t_sigma; ``stage_levels`` picks the level.  Its output state then goes
     through the two-query purified-state-to-unitary construction.
     """
-    out = build_sqrt_unitary(sigma_prep.factor, params.sigma, circuit,
-                             qubit_budget=params.qubit_budget, seed=seed)
+    out = build_sqrt_unitary(sigma_prep.factor, params.sigma, circuit, seed=seed)
     # the output as a purification: its factor on [system and ancillas, garbage]
     prepared = Purification(out.state.reshape(-1, out.state.shape[-1]))
-    _, w_block = purification_to_unitary_be(prepared, qubit_budget=params.qubit_budget)
+    _, w_block = purification_to_unitary_be(prepared)
     # W's block rows with the output's ancillas zero, copied to free W's columns
     keep = slice(None, None, prepared.factor.shape[0] >> sigma_prep.system_qubits)
     block = np.array(w_block[keep, keep])
@@ -314,8 +313,7 @@ def estimate_fidelity(
 
     if eta_circuit and params.perturbation:
         # every gate is the identity on W's ancillas: the circuit runs on eta's rows with them zero
-        x = build_sqrt_unitary(eta.m, params.eta, eta_circuit, qubit_budget=params.qubit_budget,
-                               seed=eta_seed).zero_probability()
+        x = build_sqrt_unitary(eta.m, params.eta, eta_circuit, seed=eta_seed).zero_probability()
     else:
         g = block_spectrum(eta.block).values
         x = checked_probability(float(np.sum(g * stage_gain(g, params.eta, eta_circuit) ** 2)))

@@ -1,8 +1,8 @@
-"""The qubit budget and the register rule: the qubits each construction
-commits, and the one check of a count against the budget.  A purification
-commits its main register (system and encoding) and its garbage.  A level
-counts the register a stage commits, not the array it simulates: a perturbed
-eta circuit commits W's register but runs on eta's rows with W's ancillas zero."""
+"""The qubit budget and the register rule: the qubits each construction commits,
+and the one budget check, made by ``pipeline.stage_levels`` alone.  A purification
+commits its main register (system and encoding) and its garbage.  A level counts
+the register a stage commits, not the array it simulates: a perturbed eta circuit
+commits W's register but runs on eta's rows with W's ancillas zero."""
 
 from .errors import RegisterTooLargeError
 
@@ -27,8 +27,8 @@ def circuit_qubits(main: int, garbage: int, l: int) -> int:
     return main + garbage + l + 1
 
 
-def check_budget(construction: str, qubits: int, budget: int, advice: str = "") -> None:
+def check_budget(construction: str, qubits: int, budget: int) -> None:
     """Raise RegisterTooLargeError when ``qubits`` exceed ``budget``."""
     if qubits > budget:
-        msg = f"{construction} needs {qubits} qubits, budget is {budget}{advice}"
+        msg = f"{construction} needs {qubits} qubits, budget is {budget}"
         raise RegisterTooLargeError(msg)

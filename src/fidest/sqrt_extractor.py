@@ -64,7 +64,6 @@ from .errors import (
 )
 from .linalg import (HermitianEigen, eig_hermitian, operator_norm, random_near_identity,
                      reflect, sqrtm_psd)
-from .registers import DEFAULT_QUBIT_BUDGET, check_budget, circuit_qubits
 from .states import check_factor_shape
 
 SPECTRUM_TOL = 1e-9
@@ -335,7 +334,6 @@ def build_sqrt_unitary(
     m: np.ndarray,
     params: SqrtParams,
     circuit: bool = True,
-    qubit_budget: int = DEFAULT_QUBIT_BUDGET,
     seed: int | np.random.SeedSequence = 0,
 ) -> SqrtOutput:
     """Run the extraction on M, the 2^n x 2^b factor of A = M M^dagger, as
@@ -346,9 +344,9 @@ def build_sqrt_unitary(
     a separately supplied matrix.  The circuit is the sine-window reflection
     on pe, the controlled phases (exp(i tau theta) on pe value tau), the
     inverse QFT on pe, a rotation of the flag for each pe value k, and the
-    uncompute of the first three; its register is checked against
-    ``qubit_budget``.  Perfect phase estimation builds no phase register, so
-    t may be arbitrarily deep, and has no perturbation.
+    uncompute of the first three; ``pipeline.stage_levels`` sizes its register
+    before the pipeline runs it.  Perfect phase estimation builds no phase
+    register, so t may be arbitrarily deep, and has no perturbation.
 
     Unperturbed, eigenbranch (lambda_k, v_k) of A takes |0>_pe |0>_flag to
     a_k, its branch amplitudes at the level: the output is sum_k v_k (x) a_k
@@ -363,9 +361,6 @@ def build_sqrt_unitary(
     check_factor_shape(m)
     eig = block_spectrum(m @ m.conj().T)
     (dn, dg), v, T, sqrt_a = m.shape, eig.vectors, params.T, sqrtm_psd(eig)
-    if circuit:
-        check_budget("circuit", circuit_qubits(dn.bit_length() - 1, dg.bit_length() - 1, params.l),
-                     qubit_budget, "; use the ideal-spectral level instead")
     if not (circuit and params.perturbation):  # each eigenbranch runs alone
         a = _branch_amplitudes(eig.values, params, circuit)
         x = np.einsum("ik,ktf,kg->itfg", v, a, v.conj().T @ m)

@@ -48,7 +48,7 @@ class DensityOperator:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        d = m.shape[0]
+        d = m.shape[0] if m.ndim else 0
         if m.shape != (d, d) or d & (d - 1) or d == 0:
             raise DimensionMismatchError(f"not a square power-of-two matrix: {m.shape}")
         eigen = eig_hermitian(m, PSD_TOL)
@@ -89,7 +89,7 @@ class DensityOperator:
                     and all(isinstance(v, (int, float)) for v in pair)):
                 raise ValueError(f"entry {i} is not a [re, im] pair of numbers: {pair!r}")
         entries = np.array([complex(re, im) for re, im in data["entries"]])
-        if qubits < 0 or len(entries) != 4**qubits:
+        if not 0 <= qubits < len(entries).bit_length() or len(entries) != 4**qubits:
             raise ValueError(f"{len(entries)} entries for {qubits} qubits, not 4^qubits")
         return DensityOperator(entries.reshape(1 << qubits, -1))
 

@@ -76,7 +76,7 @@ def w_columns(out: SqrtOutput, n: int) -> np.ndarray:
     the extraction output ``out`` on n system qubits as ``build_w_sigma``
     builds it: rows on [system, w_anc], W's whole register."""
     prepared = Purification(out.state.reshape(-1, out.state.shape[-1]))
-    columns, _ = purification_to_unitary_be(prepared, qubit_budget=64)
+    columns, _ = purification_to_unitary_be(prepared)
     return columns[:, :: prepared.factor.shape[0] >> n]
 
 

@@ -7,6 +7,7 @@ import resource
 import shlex
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -429,6 +430,8 @@ def test_config_key_that_is_no_flag_of_the_subcommand_exits_3(tmp_path, capsys, 
                  "3 entries for 1 qubits, not 4^qubits", id="entry-count"),
     pytest.param(json.dumps({"kind": "density", "qubits": -1, "entries": [[1, 0]]}),
                  "1 entries for -1 qubits, not 4^qubits", id="negative-qubits"),
+    pytest.param(json.dumps({"kind": "density", "qubits": 10**8, "entries": [[1, 0]]}),
+                 "1 entries for 100000000 qubits, not 4^qubits", id="huge-qubits"),
     pytest.param(json.dumps({"kind": "density"}),
                  "density-operator record has no 'qubits'", id="no-qubits"),
     pytest.param(json.dumps({"kind": "density", "qubits": 1}),
@@ -446,14 +449,22 @@ def test_config_key_that_is_no_flag_of_the_subcommand_exits_3(tmp_path, capsys, 
                  "entry 0 is not a [re, im] pair of numbers: 1", id="bare-number-entry"),
 ])
 def test_malformed_load_file_exits_3_naming_it(tmp_path, capsys, text, message):
+    """Refused before anything the size of the record's claims is built:
+    4^qubits for qubits = 10^8 alone is a 25 MB integer."""
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
     random_density(1, 1, seed=5).save(str(good))
     bad.write_text(text)
     for rho, sigma in [(bad, good), (good, bad)]:
-        code, out, err = run(capsys, "estimate", "--load-rho", str(rho), "--load-sigma",
-                             str(sigma), "--eps", "0.5")
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "estimate", "--load-rho", str(rho), "--load-sigma",
+                                 str(sigma), "--eps", "0.5")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert (code, out) == (3, "")
         assert err == f"config error: {bad}: {message}\n"
+        assert peak < 1 << 20
 
 
 def test_sweep_with_an_empty_knob_list_exits_3(tmp_path, capsys):
@@ -556,6 +567,19 @@ def test_knob_set_that_overflows_a_float_exits_3(tmp_path, capsys, command, knob
     code, stdout, err = run(capsys, *argv)
     assert code == 3 and stdout == "" and "overflow the scale or bound" in err
     assert "nan" not in err.lower() and not out.exists()
+
+
+def test_refused_allocation_exits_1_with_one_error_line(capsys, monkeypatch):
+    """numpy's MemoryError (an estimate whose arrays the address space cannot
+    hold) is reported like any other runtime error, without a traceback."""
+    message = "Unable to allocate 8.00 GiB for an array with shape (2, 536870912)"
+
+    def refused(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "estimate_fidelity", refused)
+    code, stdout, err = run(capsys, *ESTIMATE_FLAGS)
+    assert (code, stdout, err) == (1, "", f"error: {message}\n")
 
 
 def test_bound_that_overflows_at_the_instance_rank_exits_1_without_infinity(capsys):

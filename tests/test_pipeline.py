@@ -586,6 +586,44 @@ def test_estimate_refuses_an_unrunnable_pair_before_building(prep, monkeypatch):
         estimate_fidelity(*pair, params, seed=0)
 
 
+def test_estimate_refuses_over_budget_calls_with_the_level_rules_messages(monkeypatch):
+    """Over n 1-4, garbage 0-3 for each role, t_sigma in {8, 2^10, 2^20},
+    budgets 5-22 and both levels, ``estimate_fidelity`` refuses exactly the
+    calls the inline level rule refuses, with its message, before either
+    builder runs; every other call reaches the extraction."""
+    class Built(Exception):
+        pass
+
+    def unbuilt(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(pipeline_module, "build_sqrt_unitary", unbuilt)
+    monkeypatch.setattr(pipeline_module, "purification_to_unitary_be", unbuilt)
+    rng = np.random.default_rng(27)
+    preps = {}
+    for n, garbage in itertools.product(range(1, 5), range(4)):
+        g = rng.standard_normal((2, 1 << n, 1 << garbage))
+        preps[n, garbage] = Purification((g[0] + 1j * g[1]) / np.linalg.norm(g))
+    seen = set()
+    for level, t_sigma, budget in itertools.product(SIM_LEVELS, (8, 1 << 10, 1 << 20),
+                                                    range(5, 23)):
+        params = dataclasses.replace(ideal_params(), sim_level=level, t_sigma=t_sigma,
+                                     qubit_budget=budget)
+        for n, g_rho, g_sigma in itertools.product(range(1, 5), range(4), range(4)):
+            rho, sigma = preps[n, g_rho], preps[n, g_sigma]
+            roles = _role_order(rho, sigma)
+            want = _inline_level_rule(n, roles[0].garbage_qubits, roles[1].garbage_qubits, params)
+            if isinstance(want, tuple):
+                with pytest.raises(Built):
+                    estimate_fidelity(rho, sigma, params, seed=0)
+                continue
+            with pytest.raises(RegisterTooLargeError) as exc:
+                estimate_fidelity(rho, sigma, params, seed=0)
+            assert str(exc.value) == want, (level, budget, n, g_rho, g_sigma)
+            seen.add(want.split(" needs")[0])
+    assert seen == {"construction", "eta register"}
+
+
 def _counting(monkeypatch, owner, name):
     """Replace ``owner.name`` by a wrapper that records each call's arguments."""
     calls, inner = [], getattr(owner, name)

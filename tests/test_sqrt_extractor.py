@@ -30,7 +30,6 @@ from fidest.errors import (
     IndexOutOfRangeError,
     NotPowerOfTwoError,
     OutOfRangeError,
-    RegisterTooLargeError,
     SpectrumOutOfRangeError,
 )
 from circuit_oracles import dense_circuit, ideal_output, pe_coefficient_sum, rotation_gate
@@ -281,20 +280,6 @@ def test_zero_probability_is_the_all_ancillas_zero_weight():
         SqrtOutput(out.params, np.ones_like(out.state), out.target_sqrt).zero_probability()
 
 
-def test_build_unitary_register_budget():
-    with pytest.raises(RegisterTooLargeError):
-        build_sqrt_unitary(pure_prep().factor, SqrtParams(kappa=4.0, t=1 << 12), qubit_budget=14)
-
-
-def test_circuit_over_budget_names_its_register():
-    # 1 system, 12 pe, 1 flag and 1 garbage qubit
-    with pytest.raises(RegisterTooLargeError) as exc:
-        build_sqrt_unitary(pure_prep().factor, SqrtParams(kappa=4.0, t=1 << 12), qubit_budget=14)
-    assert str(exc.value) == (
-        "circuit needs 15 qubits, budget is 14; use the ideal-spectral level instead"
-    )
-
-
 def test_spectrum_guard():
     with pytest.raises(SpectrumOutOfRangeError):
         block_spectrum(np.diag([1.2, 0.0]))
@@ -368,7 +353,7 @@ def test_ideal_level_is_the_spectral_sum():
         m = (g[0] + 1j * g[1]) * math.sqrt(rng.uniform(0.2, 1.0)) / np.linalg.norm(g)
         params = SqrtParams(kappa=float(rng.choice([1, 4, 64])), t=int(rng.choice([8, 1 << 30])),
                             perturbation=float(rng.choice([0.0, 0.1])))
-        out = build_sqrt_unitary(m, params, circuit=False, qubit_budget=1, seed=trial)
+        out = build_sqrt_unitary(m, params, circuit=False, seed=trial)
         assert out.state.shape == (1 << n, 1, 2, 1 << garbage)
         assert np.max(np.abs(out.state - ideal_output(m, params))) <= 1e-13
 
@@ -450,7 +435,7 @@ def test_unperturbed_circuit_peak_memory():
     build_sqrt_unitary(m, SqrtParams(kappa=4.0, t=8))  # first-call allocations
     tracemalloc.start()
     try:
-        out = build_sqrt_unitary(m, params, qubit_budget=16)
+        out = build_sqrt_unitary(m, params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -523,7 +508,7 @@ def test_stage_gain_gives_the_circuit_zero_probability(t):
             g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             m = zero_slice(Purification(g / np.linalg.norm(g)), enc)
             params = SqrtParams(kappa=4.0, t=t)
-            x = build_sqrt_unitary(m, params, qubit_budget=20).zero_probability()
+            x = build_sqrt_unitary(m, params).zero_probability()
             lam = block_spectrum(m @ m.conj().T).values
             gain = stage_gain(lam, params, circuit=True)
             assert math.isclose(np.sum(lam * gain**2), x, rel_tol=1e-12)

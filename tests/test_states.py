@@ -37,6 +37,8 @@ def test_density_validation():
 def test_density_rejects_a_non_square_or_negative_matrix():
     with pytest.raises(DimensionMismatchError, match=r"not a square power-of-two matrix: \(2, 4\)"):
         DensityOperator(np.eye(2, 4) / 2)
+    with pytest.raises(DimensionMismatchError, match=r"not a square power-of-two matrix: \(\)"):
+        DensityOperator(np.array(1.0))
     with pytest.raises(NegativeEigenvalueError, match="eigenvalue -1.000e-06 below -1.0e-09"):
         DensityOperator(np.diag([1.0 + 1e-6, -1e-6]))
 
