@@ -3,7 +3,9 @@
 W is held as its columns on the ancilla-zero inputs, a plain array whose rows
 are ordered [system, mirror, enc_garbage] (system most significant), and its
 block <0|W|0> over mirror and enc_garbage: the rows with both segments zero.
-The full unitary is never formed, and the pipeline keeps only the block.
+The full unitary is never formed, and the pipeline keeps only the block.  W's
+register is counted against the qubit budget by ``registers.stage_levels``
+before the pipeline builds W; nothing here counts a register.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ def purification_to_unitary_be(p: Purification) -> tuple[np.ndarray, np.ndarray]
     (rows on [system, mirror, enc_garbage]) are checked orthonormal within
     NORM_TOL and their block (rows j 2^(main + garbage)) equal to the prepared
     density within BE_TOL; either failure raises ValueError.  W's register is
-    sized against the qubit budget by ``pipeline.stage_levels``, not here.
+    sized against the qubit budget by ``registers.stage_levels``, not here.
     """
     dm = len(p.factor)
     phase, v, c = reflection(p.factor)

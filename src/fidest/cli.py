@@ -33,9 +33,8 @@ from .pipeline import (
     PipelineParams,
     estimate_fidelity,
     select_params,
-    stage_levels,
 )
-from .registers import DEFAULT_QUBIT_BUDGET
+from .registers import DEFAULT_QUBIT_BUDGET, stage_levels
 from .sqrt_extractor import (
     SqrtParams,
     pe_coefficient,
@@ -173,6 +172,9 @@ def cmd_estimate(args) -> int:
     if args.load_rho or args.load_sigma:
         _need(args, "load_rho", "load_sigma")
         rho, sigma = _load(args.load_rho), _load(args.load_sigma)
+        if rho.qubits != sigma.qubits:
+            raise ConfigError(f"{args.load_rho} holds {rho.qubits} qubits, "
+                              f"{args.load_sigma} holds {sigma.qubits}")
         params = _params_from_args(args, min(rho.rank, sigma.rank))
     else:
         _need_instance(args)

@@ -9,8 +9,8 @@ kappa_sigma) x~ against the exact-oracle fidelity together with an analytic
 error bound and measured query counts.
 
 Both stages' levels are decided once, from the factors' shapes and the knobs,
-before anything is built (``stage_levels``): circuit-pe where every register a
-stage commits the estimate to fits the qubit budget (for W, that is eta's
+before anything is built (``registers.stage_levels``): circuit-pe where every
+register a stage commits the estimate to fits the qubit budget (for W, eta's
 register: W's plus rho's garbage), else ideal-spectral; a call no level can run
 is refused there.  The knobs are checked once, when ``PipelineParams`` is built,
 which also builds each stage's extraction record (``sigma``, ``eta``) for the
@@ -41,9 +41,9 @@ import numpy as np
 
 from .amplitude import QaeParams, checked_probability, qae_estimate, qae_error_bound
 from .block_encoding import purification_to_unitary_be
-from .errors import InfeasibleParamsError, Range, check_ranges
+from .errors import DimensionMismatchError, InfeasibleParamsError, Range, check_ranges
 from .linalg import operator_norm
-from .registers import DEFAULT_QUBIT_BUDGET, check_budget, circuit_qubits, eta_qubits, w_qubits
+from .registers import DEFAULT_QUBIT_BUDGET, stage_label, stage_levels
 from .sqrt_extractor import (
     SqrtParams,
     block_spectrum,
@@ -165,34 +165,6 @@ class WSigmaResult:
     sim_level: str
 
 
-def stage_levels(n: int, rho_garbage: int, sigma_garbage: int,
-                 params: PipelineParams) -> tuple[bool, bool]:
-    """Whether W and the eta stage run as circuits, for roles on n system
-    qubits with ``rho_garbage`` and ``sigma_garbage`` garbage qubits.
-
-    At circuit-pe, W is a circuit when eta's register on a circuit W fits
-    the budget, and the eta stage when its circuit on that W fits it.  A
-    call no level can run is refused before anything is built: W's register,
-    then eta's, over the budget raises RegisterTooLargeError.
-    """
-    budget = params.qubit_budget
-    circuit = params.sim_level == "circuit-pe"
-    # a circuit's output is [system, pe, flag] over sigma's garbage; the circuit is smaller than W
-    circuit_w_qubits = w_qubits(circuit_qubits(n, 0, params.sigma.l), sigma_garbage)
-    w_circuit = circuit and eta_qubits(circuit_w_qubits, rho_garbage) <= budget
-    w = circuit_w_qubits if w_circuit else w_qubits(circuit_qubits(n, 0, 0), sigma_garbage)
-    check_budget("construction", w, budget)
-    check_budget("eta register", eta_qubits(w, rho_garbage), budget)
-    return w_circuit, circuit and circuit_qubits(w, rho_garbage, params.eta.l) <= budget
-
-
-def _stage_level(circuit: bool, perturbation: float) -> str:
-    """The level a stage reports, from the level it ran and the perturbation."""
-    if not circuit:
-        return "ideal-spectral"
-    return "circuit-pe-perturbed" if perturbation > 0 else "circuit-pe"
-
-
 def build_w_sigma(
     sigma_prep: Purification,
     params: PipelineParams,
@@ -203,8 +175,8 @@ def build_w_sigma(
 
     The extraction runs on sigma's purification, as a circuit or (``circuit``
     false) as perfect phase estimation, which is small regardless of
-    t_sigma; ``stage_levels`` picks the level.  Its output state then goes
-    through the two-query purified-state-to-unitary construction.
+    t_sigma; ``registers.stage_levels`` picks the level.  Its output state
+    then goes through the two-query purified-state-to-unitary construction.
     """
     out = build_sqrt_unitary(sigma_prep.factor, params.sigma, circuit, seed=seed)
     # the output as a purification: its factor on [system and ancillas, garbage]
@@ -218,7 +190,7 @@ def build_w_sigma(
         target_sqrt=out.target_sqrt,
         kappa_sigma=params.kappa_sigma,
         w_sigma_error=scaled_block_error(block, out.target_sqrt, params.kappa_sigma),
-        sim_level=_stage_level(circuit, params.perturbation),
+        sim_level=stage_label(circuit, params.perturbation),
     )
 
 
@@ -298,7 +270,12 @@ def estimate_fidelity(
     params: PipelineParams,
     seed: int = 0,
 ) -> EstimationReport:
-    """Run the full pipeline and report the estimate against the oracle."""
+    """Run the full pipeline and report the estimate against the oracle.
+    Roles on different system sizes raise DimensionMismatchError before
+    anything runs."""
+    if rho_prep.system_qubits != sigma_prep.system_qubits:
+        raise DimensionMismatchError(f"rho prepares {rho_prep.system_qubits} qubits, "
+                                     f"sigma prepares {sigma_prep.system_qubits}")
     rho_prep, sigma_prep, rank_rho, rank_sigma, swapped = _role_order(rho_prep, sigma_prep)
     if not math.isfinite(analytic_error_bound(params, 0.5, rank_rho)):  # params checked rank 1
         raise ValueError(f"the analytic bound overflows a float at rank {rank_rho}")
@@ -332,7 +309,7 @@ def estimate_fidelity(
         rank_r=rank_rho,
         swapped=swapped,
         sim_level_sigma=w.sim_level,
-        sim_level_eta=_stage_level(eta_circuit, params.perturbation),
+        sim_level_eta=stage_label(eta_circuit, params.perturbation),
         kappa_sigma=params.kappa_sigma,
         t_sigma=params.t_sigma,
         kappa=params.kappa,

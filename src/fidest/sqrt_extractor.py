@@ -26,7 +26,9 @@ axis, or the circuit on a branches x T x 2 array.  A ``perturbation`` > 0
 multiplies each controlled exponential by a random unitary within that
 operator distance of identity (Hamiltonian-simulation error); such unitaries
 mix branches, so those circuits run on M reshaped to one axis per register.
-The pipeline chooses the level a stage runs and reports.
+The level a stage runs is chosen, and its register counted against the qubit
+budget, by ``registers.stage_levels`` (the level it reports by
+``registers.stage_label``); this module counts no register.
 
 Where only the all-zeros probability of an unperturbed extraction is
 needed, ``stage_gain`` gives each eigenbranch's all-zeros amplitude at
@@ -344,7 +346,7 @@ def build_sqrt_unitary(
     a separately supplied matrix.  The circuit is the sine-window reflection
     on pe, the controlled phases (exp(i tau theta) on pe value tau), the
     inverse QFT on pe, a rotation of the flag for each pe value k, and the
-    uncompute of the first three; ``pipeline.stage_levels`` sizes its register
+    uncompute of the first three; ``registers.stage_levels`` sizes its register
     before the pipeline runs it.  Perfect phase estimation builds no phase
     register, so t may be arbitrarily deep, and has no perturbation.
 

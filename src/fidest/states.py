@@ -83,7 +83,11 @@ class DensityOperator:
         missing = [key for key in ("qubits", "entries") if key not in data]
         if missing:
             raise ValueError(f"density-operator record has no {missing[0]!r}")
-        qubits = int(data["qubits"])
+        for key, expected in (("qubits", int), ("entries", list)):
+            if type(data[key]) is not expected:  # bool is an int subclass: JSON true is refused
+                raise ValueError(f"density-operator record's {key!r} must be "
+                                 f"{expected.__name__}, not {type(data[key]).__name__}")
+        qubits = data["qubits"]
         for i, pair in enumerate(data["entries"]):
             if not (isinstance(pair, list) and len(pair) == 2
                     and all(isinstance(v, (int, float)) for v in pair)):

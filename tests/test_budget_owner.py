@@ -1,7 +1,8 @@
-"""The qubit budget has one owner: ``registers.check_budget`` is called only
-inside ``pipeline.stage_levels``, which decides both stages' levels and
-refuses an over-budget call before anything is built, so no builder counts
-a register again.  The program, ``src/fidest``, is parsed with ``ast``.
+"""The qubit budget has one owner: ``RegisterTooLargeError`` is raised only
+inside ``registers.stage_levels``, which counts each stage's register,
+decides both stages' levels and refuses an over-budget call before anything
+is built, so no builder counts a register again.  The program,
+``src/fidest``, is parsed with ``ast``.
 """
 
 import ast
@@ -46,4 +47,4 @@ def test_only_stage_levels_checks_the_budget():
     paths = [os.path.join(SRC, name) for name in sorted(os.listdir(SRC)) if name.endswith(".py")]
     assert {"pipeline.py", "registers.py", "sqrt_extractor.py", "block_encoding.py"} <= {
         os.path.basename(p) for p in paths}
-    assert callers("check_budget", paths) == ["pipeline.stage_levels"]
+    assert callers("RegisterTooLargeError", paths) == ["registers.stage_levels"]

@@ -184,6 +184,22 @@ def test_estimate_load_dump_round_trip(tmp_path, capsys):
     assert abs(report["estimate"] - 1.0) <= 0.5
 
 
+def test_load_files_of_different_sizes_exit_3_naming_both(tmp_path, capsys, monkeypatch):
+    """Refused on loading, before any stage runs."""
+    def unrun(*args, **kwargs):
+        raise AssertionError("an estimate ran")
+
+    monkeypatch.setattr(cli, "estimate_fidelity", unrun)
+    one, two = tmp_path / "one.json", tmp_path / "two.json"
+    random_density(1, 1, seed=5).save(str(one))
+    random_density(2, 2, seed=6).save(str(two))
+    for (rho, qr), (sigma, qs) in [((one, 1), (two, 2)), ((two, 2), (one, 1))]:
+        code, out, err = run(capsys, "estimate", "--load-rho", str(rho), "--load-sigma",
+                             str(sigma), "--eps", "0.5")
+        assert (code, out) == (3, "")
+        assert err == f"config error: {rho} holds {qr} qubits, {sigma} holds {qs}\n"
+
+
 def test_estimate_dump_writes_instances(tmp_path, capsys):
     rho_path, out_path = tmp_path / "r.json", tmp_path / "rep.json"
     code, out, _ = run(
@@ -434,6 +450,14 @@ def test_config_key_that_is_no_flag_of_the_subcommand_exits_3(tmp_path, capsys, 
                  "1 entries for 100000000 qubits, not 4^qubits", id="huge-qubits"),
     pytest.param(json.dumps({"kind": "density"}),
                  "density-operator record has no 'qubits'", id="no-qubits"),
+    *(pytest.param(json.dumps({"kind": "density", "qubits": value,
+                               "entries": [[1, 0], [0, 0], [0, 0], [0, 0]]}),
+                   f"density-operator record's 'qubits' must be int, not {kind}", id=name)
+      for value, kind, name in [(1.7, "float", "float-qubits"), ("1", "str", "string-qubits"),
+                                (True, "bool", "boolean-qubits"),
+                                (None, "NoneType", "null-qubits")]),
+    pytest.param(json.dumps({"kind": "density", "qubits": 1, "entries": 5}),
+                 "density-operator record's 'entries' must be list, not int", id="number-entries"),
     pytest.param(json.dumps({"kind": "density", "qubits": 1}),
                  "density-operator record has no 'entries'", id="no-entries"),
     pytest.param(json.dumps({"kind": "density", "qubits": 1,

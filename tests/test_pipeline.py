@@ -31,16 +31,15 @@ from fidest import (
 import fidest.pipeline as pipeline_module
 from circuit_oracles import (dense_circuit, ideal_output, perturbed_circuit_on_whole_factor,
                              w_columns)
-from fidest.errors import InfeasibleParamsError, RegisterTooLargeError
-from fidest.registers import circuit_qubits, w_qubits
+from fidest.errors import DimensionMismatchError, InfeasibleParamsError, RegisterTooLargeError
 from fidest.pipeline import (
     CIRCUIT_T_CEILING,
     IDEAL_T_CEILING,
     SIM_LEVELS,
     _role_order,
     analytic_error_bound,
-    stage_levels,
 )
+from fidest.registers import stage_levels
 from fidest.verify import weyl_trace_bound_check
 
 Z0 = DensityOperator(np.diag([1.0, 0.0]))
@@ -495,6 +494,19 @@ def test_eta_rejects_a_w_for_another_system_size(prep):
         build_eta(prep(random_density(2, 2, seed=4)), w)
 
 
+def test_estimate_refuses_roles_of_different_sizes_before_anything_runs(prep, monkeypatch):
+    def unrun(*args, **kwargs):
+        raise AssertionError("the roles were ordered")
+
+    monkeypatch.setattr(pipeline_module, "_role_order", unrun)
+    one, two = prep(random_density(1, 1, seed=3)), prep(random_density(2, 2, seed=4))
+    for rho, sigma, message in [(one, two, "rho prepares 1 qubits, sigma prepares 2"),
+                                (two, one, "rho prepares 2 qubits, sigma prepares 1")]:
+        with pytest.raises(DimensionMismatchError) as exc:
+            estimate_fidelity(rho, sigma, ideal_params(), seed=0)
+        assert str(exc.value) == message
+
+
 def test_negative_bound_constant_raises():
     with pytest.raises(ValueError, match="bound_constant"):
         ideal_params(C=-1.0)
@@ -539,13 +551,12 @@ def _inline_level_rule(n, rho_garbage, sigma_garbage, params):
     in build_eta, then in estimate_fidelity.  Returns both stages' levels,
     or the first refusal's message.  An output's main register is system, pe
     (circuit only) and flag; W is twice that plus sigma's garbage; eta is W
-    plus rho's garbage; eta's circuit adds its pe register and flag."""
+    plus rho's garbage; eta's circuit adds its pe register and flag.  The
+    extraction's own check on its circuit is left out: a circuit W fits the
+    budget only when that smaller circuit does."""
     budget, circuit = params.qubit_budget, params.sim_level == "circuit-pe"
     ls, l = params.sigma.l, params.eta.l
     w_circuit = circuit and 2 * (n + ls + 1) + sigma_garbage + rho_garbage <= budget
-    if w_circuit and n + ls + 1 + sigma_garbage > budget:
-        return (f"circuit needs {n + ls + 1 + sigma_garbage} qubits, budget is {budget}; "
-                "use the ideal-spectral level instead")
     w = 2 * (n + (ls if w_circuit else 0) + 1) + sigma_garbage
     if w > budget:
         return f"construction needs {w} qubits, budget is {budget}"
@@ -795,7 +806,10 @@ def test_perturbed_eta_circuit_memory_follows_the_rows_it_reads():
         kappa_sigma=4.0, t_sigma=8, kappa=64.0, t=512, qae=QaeParams(M=64),
         sim_level="circuit-pe", qubit_budget=30, perturbation=0.05,
     )
-    assert circuit_qubits(w_qubits(circuit_qubits(1, 0, 3), 1), 1, 9) == 22
+    # eta's circuit, 22 qubits: W's (twice 1 system, 3 pe and 1 flag qubit, then sigma's
+    # garbage qubit), rho's garbage qubit, 9 pe qubits and the flag
+    for budget, levels in [(21, (True, False)), (22, (True, True))]:
+        assert stage_levels(1, 1, 1, dataclasses.replace(params, qubit_budget=budget)) == levels
     estimate_fidelity(rho, sigma, dataclasses.replace(params, t=8), seed=1)  # first-call costs
     tracemalloc.start()
     try:

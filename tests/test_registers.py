@@ -12,8 +12,7 @@ from fidest import (
     random_density,
 )
 from fidest.errors import DimensionMismatchError
-from fidest.pipeline import stage_levels
-from fidest.registers import circuit_qubits, eta_qubits, w_qubits
+from fidest.registers import stage_levels
 from circuit_oracles import w_columns
 from register_oracles import (
     UnknownSegmentError,
@@ -109,7 +108,10 @@ def test_zero_qubit_segments_are_transparent():
 def test_register_rule_counts_the_arrays_built(level, perturbation, label):
     """The rule that sizes W, eta and each extraction circuit equals the
     qubit counts of the arrays the stages commit; the eta-stage circuit runs
-    on eta's rows with W's ancillas zero, a smaller array."""
+    on eta's rows with W's ancillas zero, a smaller array.  The counts are
+    written out here: an extraction output is [system, pe, flag, garbage],
+    W is a mirror of the output's main register, then main and garbage, and
+    eta is W's register and rho's garbage."""
     rho_prep = purify(random_density(1, 2, seed=1), 1)
     sigma_prep = purify(random_density(1, 2, seed=2), 1)
     params = PipelineParams(
@@ -125,14 +127,14 @@ def test_register_rule_counts_the_arrays_built(level, perturbation, label):
     # the sigma stage's output: a circuit's, or one with a length-1 pe axis
     out = build_sqrt_unitary(sigma_prep.factor, sp, w_circuit, seed=1)
     l = sp.l if w_circuit else 0
-    assert out.state.size == 1 << circuit_qubits(n, g_sigma, l)
-    w_register = w_qubits(circuit_qubits(n, 0, l), g_sigma)
+    assert out.state.size == 1 << n + l + 1 + g_sigma
+    w_register = 2 * (n + l + 1) + g_sigma
     columns = w_columns(out, n)
     assert 1 << w_register == columns.shape[0]
     # eta's whole factor, the register the level rule counts
     eta_prep = Purification(columns @ rho_prep.factor)
-    assert eta_prep.factor.size == 1 << eta_qubits(w_register, g_rho)
+    assert eta_prep.factor.size == 1 << w_register + g_rho
     # the eta-stage circuit runs on eta's rows with W's ancillas zero
     eta = build_eta(rho_prep, w)
     eta_out = build_sqrt_unitary(eta.m, ep, seed=2)
-    assert eta_out.state.size == 1 << circuit_qubits(n, g_rho, ep.l)
+    assert eta_out.state.size == 1 << n + ep.l + 1 + g_rho
